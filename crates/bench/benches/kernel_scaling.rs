@@ -140,12 +140,10 @@ fn bench_ops(iters: usize) -> Vec<OpResult> {
 }
 
 /// Whole-ConvNet forward and forward+backward at the paper's CIFAR
-/// stem shape, with the fusion layer A/B'd via its thread override.
-/// Fused and unfused are bitwise identical — these rows report what
-/// the fusion actually buys in latency and heap traffic.
+/// stem shape, through the fused block ops the network always runs.
 fn bench_convnet(iters: usize) -> Vec<OpResult> {
     use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig};
-    use deco_tensor::{plancache, Reduction, Var};
+    use deco_tensor::{with_tape_arena, Reduction, Var};
 
     let mut rng = Rng::new(42);
     let net = ConvNet::new(
@@ -161,40 +159,21 @@ fn bench_convnet(iters: usize) -> Vec<OpResult> {
     );
     let x = Tensor::randn([16, 3, 32, 32], &mut rng);
     let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
-
-    plancache::set_thread_override(Some(true));
-    let mut results = Vec::new();
-    for fused in [true, false] {
-        deco_tensor::fusion::set_thread_override(Some(fused));
-        let tag = if fused { "fused" } else { "unfused" };
-        let fwd_name: &'static str = if fused {
-            "convnet_forward_fused"
-        } else {
-            "convnet_forward_unfused"
-        };
-        let bwd_name: &'static str = if fused {
-            "convnet_backward_fused"
-        } else {
-            "convnet_backward_unfused"
-        };
-        eprintln!("[kernel_scaling] convnet rows: fusion {tag}");
-        results.push(time_op(fwd_name, iters, || {
-            plancache::with_tape_arena(|| {
+    vec![
+        time_op("convnet_forward_fused", iters, || {
+            with_tape_arena(|| {
                 let input = Var::constant(x.clone());
                 std::hint::black_box(net.forward(&input, false));
             });
-        }));
-        results.push(time_op(bwd_name, iters, || {
-            plancache::with_tape_arena(|| {
+        }),
+        time_op("convnet_backward_fused", iters, || {
+            with_tape_arena(|| {
                 let input = Var::constant(x.clone());
                 let logits = net.forward(&input, false);
                 weighted_cross_entropy(&logits, &labels, None, Reduction::Sum).backward();
             });
-        }));
-    }
-    deco_tensor::fusion::set_thread_override(None);
-    plancache::set_thread_override(None);
-    results
+        }),
+    ]
 }
 
 fn baseline_mean_ms(path: &str, op: &str) -> Option<f64> {

@@ -50,18 +50,6 @@ fn maybe_augment(x: &Var, aug: Option<&Augmentation>) -> Var {
     }
 }
 
-/// Drop guard bounding one match job's plan-cache lifetime: cached
-/// im2col slabs and weight packs are shared by the passes *within* a
-/// job and dropped when it ends (workers own thread-local caches, so
-/// this is the per-job scoping the determinism contract relies on).
-pub(crate) struct PlanCacheJobScope;
-
-impl Drop for PlanCacheJobScope {
-    fn drop(&mut self) {
-        deco_tensor::plancache::clear();
-    }
-}
-
 /// The model gradient of the (weighted) cross-entropy loss on a batch.
 ///
 /// # Panics
@@ -73,7 +61,7 @@ pub fn model_gradient(
     weights: Option<&[f32]>,
     aug: Option<&Augmentation>,
 ) -> GradList {
-    deco_tensor::plancache::with_tape_arena(|| {
+    deco_tensor::with_tape_arena(|| {
         let x = maybe_augment(&Var::constant(images.clone()), aug);
         let logits = net.forward(&x, false);
         let loss = weighted_cross_entropy(&logits, labels, weights, Reduction::Sum);
@@ -115,7 +103,7 @@ fn input_gradient(
     labels: &[usize],
     aug: Option<&Augmentation>,
 ) -> Tensor {
-    deco_tensor::plancache::with_tape_arena(|| {
+    deco_tensor::with_tape_arena(|| {
         let leaf = Var::leaf(images.clone(), true);
         let x = maybe_augment(&leaf, aug);
         let logits = net.forward(&x, true);
@@ -162,10 +150,6 @@ pub fn one_step_match(
 ) -> MatchResult {
     assert!(epsilon_scale > 0.0, "epsilon scale must be positive");
     let _g = deco_telemetry::span!("condense.matcher.one_step");
-    // Scope the thread's plan cache to this match job: every pass below
-    // shares cached im2col slabs and weight packs, and the guard clears
-    // them on any exit path so nothing leaks into the next job.
-    let _cache_scope = PlanCacheJobScope;
     deco_telemetry::counter!("condense.matcher.distance_evals");
     // Pass 1: g_real (with confidence weights).
     let g_real = model_gradient(
@@ -514,75 +498,6 @@ mod tests {
         let d0 = gradient_distance(&net, &unweighted, None);
         let d1 = gradient_distance(&net, &weighted, None);
         assert_ne!(d0, d1);
-    }
-
-    #[test]
-    fn one_step_match_reuses_im2col_lowerings() {
-        use deco_tensor::plancache;
-        deco_runtime::with_thread_count(1, || {
-            plancache::set_thread_override(Some(true));
-            let mut rng = Rng::new(8);
-            let net = tiny_net(&mut rng, 2);
-            let (syn, sl, real, rl) = batch_data(&mut rng);
-            let batch = MatchBatch {
-                syn_images: &syn,
-                syn_labels: &sl,
-                real_images: &real,
-                real_labels: &rl,
-                real_weights: None,
-            };
-            plancache::clear();
-            plancache::reset_stats();
-            let _ = one_step_match(&net, &batch, None, 0.01);
-            let s = plancache::stats();
-            assert!(
-                s.im2col_hits >= 2,
-                "expected >= 2 im2col slab hits per matching step (the g_syn \
-                 weight-grad pass and the θ± forwards all lower the same syn \
-                 batch), got {}",
-                s.im2col_hits
-            );
-            assert_eq!(s.held_bytes, 0, "job scope must clear the cache");
-            plancache::set_thread_override(None);
-        });
-    }
-
-    #[test]
-    fn cache_off_matches_cache_on_bitwise() {
-        use deco_tensor::plancache;
-        deco_runtime::with_thread_count(1, || {
-            let mut rng = Rng::new(9);
-            let config = ConvNetConfig {
-                in_channels: 1,
-                image_side: 8,
-                width: 4,
-                depth: 2,
-                num_classes: 2,
-                norm: true,
-            };
-            let params = ConvNet::new(config, &mut rng).get_params();
-            let (syn, sl, real, rl) = batch_data(&mut rng);
-            let batch = MatchBatch {
-                syn_images: &syn,
-                syn_labels: &sl,
-                real_images: &real,
-                real_labels: &rl,
-                real_weights: None,
-            };
-            // The step perturbs and restores θ in floating point, which
-            // is not bit-exact — so each run gets a fresh net from the
-            // same snapshot, exactly like the parallel dispatcher does.
-            let run = |on: bool| {
-                plancache::set_thread_override(Some(on));
-                let net = ConvNet::from_params(config, &params);
-                one_step_match(&net, &batch, None, 0.01)
-            };
-            let on = run(true);
-            let off = run(false);
-            plancache::set_thread_override(None);
-            assert_eq!(on.distance.to_bits(), off.distance.to_bits());
-            assert_eq!(on.image_grad.data(), off.image_grad.data());
-        });
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ConvNet block. After warm-up, its heap traffic must stay bounded:
 //! every f32 buffer comes from the thread-local pool, tape nodes and
 //! gradient vectors recycle through the autograd arena free lists, and
-//! plan-cache lookups are key-allocation-free. What remains per step is
+//! im2col slabs live on the tape in pooled buffers. What remains per step is
 //! a small fixed overhead (one boxed backward closure per tape node
 //! plus a handful of collection buffers) — far below one allocation
 //! per tensor op, and >10× below the pre-fusion baseline of ~2,000.
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use deco_condense::{one_step_match, MatchBatch};
 use deco_nn::{ConvNet, ConvNetConfig};
-use deco_tensor::{fusion, plancache, Rng, Tensor};
+use deco_tensor::{Rng, Tensor};
 
 /// Ceiling on steady-state allocations per `one_step_match`. The
 /// measured value is ~160; the pre-fusion baseline was ~2,084. The
@@ -48,12 +48,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn one_step_match_stays_within_alloc_budget() {
     deco_runtime::with_thread_count(1, || {
-        // Pin the plan cache and fusion on for this thread: the budget
-        // describes the fused, cached steady state the condense loop
-        // actually runs in (under DECO_FUSION=0 the unfused graph's
-        // per-node overhead is the ~2,000-alloc regime by design).
-        plancache::set_thread_override(Some(true));
-        fusion::set_thread_override(Some(true));
         let mut rng = Rng::new(11);
         let net = ConvNet::new(
             ConvNetConfig {
@@ -78,8 +72,8 @@ fn one_step_match_stays_within_alloc_budget() {
             real_weights: None,
         };
 
-        // Warm-up: pool, storage-shell, arena and plan-cache free lists
-        // all fill on the first couple of steps.
+        // Warm-up: pool, storage-shell and arena free lists all fill on
+        // the first couple of steps.
         for _ in 0..3 {
             std::hint::black_box(one_step_match(&net, &batch, None, 0.01));
         }
@@ -90,8 +84,6 @@ fn one_step_match_stays_within_alloc_budget() {
             std::hint::black_box(one_step_match(&net, &batch, None, 0.01));
         }
         let per_step = (ALLOCS.load(Ordering::Relaxed) - before) / ITERS;
-        fusion::set_thread_override(None);
-        plancache::set_thread_override(None);
         assert!(
             per_step <= MAX_ALLOCS_PER_STEP,
             "one_step_match allocates {per_step}/step, budget {MAX_ALLOCS_PER_STEP}"

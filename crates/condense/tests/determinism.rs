@@ -1,17 +1,19 @@
-//! Fusion on/off determinism for whole condense steps.
+//! Fused matcher steps against their unfused reference.
 //!
 //! The fused kernels (`group_norm_relu`, `relu_avg_pool2d`, the fused
 //! softmax cross-entropy and the conv bias epilogue) replicate the
-//! exact per-element f32 operation and accumulation order of the
-//! unfused graph, so a full `one_step_match` — five forward/backward
-//! passes through every fused op — must produce **bitwise identical**
-//! results whether fusion is enabled or not, at any thread count.
-//! The per-kernel version of this contract lives in the conformance
-//! fuzzer; this test holds the end-to-end matcher step to it.
+//! exact per-element f32 operation and accumulation order of the op
+//! chains they replace, so a full `one_step_match` — five
+//! forward/backward passes through every fused op — must be **bitwise
+//! identical** to the same step built from those chains
+//! (`deco_conformance::unfused`), at any thread count. The per-kernel
+//! version of this contract lives in the conformance fuzzer; this test
+//! holds the end-to-end matcher step to it.
 
 use deco_condense::{gradient_distance, one_step_match, MatchBatch};
-use deco_nn::{ConvNet, ConvNetConfig};
-use deco_tensor::{fusion, Rng, Tensor, Var};
+use deco_conformance::unfused;
+use deco_nn::{cosine_distance, ConvNet, ConvNetConfig};
+use deco_tensor::{Rng, Tensor, Var};
 
 fn batch_data(rng: &mut Rng) -> (Tensor, Vec<usize>, Tensor, Vec<usize>) {
     let syn = Tensor::randn([3, 1, 8, 8], rng);
@@ -32,10 +34,17 @@ fn config() -> ConvNetConfig {
     }
 }
 
-/// `one_step_match` under fusion on/off × 1/4 threads: distance and
-/// image gradient bitwise identical across all four runs.
+fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what} [{i}] drifted: {x} vs {y}");
+    }
+}
+
+/// `one_step_match` vs the reference step at 1 and 4 threads: distance
+/// and image gradient bitwise identical across all four runs.
 #[test]
-fn one_step_match_fusion_on_off_bitwise() {
+fn one_step_match_matches_reference_bitwise() {
     let mut rng = Rng::new(31);
     let config = config();
     let params = ConvNet::new(config, &mut rng).get_params();
@@ -49,40 +58,39 @@ fn one_step_match_fusion_on_off_bitwise() {
     };
     // The step perturbs and restores θ in floating point, which is not
     // bit-exact — so each run gets a fresh net from the same snapshot.
-    let run = |fused: bool, threads: usize| {
+    let fused = |threads: usize| {
         deco_runtime::with_thread_count(threads, || {
-            fusion::set_thread_override(Some(fused));
-            let net = ConvNet::from_params(config, &params);
-            let r = one_step_match(&net, &batch, None, 0.01);
-            fusion::set_thread_override(None);
-            r
+            one_step_match(&ConvNet::from_params(config, &params), &batch, None, 0.01)
         })
     };
-    let base = run(true, 1);
-    for (fused, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let other = run(fused, threads);
+    let reference = |threads: usize| {
+        deco_runtime::with_thread_count(threads, || {
+            unfused::one_step_match(&config, &params, &batch, 0.01)
+        })
+    };
+    let base = fused(1);
+    for (other, what) in [
+        (fused(4), "fused/4t"),
+        (reference(1), "reference/1t"),
+        (reference(4), "reference/4t"),
+    ] {
         assert_eq!(
             base.distance.to_bits(),
             other.distance.to_bits(),
-            "distance drifted (fused={fused}, threads={threads})"
+            "distance drifted ({what})"
         );
-        let a = base.image_grad.data();
-        let b = other.image_grad.data();
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "image grad [{i}] drifted (fused={fused}, threads={threads})"
-            );
-        }
+        assert_bits_eq(
+            base.image_grad.data(),
+            other.image_grad.data(),
+            &format!("image grad ({what})"),
+        );
     }
 }
 
 /// The gradient-matching distance `D` alone (two full model-gradient
-/// passes), fusion on vs off, bitwise.
+/// passes) vs the reference network's, bitwise.
 #[test]
-fn gradient_distance_fusion_on_off_bitwise() {
+fn gradient_distance_matches_reference_bitwise() {
     let mut rng = Rng::new(32);
     let config = config();
     let params = ConvNet::new(config, &mut rng).get_params();
@@ -94,23 +102,20 @@ fn gradient_distance_fusion_on_off_bitwise() {
         real_labels: &rl,
         real_weights: None,
     };
-    let run = |fused: bool| {
-        fusion::set_thread_override(Some(fused));
-        let net = ConvNet::from_params(config, &params);
-        let d = gradient_distance(&net, &batch, None);
-        fusion::set_thread_override(None);
-        d
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.to_bits(), off.to_bits());
+    let fused = gradient_distance(&ConvNet::from_params(config, &params), &batch, None);
+    let reference = cosine_distance(
+        &unfused::model_gradient(&config, &params, &syn, &sl, None),
+        &unfused::model_gradient(&config, &params, &real, &rl, None),
+    );
+    assert_eq!(fused.to_bits(), reference.to_bits());
 }
 
 /// A DM-style feature-matching gradient (the `ConvNet::features`
-/// encoder path, which routes through the fused block tail), fusion
-/// on/off × 1/4 threads, bitwise on the synthetic-image gradient.
+/// encoder path, which routes through the fused block tail) vs the
+/// reference encoder at 1 and 4 threads, bitwise on the synthetic-image
+/// gradient.
 #[test]
-fn dm_feature_gradient_fusion_on_off_bitwise() {
+fn dm_feature_gradient_matches_reference_bitwise() {
     let mut rng = Rng::new(33);
     let config = config();
     let params = ConvNet::new(config, &mut rng).get_params();
@@ -118,30 +123,31 @@ fn dm_feature_gradient_fusion_on_off_bitwise() {
     let syn = Tensor::randn([2, 1, 8, 8], &mut rng);
     let run = |fused: bool, threads: usize| {
         deco_runtime::with_thread_count(threads, || {
-            fusion::set_thread_override(Some(fused));
-            let g = deco_tensor::plancache::with_tape_arena(|| {
+            deco_tensor::with_tape_arena(|| {
                 let net = ConvNet::from_params(config, &params);
-                let real_feats = net.features(&Var::constant(real.clone()), true);
+                let frozen: Vec<Var> = params.iter().cloned().map(Var::constant).collect();
+                let features = |x: &Var| {
+                    if fused {
+                        net.features(x, true)
+                    } else {
+                        unfused::convnet_features(&config, &frozen, x)
+                    }
+                };
+                let real_feats = features(&Var::constant(real.clone()));
                 let real_mean = Var::constant(real_feats.value().mean_axes(&[0], true));
                 let syn_leaf = Var::leaf(syn.clone(), true);
-                let syn_feats = net.features(&syn_leaf, true);
-                let syn_mean = syn_feats.mean_axes_keepdim(&[0]);
+                let syn_mean = features(&syn_leaf).mean_axes_keepdim(&[0]);
                 syn_mean.sub(&real_mean).square().sum().backward();
                 syn_leaf.grad().expect("image gradient")
-            });
-            fusion::set_thread_override(None);
-            g
+            })
         })
     };
     let base = run(true, 1);
     for (fused, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let other = run(fused, threads);
-        for (i, (x, y)) in base.data().iter().zip(other.data()).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "feature grad [{i}] drifted (fused={fused}, threads={threads})"
-            );
-        }
+        assert_bits_eq(
+            base.data(),
+            run(fused, threads).data(),
+            &format!("feature grad (fused={fused}, threads={threads})"),
+        );
     }
 }

@@ -13,7 +13,7 @@ use deco_nn::{cosine_distance, cosine_distance_grad, GradList, GroupNorm};
 use deco_telemetry::Json;
 use deco_tensor::{Conv2dSpec, Reduction, Rng, Tensor, Var};
 
-use crate::reference;
+use crate::{reference, unfused};
 
 /// Maximum allowed `|f32 − f64| / max(1, |f64|)` deviation per element
 /// for the f32-compute kernels (the default per-kernel tolerance).
@@ -144,9 +144,7 @@ pub fn run_differential(cases: usize, seed: u64) -> DiffReport {
             fuzz_avg_pool(cases, seed ^ 0x06),
             fuzz_softmax_ce(cases, seed ^ 0x07),
             fuzz_cosine_distance(cases, seed ^ 0x08),
-            fuzz_im2col_vs_direct(cases, seed ^ 0x09),
             fuzz_gemm_blocked_vs_naive(cases, seed ^ 0x0A),
-            fuzz_matcher_plan_cache(cases, seed ^ 0x0B),
             fuzz_matcher_storage_dtype(cases, seed ^ 0x0C),
             fuzz_gemm_simd_vs_scalar(cases, seed ^ 0x0D),
             fuzz_fused_group_norm_relu(cases, seed ^ 0x0E),
@@ -338,6 +336,9 @@ fn fuzz_conv_input_grad(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
+/// Conv weight gradient by both routes: the public per-image kernel
+/// (held to the `f64` reference) and the autograd tape's slab route
+/// (held to the per-image kernel bitwise), each at both thread counts.
 fn fuzz_conv_weight_grad(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("conv2d_weight_grad");
@@ -352,57 +353,22 @@ fn fuzz_conv_weight_grad(cases: usize, seed: u64) -> KernelReport {
             || gt.conv2d_weight_grad(&xt, spec.kernel, spec),
             |t| t.data().to_vec(),
         );
+        // The tape route: `Var::conv2d` keeps its forward's im2col slab
+        // and feeds it to the weight gradient, which must equal the
+        // per-image recompute above bit for bit.
+        let (tape, tape_ok) = run_both(
+            || {
+                let wl = Var::leaf(Tensor::zeros([cout, cin, spec.kernel, spec.kernel]), true);
+                Var::constant(xt.clone())
+                    .conv2d(&wl, None, spec)
+                    .backward_with(gt.clone());
+                wl.grad().expect("weight gradient")
+            },
+            |t| t.data().to_vec(),
+        );
+        let ok = ok && tape_ok && bits_equal(tape.data(), out.data());
         let r = reference::conv2d_weight_grad(&g, (n, cout, oh, ow), &x, (cin, h, w), spec);
         let dev = reference::max_rel_deviation(out.data(), &r);
-        tr.record(dev, ok, &conv_label(n, cin, cout, h, w, spec));
-    }
-    tr.finish()
-}
-
-/// Differential case for the conv lowering choice itself: the im2col/GEMM
-/// path and the direct kernels are forced in turn (via the `testhook`
-/// wrappers — no heuristic involved) on the same problem, and **both** are
-/// held to the `f64` reference. The bitwise channel reports whether each
-/// forced path is thread-invariant.
-fn fuzz_im2col_vs_direct(cases: usize, seed: u64) -> KernelReport {
-    use deco_tensor::testhook::{
-        conv2d_forced, conv2d_input_grad_forced, conv2d_weight_grad_forced,
-    };
-    let mut rng = Rng::new(seed);
-    let mut tr = Tracker::new("conv2d_im2col_vs_direct");
-    for i in 0..cases {
-        let (n, cin, cout, h, w, spec) = conv_case(i, &mut rng);
-        let (oh, ow) = (spec.out_side(h), spec.out_side(w));
-        let x = randn_vec(n * cin * h * w, &mut rng);
-        let wgt = randn_vec(cout * cin * spec.kernel * spec.kernel, &mut rng);
-        let g = randn_vec(n * cout * oh * ow, &mut rng);
-        let xt = Tensor::from_vec(x.clone(), [n, cin, h, w]);
-        let wt = Tensor::from_vec(wgt.clone(), [cout, cin, spec.kernel, spec.kernel]);
-        let gt = Tensor::from_vec(g.clone(), [n, cout, oh, ow]);
-        let r_fwd = reference::conv2d(&x, (n, cin, h, w), &wgt, cout, None, spec);
-        let r_gin = reference::conv2d_input_grad(&g, (n, cout, oh, ow), &wgt, cin, (h, w), spec);
-        let r_gw = reference::conv2d_weight_grad(&g, (n, cout, oh, ow), &x, (cin, h, w), spec);
-        let mut dev = 0.0f64;
-        let mut ok = true;
-        for im2col in [true, false] {
-            let (fwd, ok1) = run_both(
-                || conv2d_forced(&xt, &wt, None, spec, im2col),
-                |t| t.data().to_vec(),
-            );
-            let (gin, ok2) = run_both(
-                || conv2d_input_grad_forced(&gt, &wt, (h, w), spec, im2col),
-                |t| t.data().to_vec(),
-            );
-            let (gw, ok3) = run_both(
-                || conv2d_weight_grad_forced(&gt, &xt, spec.kernel, spec, im2col),
-                |t| t.data().to_vec(),
-            );
-            ok = ok && ok1 && ok2 && ok3;
-            dev = dev
-                .max(reference::max_rel_deviation(fwd.data(), &r_fwd))
-                .max(reference::max_rel_deviation(gin.data(), &r_gin))
-                .max(reference::max_rel_deviation(gw.data(), &r_gw));
-        }
         tr.record(dev, ok, &conv_label(n, cin, cout, h, w, spec));
     }
     tr.finish()
@@ -500,110 +466,6 @@ fn fuzz_gemm_simd_vs_scalar(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
-/// Differential case for the condense-step plan cache: `one_step_match`
-/// with the plan cache enabled vs disabled (the `DECO_PLAN_CACHE=0` path,
-/// forced per-thread via [`deco_tensor::plancache::set_thread_override`])
-/// over randomized network geometries, batch shapes and augmentations.
-/// Cached im2col slabs and weight packs are value-preserving lowerings,
-/// so the two runs are held to **bitwise** equality; the deviation
-/// channel reports any numeric gap between them directly (expected 0).
-/// The cache-on case additionally runs under both thread counts.
-///
-/// The step perturbs and restores `θ` in floating point, which is not
-/// bit-exact, so every run rebuilds the net from the same parameter
-/// snapshot instead of reusing one net across runs.
-fn fuzz_matcher_plan_cache(cases: usize, seed: u64) -> KernelReport {
-    use deco_condense::{one_step_match, Augmentation, MatchBatch};
-    use deco_nn::{ConvNet, ConvNetConfig};
-    use deco_tensor::plancache;
-
-    let mut rng = Rng::new(seed);
-    let mut tr = Tracker::new("matcher_plan_cache");
-    for i in 0..cases {
-        // (side, depth, width, cin): degenerate nets first (direct conv
-        // path, below the im2col gate), then geometries that cross it.
-        let (side, depth, width, cin) = match i {
-            0 => (4, 1, 1, 1),
-            1 => (8, 2, 4, 1), // crosses the im2col gate
-            2 => (8, 1, 4, 3), // RGB-ish, wide single block
-            _ => {
-                let depth = rng.below(2) + 1;
-                let side = (rng.below(2) + 1) << depth; // divisible by 2^depth
-                (side, depth, rng.below(4) + 1, rng.below(2) + 1)
-            }
-        };
-        let classes = rng.below(3) + 2;
-        let config = ConvNetConfig {
-            in_channels: cin,
-            image_side: side,
-            width,
-            depth,
-            num_classes: classes,
-            norm: rng.coin(0.5),
-        };
-        let params = ConvNet::new(config, &mut rng).get_params();
-        let n_syn = rng.below(3) + 1;
-        let n_real = rng.below(4) + 1;
-        let syn = Tensor::from_vec(
-            randn_vec(n_syn * cin * side * side, &mut rng),
-            [n_syn, cin, side, side],
-        );
-        let real = Tensor::from_vec(
-            randn_vec(n_real * cin * side * side, &mut rng),
-            [n_real, cin, side, side],
-        );
-        let syn_labels: Vec<usize> = (0..n_syn).map(|_| rng.below(classes)).collect();
-        let real_labels: Vec<usize> = (0..n_real).map(|_| rng.below(classes)).collect();
-        let weights: Option<Vec<f32>> = if rng.coin(0.5) {
-            Some((0..n_real).map(|_| rng.uniform(0.1, 1.0)).collect())
-        } else {
-            None
-        };
-        let aug = if rng.coin(0.5) {
-            Some(Augmentation::sample(side, &mut rng))
-        } else {
-            None
-        };
-        let batch = MatchBatch {
-            syn_images: &syn,
-            syn_labels: &syn_labels,
-            real_images: &real,
-            real_labels: &real_labels,
-            real_weights: weights.as_deref(),
-        };
-        let run = |cache_on: bool| {
-            plancache::set_thread_override(Some(cache_on));
-            let net = ConvNet::from_params(config, &params);
-            let r = one_step_match(&net, &batch, aug.as_ref(), 0.01);
-            plancache::set_thread_override(None);
-            (r.distance, r.image_grad.data().to_vec())
-        };
-        let (d_on, g_on) = deco_runtime::with_thread_count(1, || run(true));
-        let (d_on4, g_on4) = deco_runtime::with_thread_count(4, || run(true));
-        let (d_off, g_off) = deco_runtime::with_thread_count(1, || run(false));
-        let ok = d_on.to_bits() == d_off.to_bits()
-            && d_on.to_bits() == d_on4.to_bits()
-            && bits_equal(&g_on, &g_off)
-            && bits_equal(&g_on, &g_on4);
-        let g_off64: Vec<f64> = g_off.iter().map(|&v| v as f64).collect();
-        let dev = reference::rel_deviation(d_on, d_off as f64)
-            .max(reference::max_rel_deviation(&g_on, &g_off64));
-        let aug_tag = match &aug {
-            None => "none",
-            Some(Augmentation::Identity) => "id",
-            Some(Augmentation::Flip) => "flip",
-            Some(Augmentation::Shift { .. }) => "shift",
-            Some(Augmentation::Cutout { .. }) => "cutout",
-        };
-        tr.record(
-            dev,
-            ok,
-            &format!("n{n_syn}/{n_real} c{cin} {side}px w{width} d{depth} aug:{aug_tag}"),
-        );
-    }
-    tr.finish()
-}
-
 /// Storage-precision conformance for the matcher path, one case per
 /// randomized geometry × each sub-f32 dtype (`bf16`, `f16`, `i8`).
 ///
@@ -619,10 +481,9 @@ fn fuzz_matcher_plan_cache(cases: usize, seed: u64) -> KernelReport {
 ///
 /// The bitwise channel covers the determinism contract on committed
 /// storage: snapping decoded values is a bitwise no-op (idempotence —
-/// what keeps re-commits byte-stable), the stored-operand GEMM
-/// ([`Tensor::matmul_stored`]) matches widen-then-`matmul` bitwise at
-/// both thread counts, and `one_step_match` over a committed sub-f32
-/// synthetic set is bitwise identical under `DECO_THREADS` 1 and 4.
+/// what keeps re-commits byte-stable), and `one_step_match` over a
+/// committed sub-f32 synthetic set is bitwise identical under
+/// `DECO_THREADS` 1 and 4.
 fn fuzz_matcher_storage_dtype(cases: usize, seed: u64) -> KernelReport {
     use deco_condense::{one_step_match, MatchBatch};
     use deco_nn::{ConvNet, ConvNetConfig};
@@ -640,8 +501,7 @@ fn fuzz_matcher_storage_dtype(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::with_tolerance("matcher_storage_dtype", 1.0);
     for i in 0..cases {
-        // Geometry as in the plan-cache kernel: degenerate nets first
-        // (direct conv, below the im2col gate), then crossing it.
+        // Degenerate nets first, then randomized geometries.
         let (side, depth, width, cin) = match i {
             0 => (4, 1, 1, 1),
             1 => (8, 2, 4, 1),
@@ -673,17 +533,6 @@ fn fuzz_matcher_storage_dtype(cases: usize, seed: u64) -> KernelReport {
         );
         let syn_labels: Vec<usize> = (0..n_syn).map(|_| rng.below(classes)).collect();
         let real_labels: Vec<usize> = (0..n_real).map(|_| rng.below(classes)).collect();
-        // GEMM operand for the stored-matmul check; every 3rd case
-        // crosses the packed-path gate (2·m·k·n ≥ 2^13) so the
-        // plan-cached pack-time widening is exercised, not just the
-        // tiny-product decode fallback.
-        let (m, k, n) = if i % 3 == 0 {
-            (8, 64, 8)
-        } else {
-            (rng.below(6) + 1, rng.below(8) + 1, rng.below(6) + 1)
-        };
-        let a = Tensor::from_vec(randn_vec(m * k, &mut rng), [m, k]);
-        let b = Tensor::from_vec(randn_vec(k * n, &mut rng), [k, n]);
         let mut case_dev = 0.0f64;
         let mut case_ok = true;
         let mut worst_dtype = StorageDtype::Bf16;
@@ -710,13 +559,6 @@ fn fuzz_matcher_storage_dtype(cases: usize, seed: u64) -> KernelReport {
             }
             // Idempotence: decoded values are already on the lattice.
             let mut ok = bits_equal(snap_to_scalar(&syn, scalar).data(), syn.data());
-            // Stored-operand GEMM: bitwise equal to widen-then-matmul,
-            // at both thread counts.
-            let stored_b = StoredTensor::encode(&b, dtype);
-            let widened = a.matmul(&stored_b.decode());
-            let (via_stored, gemm_ok) =
-                run_both(|| a.matmul_stored(&stored_b), |t| t.data().to_vec());
-            ok = ok && gemm_ok && bits_equal(via_stored.data(), widened.data());
             // Matcher thread invariance on the committed buffer.
             let batch = MatchBatch {
                 syn_images: &syn,
@@ -920,33 +762,26 @@ fn fuzz_cosine_distance(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
-/// Runs `f` under every (fusion, thread-count) combination — fused and
-/// unfused, each at both [`THREAD_COUNTS`] — and returns the fused
-/// 1-thread result plus whether **all four** runs agreed bitwise. This
-/// is the fusion layer's contract: `DECO_FUSION` must never change a
-/// single output bit, only how the graph is executed.
-fn run_fusion_modes<R>(f: impl Fn() -> R, data: impl Fn(&R) -> Vec<f32>) -> (R, bool) {
-    use deco_tensor::fusion;
-    let run_at = |fused: bool, threads: usize| {
-        fusion::set_thread_override(Some(fused));
-        let r = deco_runtime::with_thread_count(threads, &f);
-        fusion::set_thread_override(None);
-        r
-    };
-    let fused_one = run_at(true, 1);
-    let base = data(&fused_one);
-    let mut ok = true;
-    for (fused, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let r = run_at(fused, threads);
-        ok &= bits_equal(&base, &data(&r));
-    }
+/// Runs the fused op `fused` and its [`unfused`] reference chain
+/// `reference`, each at both [`THREAD_COUNTS`], and returns the fused
+/// 1-thread result plus whether **all four** runs agreed bitwise — the
+/// fusion contract: a fused op computes exactly the bits of the chain it
+/// replaces, whatever the thread count.
+fn run_against_reference<R>(
+    fused: impl Fn() -> R,
+    reference: impl Fn() -> R,
+    data: impl Fn(&R) -> Vec<f32>,
+) -> (R, bool) {
+    let (fused_one, ok) = run_both(&fused, &data);
+    let (reference_one, ref_ok) = run_both(&reference, &data);
+    let ok = ok && ref_ok && bits_equal(&data(&fused_one), &data(&reference_one));
     (fused_one, ok)
 }
 
 /// Differential case for the fused `group_norm → relu` tape op: forward
-/// value and input/affine gradients must be bitwise identical across
-/// fused/unfused × 1/4 threads, and the forward must track the `f64`
-/// group-norm reference (with relu applied) within tolerance.
+/// value and input/affine gradients must be bitwise identical to the
+/// reference chain at 1 and 4 threads, and the forward must track the
+/// `f64` group-norm reference (with relu applied) within tolerance.
 fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("fused_group_norm_relu");
@@ -969,20 +804,22 @@ fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
         let xt = Tensor::from_vec(x.clone(), [n, c, side, side]);
         let gt = Tensor::from_vec(gamma.clone(), [1, c, 1, 1]);
         let bt = Tensor::from_vec(beta.clone(), [1, c, 1, 1]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let xl = Var::leaf(xt.clone(), true);
-                let gl = Var::leaf(gt.clone(), true);
-                let bl = Var::leaf(bt.clone(), true);
-                let y = xl.group_norm_relu(&gl, &bl, groups, 1e-5);
-                y.sum().backward();
-                (
-                    y.value().clone(),
-                    xl.grad().expect("x grad"),
-                    gl.grad().expect("gamma grad"),
-                    bl.grad().expect("beta grad"),
-                )
-            },
+        let run = |build: &dyn Fn(&Var, &Var, &Var) -> Var| {
+            let xl = Var::leaf(xt.clone(), true);
+            let gl = Var::leaf(gt.clone(), true);
+            let bl = Var::leaf(bt.clone(), true);
+            let y = build(&xl, &gl, &bl);
+            y.sum().backward();
+            (
+                y.value().clone(),
+                xl.grad().expect("x grad"),
+                gl.grad().expect("gamma grad"),
+                bl.grad().expect("beta grad"),
+            )
+        };
+        let (out, ok) = run_against_reference(
+            || run(&|x, g, b| x.group_norm_relu(g, b, groups, 1e-5)),
+            || run(&|x, g, b| unfused::group_norm_relu(x, g, b, groups, 1e-5)),
             |(y, gx, gg, gb)| {
                 let mut v = y.data().to_vec();
                 v.extend_from_slice(gx.data());
@@ -1003,8 +840,9 @@ fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
 }
 
 /// Differential case for the fused `relu → avg_pool2d` tape op:
-/// forward and the masked pooled-gradient backward, bitwise across
-/// fused/unfused × 1/4 threads, forward against the `f64` reference.
+/// forward and the masked pooled-gradient backward, bitwise against the
+/// reference chain at 1 and 4 threads, forward against the `f64`
+/// reference.
 fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("fused_relu_avg_pool2d");
@@ -1023,13 +861,15 @@ fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
         let (h, w) = (k * tiles, k * tiles);
         let x = randn_vec(n * c * h * w, &mut rng);
         let xt = Tensor::from_vec(x.clone(), [n, c, h, w]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let xl = Var::leaf(xt.clone(), true);
-                let y = xl.relu_avg_pool2d(k);
-                y.sum().backward();
-                (y.value().clone(), xl.grad().expect("x grad"))
-            },
+        let run = |build: &dyn Fn(&Var) -> Var| {
+            let xl = Var::leaf(xt.clone(), true);
+            let y = build(&xl);
+            y.sum().backward();
+            (y.value().clone(), xl.grad().expect("x grad"))
+        };
+        let (out, ok) = run_against_reference(
+            || run(&|x| x.relu_avg_pool2d(k)),
+            || run(&|x| unfused::relu_avg_pool2d(x, k)),
             |(y, gx)| {
                 let mut v = y.data().to_vec();
                 v.extend_from_slice(gx.data());
@@ -1047,8 +887,8 @@ fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
 }
 
 /// Differential case for the fused `log_softmax → nll` loss: loss value
-/// and logit gradient, bitwise across fused/unfused × 1/4 threads,
-/// against the `f64` softmax-cross-entropy reference.
+/// and logit gradient, bitwise against the reference chain at 1 and 4
+/// threads, against the `f64` softmax-cross-entropy reference.
 fn fuzz_fused_softmax_ce(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("fused_softmax_ce");
@@ -1073,13 +913,16 @@ fn fuzz_fused_softmax_ce(cases: usize, seed: u64) -> KernelReport {
             Reduction::Sum
         };
         let lt = Tensor::from_vec(logits.clone(), [n, c]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let leaf = Var::leaf(lt.clone(), true);
-                let loss = leaf.log_softmax_cross_entropy(&labels, weights.as_deref(), reduction);
-                loss.backward();
-                (loss.value().item(), leaf.grad().expect("logit grad"))
-            },
+        let run = |build: &dyn Fn(&Var) -> Var| {
+            let leaf = Var::leaf(lt.clone(), true);
+            let loss = build(&leaf);
+            loss.backward();
+            (loss.value().item(), leaf.grad().expect("logit grad"))
+        };
+        let w = weights.as_deref();
+        let (out, ok) = run_against_reference(
+            || run(&|x| x.log_softmax_cross_entropy(&labels, w, reduction)),
+            || run(&|x| unfused::log_softmax_cross_entropy(x, &labels, w, reduction)),
             |(loss, grad)| {
                 let mut v = vec![*loss];
                 v.extend_from_slice(grad.data());
@@ -1096,9 +939,9 @@ fn fuzz_fused_softmax_ce(cases: usize, seed: u64) -> KernelReport {
 }
 
 /// Differential case for the conv bias epilogue: `conv2d` with bias
-/// folded into the GEMM writeback (fused) vs materialized and added as
-/// a separate tape op (unfused), forward plus all three gradients,
-/// bitwise across fused/unfused × 1/4 threads, forward against the
+/// folded into the GEMM writeback vs the bias-free convolution plus a
+/// separate broadcast add ([`unfused::conv2d_bias`]), forward plus all
+/// three gradients, bitwise at 1 and 4 threads, forward against the
 /// `f64` reference.
 fn fuzz_conv_bias_epilogue(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
@@ -1132,20 +975,22 @@ fn fuzz_conv_bias_epilogue(cases: usize, seed: u64) -> KernelReport {
         let xt = Tensor::from_vec(x.clone(), [n, cin, side, side]);
         let wt = Tensor::from_vec(wgt.clone(), [cout, cin, k, k]);
         let bt = Tensor::from_vec(bias.clone(), [cout]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let xl = Var::leaf(xt.clone(), true);
-                let wl = Var::leaf(wt.clone(), true);
-                let bl = Var::leaf(bt.clone(), true);
-                let y = xl.conv2d(&wl, Some(&bl), spec);
-                y.sum().backward();
-                (
-                    y.value().clone(),
-                    xl.grad().expect("x grad"),
-                    wl.grad().expect("w grad"),
-                    bl.grad().expect("bias grad"),
-                )
-            },
+        let run = |build: &dyn Fn(&Var, &Var, &Var) -> Var| {
+            let xl = Var::leaf(xt.clone(), true);
+            let wl = Var::leaf(wt.clone(), true);
+            let bl = Var::leaf(bt.clone(), true);
+            let y = build(&xl, &wl, &bl);
+            y.sum().backward();
+            (
+                y.value().clone(),
+                xl.grad().expect("x grad"),
+                wl.grad().expect("w grad"),
+                bl.grad().expect("bias grad"),
+            )
+        };
+        let (out, ok) = run_against_reference(
+            || run(&|x, w, b| x.conv2d(w, Some(b), spec)),
+            || run(&|x, w, b| unfused::conv2d_bias(x, w, b, spec)),
             |(y, gx, gw, gb)| {
                 let mut v = y.data().to_vec();
                 v.extend_from_slice(gx.data());
@@ -1156,7 +1001,11 @@ fn fuzz_conv_bias_epilogue(cases: usize, seed: u64) -> KernelReport {
         );
         let r = reference::conv2d(&x, (n, cin, side, side), &wgt, cout, Some(&bias), spec);
         let dev = reference::max_rel_deviation(out.0.data(), &r);
-        tr.record(dev, ok, &format!("n{n} {cin}->{cout} {side}x{side} k{k}s{s}p{p}"));
+        tr.record(
+            dev,
+            ok,
+            &format!("n{n} {cin}->{cout} {side}x{side} k{k}s{s}p{p}"),
+        );
     }
     tr.finish()
 }
@@ -1171,7 +1020,7 @@ mod tests {
         let b = run_differential(8, 0xD1FF);
         assert!(a.passed(), "\n{}", a.render());
         assert_eq!(a.max_deviation(), b.max_deviation());
-        assert_eq!(a.kernels.len(), 17);
+        assert_eq!(a.kernels.len(), 15);
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! Fusion on/off bitwise identity under both SIMD numerics modes.
+//! Fused-vs-reference bitwise identity under both SIMD numerics modes.
 //!
-//! The fusion contract (fused == unfused, bit for bit) must hold
-//! whatever numerics mode the GEMM dispatches to: with `DECO_SIMD`
-//! forced off, both modes run the scalar microkernel; forced on, both
-//! run the detected SIMD kernel — either way the pair must agree.
+//! The fusion contract (a fused op computes exactly the bits of the op
+//! chain it replaces) must hold whatever numerics mode the GEMM
+//! dispatches to: with `DECO_SIMD` forced off, production and reference
+//! run the scalar microkernel; forced on, both run the detected SIMD
+//! kernel — either way, and at 1 and 4 threads, the pair must agree.
 //!
 //! This lives in its own integration-test binary because it flips the
 //! process-global SIMD override (see
-//! [`deco_tensor::testhook::set_simd_override`]); the thread-local
-//! fusion override composes freely.
+//! [`deco_tensor::testhook::set_simd_override`]).
 
 use deco_condense::{one_step_match, MatchBatch};
+use deco_conformance::unfused;
 use deco_nn::{ConvNet, ConvNetConfig};
 use deco_tensor::testhook::set_simd_override;
-use deco_tensor::{fusion, ops::simd, Rng, Tensor};
+use deco_tensor::{ops::simd, Rng, Tensor};
 
 #[test]
-fn one_step_match_fusion_bitwise_under_both_simd_modes() {
+fn one_step_match_matches_reference_under_both_simd_modes() {
     let mut rng = Rng::new(77);
     let config = ConvNetConfig {
         in_channels: 3,
@@ -47,33 +48,33 @@ fn one_step_match_fusion_bitwise_under_both_simd_modes() {
     }
     for simd_mode in modes {
         set_simd_override(simd_mode);
-        let run = |fused: bool| {
-            fusion::set_thread_override(Some(fused));
-            let net = ConvNet::from_params(config, &params);
-            let r = one_step_match(&net, &batch, None, 0.01);
-            fusion::set_thread_override(None);
-            r
-        };
-        let on = run(true);
-        let off = run(false);
-        set_simd_override(None);
-        assert_eq!(
-            on.distance.to_bits(),
-            off.distance.to_bits(),
-            "distance drifted (simd={simd_mode:?})"
-        );
-        for (i, (x, y)) in on
-            .image_grad
-            .data()
-            .iter()
-            .zip(off.image_grad.data())
-            .enumerate()
-        {
+        for threads in [1, 4] {
+            let (fused, reference) = deco_runtime::with_thread_count(threads, || {
+                let net = ConvNet::from_params(config, &params);
+                (
+                    one_step_match(&net, &batch, None, 0.01),
+                    unfused::one_step_match(&config, &params, &batch, 0.01),
+                )
+            });
             assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "image grad [{i}] drifted (simd={simd_mode:?})"
+                fused.distance.to_bits(),
+                reference.distance.to_bits(),
+                "distance drifted (simd={simd_mode:?}, threads={threads})"
             );
+            for (i, (x, y)) in fused
+                .image_grad
+                .data()
+                .iter()
+                .zip(reference.image_grad.data())
+                .enumerate()
+            {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "image grad [{i}] drifted (simd={simd_mode:?}, threads={threads})"
+                );
+            }
         }
+        set_simd_override(None);
     }
 }

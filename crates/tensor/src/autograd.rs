@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use crate::ops::conv::Conv2dSpec;
+use crate::ops::conv::{self, Conv2dSpec};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -43,7 +43,7 @@ const NODE_FREE_CAP: usize = 8192;
 /// Upper bound on recycled (empty) parent vectors.
 const PARENT_FREE_CAP: usize = 8192;
 
-/// Per-thread tape arena. While a scope opened by [`with_arena_scope`]
+/// Per-thread tape arena. While a scope opened by [`with_tape_arena`]
 /// is active, every node built on this thread is also registered here;
 /// when the scope ends, registered nodes whose last external handle has
 /// dropped are *reset* (value hollowed, grad cleared, parents detached,
@@ -80,10 +80,12 @@ impl ArenaState {
     }
 }
 
-/// Runs `f` with the node arena active on this thread. See
-/// [`crate::plancache::with_tape_arena`] for the public entry point
-/// (which also applies the `DECO_PLAN_CACHE` kill switch).
-pub(crate) fn with_arena_scope<R>(f: impl FnOnce() -> R) -> R {
+/// Runs `f` inside an autograd node-arena scope: tape nodes built
+/// during `f` whose handles are dropped by the time the scope ends are
+/// reset and recycled for the next scope on this thread instead of
+/// round-tripping the global allocator. Values and gradients are
+/// unaffected; scopes nest.
+pub fn with_tape_arena<R>(f: impl FnOnce() -> R) -> R {
     // Scope end must run even if `f` panics, or the registry would pin
     // nodes (and their tensors) for the life of the thread.
     struct Guard;
@@ -101,8 +103,10 @@ pub(crate) fn with_arena_scope<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Peak registered-node count across all arena scopes on this thread.
-pub(crate) fn arena_node_high_water() -> u64 {
+/// High-water mark of live arena-scope nodes on this thread (a proxy
+/// for the largest tape a single scope built). Mirrored to the
+/// `tensor.tape.arena_node_high_water` telemetry gauge.
+pub fn arena_node_high_water() -> u64 {
     ARENA.try_with(|a| a.borrow().high_water).unwrap_or(0)
 }
 
@@ -637,9 +641,11 @@ impl Var {
             value,
             &[self],
             Box::new(move |g| {
-                grads![Some(
-                    g.zip_broadcast(&v, |gi, xi| if xi > 0.0 { gi } else { 0.0 }),
-                )]
+                grads![Some(g.zip_broadcast(&v, |gi, xi| if xi > 0.0 {
+                    gi
+                } else {
+                    0.0
+                }),)]
             }),
         )
     }
@@ -832,10 +838,26 @@ impl Var {
     // ---- convolution ----
 
     /// 2-D convolution; gradients flow to input, weight and bias.
+    ///
+    /// When the node records a backward, the forward lowers the whole
+    /// input batch into one im2col slab that the node keeps: the weight
+    /// gradient multiplies against it instead of lowering the input a
+    /// second time, and it is freed with the tape. No-grad convolutions
+    /// lower image by image into scratch, exactly like
+    /// [`Tensor::conv2d`]; both routes produce identical bits.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, spec: Conv2dSpec) -> Var {
-        let value = self
-            .value()
-            .conv2d(weight.value(), bias.map(Var::value), spec);
+        let parents_need_grad =
+            self.requires_grad() || weight.requires_grad() || bias.is_some_and(Var::requires_grad);
+        let b = bias.map(Var::value);
+        if !parents_need_grad {
+            let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, None);
+            return match bias {
+                Some(b) => Var::alloc_node(value, false, &[self, weight, b], None),
+                None => Var::alloc_node(value, false, &[self, weight], None),
+            };
+        }
+        let slab = conv::im2col_slab(self.value(), spec);
+        let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, Some(&slab));
         let x = self.value().clone();
         let w = weight.value().clone();
         let hw = (self.shape().dim(2), self.shape().dim(3));
@@ -843,7 +865,7 @@ impl Var {
         let has_bias = bias.is_some();
         let backward: BackwardFn = Box::new(move |g| {
             let gx = g.conv2d_input_grad(&w, hw, spec);
-            let gw = g.conv2d_weight_grad(&x, kernel, spec);
+            let gw = conv::conv2d_weight_grad_impl(g, &x, kernel, spec, Some(&slab));
             let mut out = grads![Some(gx), Some(gw)];
             if has_bias {
                 out.push(Some(g.conv2d_bias_grad()));
@@ -906,10 +928,9 @@ impl Var {
             &[self],
             Box::new(move |g| {
                 // Broadcast the reduced gradient back over the summed axes.
-                grads![Some(g.zip_broadcast(
-                    &Tensor::zeros(shape.clone()),
-                    |a, _| a,
-                ))]
+                grads![Some(
+                    g.zip_broadcast(&Tensor::zeros(shape.clone()), |a, _| a,)
+                )]
             }),
         )
     }
@@ -1064,13 +1085,13 @@ impl Var {
 
     // ---- fused ConvNet-block ops (bitwise-preserving) ----
     //
-    // Each op below runs the fused single-node kernel from
-    // `crate::ops::fused` when `crate::fusion::enabled()`, and otherwise
-    // falls back to the exact unfused tape-op chain it replaces. The
-    // fused kernels replicate the unfused graph's per-element f32
-    // operation and accumulation order, so both paths produce identical
-    // bits — `DECO_FUSION` only changes how many tape nodes and
-    // intermediate tensors exist.
+    // Each op below runs a fused single-node kernel from
+    // `crate::ops::fused` in place of a chain of the tape ops above. The
+    // fused kernels replicate the chain's per-element f32 operation and
+    // accumulation order, so both produce identical bits — fusion only
+    // changes how many tape nodes and intermediate tensors exist.
+    // `deco-conformance` keeps the chains as reference implementations and
+    // holds these ops to them bit for bit.
 
     /// Fused group normalization (over `groups` channel groups, epsilon
     /// `eps`) with `[1, c, 1, 1]` affine parameters, followed by relu.
@@ -1084,17 +1105,6 @@ impl Var {
     /// Panics unless `self` is `[n, c, h, w]` with `c % groups == 0` and
     /// `gamma`/`beta` have `c` elements.
     pub fn group_norm_relu(&self, gamma: &Var, beta: &Var, groups: usize, eps: f32) -> Var {
-        if !crate::fusion::enabled() {
-            let (n, c) = (self.shape().dim(0), self.shape().dim(1));
-            let (h, w) = (self.shape().dim(2), self.shape().dim(3));
-            let grouped = self.reshape([n, groups, (c / groups) * h * w]);
-            let mean = grouped.mean_axes_keepdim(&[2]);
-            let centered = grouped.sub(&mean);
-            let var = centered.square().mean_axes_keepdim(&[2]);
-            let std = var.add_scalar(eps).sqrt();
-            let normed = centered.div(&std).reshape([n, c, h, w]);
-            return normed.mul(gamma).add(beta).relu();
-        }
         crate::fusion::count_group_norm_relu();
         let (out, mean, std) = crate::ops::fused::group_norm_relu_fwd(
             self.value(),
@@ -1130,9 +1140,6 @@ impl Var {
     /// intermediate is never materialized and the backward collapses the
     /// pool-scatter and relu-mask passes into one kernel.
     pub fn relu_avg_pool2d(&self, k: usize) -> Var {
-        if !crate::fusion::enabled() {
-            return self.relu().avg_pool2d(k);
-        }
         crate::fusion::count_relu_avg_pool2d();
         let value = crate::ops::fused::relu_avg_pool2d_fwd(self.value(), k);
         let x = self.value().clone();
@@ -1162,9 +1169,6 @@ impl Var {
         weights: Option<&[f32]>,
         reduction: Reduction,
     ) -> Var {
-        if !crate::fusion::enabled() {
-            return self.log_softmax().nll(labels, weights, reduction);
-        }
         crate::fusion::count_log_softmax_ce();
         assert_eq!(self.shape().rank(), 2, "cross-entropy needs [n, classes]");
         let n = self.shape().dim(0);
@@ -1219,69 +1223,109 @@ mod tests {
         }
     }
 
-    /// Runs `build` under both fusion modes and asserts the forward
-    /// value and every leaf gradient are bitwise identical.
-    fn assert_fusion_invariant(leaves: &[Tensor], build: impl Fn(&[Var]) -> Var) {
-        let run = |fused: bool| {
-            crate::fusion::set_thread_override(Some(fused));
-            let vars: Vec<Var> = leaves.iter().map(|t| Var::leaf(t.clone(), true)).collect();
-            let loss = build(&vars);
-            loss.backward();
-            crate::fusion::set_thread_override(None);
-            let grads: Vec<Tensor> = vars
-                .iter()
-                .map(|v| v.grad().expect("leaf gradient"))
-                .collect();
-            (loss.value().clone(), grads)
+    /// Runs `fused` and `reference` over fresh leaves at 1 and 4 threads
+    /// and asserts the forward value and every leaf gradient are bitwise
+    /// identical across all four runs.
+    fn assert_matches_reference(
+        leaves: &[Tensor],
+        fused: impl Fn(&[Var]) -> Var,
+        reference: impl Fn(&[Var]) -> Var,
+    ) {
+        let run = |build: &dyn Fn(&[Var]) -> Var, threads: usize| {
+            deco_runtime::with_thread_count(threads, || {
+                let vars: Vec<Var> = leaves.iter().map(|t| Var::leaf(t.clone(), true)).collect();
+                let loss = build(&vars);
+                loss.backward();
+                let grads: Vec<Tensor> = vars
+                    .iter()
+                    .map(|v| v.grad().expect("leaf gradient"))
+                    .collect();
+                (loss.value().clone(), grads)
+            })
         };
-        let (v_fused, g_fused) = run(true);
-        let (v_unfused, g_unfused) = run(false);
-        assert_bits_eq(&v_fused, &v_unfused, "forward value");
-        for (i, (a, b)) in g_fused.iter().zip(&g_unfused).enumerate() {
-            assert_bits_eq(a, b, &format!("gradient of leaf {i}"));
+        let (value, grads) = run(&fused, 1);
+        for (build, threads, what) in [
+            (&fused as &dyn Fn(&[Var]) -> Var, 4, "fused/4t"),
+            (&reference, 1, "reference/1t"),
+            (&reference, 4, "reference/4t"),
+        ] {
+            let (v, g) = run(build, threads);
+            assert_bits_eq(&value, &v, &format!("{what} forward value"));
+            for (i, (a, b)) in grads.iter().zip(&g).enumerate() {
+                assert_bits_eq(a, b, &format!("{what} gradient of leaf {i}"));
+            }
         }
     }
 
+    /// The tape-op chains the fused ops replace (the same chains
+    /// `deco-conformance` holds them to).
+    fn reference_group_norm_relu(x: &Var, gamma: &Var, beta: &Var, groups: usize, eps: f32) -> Var {
+        let (n, c) = (x.shape().dim(0), x.shape().dim(1));
+        let (h, w) = (x.shape().dim(2), x.shape().dim(3));
+        let grouped = x.reshape([n, groups, (c / groups) * h * w]);
+        let mean = grouped.mean_axes_keepdim(&[2]);
+        let centered = grouped.sub(&mean);
+        let var = centered.square().mean_axes_keepdim(&[2]);
+        let std = var.add_scalar(eps).sqrt();
+        let normed = centered.div(&std).reshape([n, c, h, w]);
+        normed.mul(gamma).add(beta).relu()
+    }
+
     #[test]
-    fn group_norm_relu_fused_matches_unfused_bitwise() {
+    fn group_norm_relu_matches_reference_bitwise() {
         let mut rng = Rng::new(90);
         for groups in [1usize, 2, 4] {
             let x = Tensor::randn([2, 4, 3, 3], &mut rng);
             let gamma = Tensor::rand_uniform([1, 4, 1, 1], 0.5, 1.5, &mut rng);
             let beta = Tensor::randn([1, 4, 1, 1], &mut rng);
-            assert_fusion_invariant(&[x, gamma, beta], |v| {
-                v[0].group_norm_relu(&v[1], &v[2], groups, 1e-5)
-                    .square()
-                    .sum()
-            });
+            assert_matches_reference(
+                &[x, gamma, beta],
+                |v| {
+                    v[0].group_norm_relu(&v[1], &v[2], groups, 1e-5)
+                        .square()
+                        .sum()
+                },
+                |v| {
+                    reference_group_norm_relu(&v[0], &v[1], &v[2], groups, 1e-5)
+                        .square()
+                        .sum()
+                },
+            );
         }
     }
 
     #[test]
-    fn relu_avg_pool2d_fused_matches_unfused_bitwise() {
+    fn relu_avg_pool2d_matches_reference_bitwise() {
         let mut rng = Rng::new(91);
         for (side, k) in [(4usize, 2usize), (6, 3), (6, 2)] {
             let x = Tensor::randn([2, 3, side, side], &mut rng);
-            assert_fusion_invariant(&[x], |v| v[0].relu_avg_pool2d(k).square().sum());
+            assert_matches_reference(
+                &[x],
+                |v| v[0].relu_avg_pool2d(k).square().sum(),
+                |v| v[0].relu().avg_pool2d(k).square().sum(),
+            );
         }
     }
 
     #[test]
-    fn log_softmax_cross_entropy_fused_matches_unfused_bitwise() {
+    fn log_softmax_cross_entropy_matches_reference_bitwise() {
         let mut rng = Rng::new(92);
         let labels = [3usize, 0, 2, 2];
         for reduction in [Reduction::Sum, Reduction::Mean] {
             for weights in [None, Some([0.5f32, 2.0, 0.0, 1.0])] {
                 let x = Tensor::randn([4, 5], &mut rng);
-                assert_fusion_invariant(&[x], |v| {
-                    v[0].log_softmax_cross_entropy(&labels, weights.as_ref().map(|w| &w[..]), reduction)
-                });
+                let w = weights.as_ref().map(|w| &w[..]);
+                assert_matches_reference(
+                    &[x],
+                    |v| v[0].log_softmax_cross_entropy(&labels, w, reduction),
+                    |v| v[0].log_softmax().nll(&labels, w, reduction),
+                );
             }
         }
     }
 
     #[test]
-    fn fused_block_chain_matches_unfused_bitwise() {
+    fn fused_block_chain_matches_reference_bitwise() {
         // conv-bias epilogue + group_norm_relu + pool + fused CE in one
         // graph, with gradients flowing to images and all parameters.
         let mut rng = Rng::new(93);
@@ -1291,14 +1335,27 @@ mod tests {
         let gamma = Tensor::rand_uniform([1, 4, 1, 1], 0.5, 1.5, &mut rng);
         let beta = Tensor::randn([1, 4, 1, 1], &mut rng);
         let labels = [1usize, 0];
-        assert_fusion_invariant(&[x, w, b, gamma, beta], |v| {
-            let h = v[0].conv2d(&v[1], Some(&v[2]), Conv2dSpec::new(3, 1, 1));
-            let h = h.group_norm_relu(&v[3], &v[4], 4, 1e-5).avg_pool2d(2);
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let head = |h: Var| {
             let n = h.shape().dim(0);
             let flat: usize = h.shape().dims()[1..].iter().product();
             h.reshape([n, flat])
-                .log_softmax_cross_entropy(&labels, None, Reduction::Sum)
-        });
+        };
+        assert_matches_reference(
+            &[x, w, b, gamma, beta],
+            |v| {
+                let h = v[0].conv2d(&v[1], Some(&v[2]), spec);
+                let h = h.group_norm_relu(&v[3], &v[4], 4, 1e-5).avg_pool2d(2);
+                head(h).log_softmax_cross_entropy(&labels, None, Reduction::Sum)
+            },
+            |v| {
+                let h = v[0]
+                    .conv2d(&v[1], None, spec)
+                    .add(&v[2].reshape([1, 4, 1, 1]));
+                let h = reference_group_norm_relu(&h, &v[3], &v[4], 4, 1e-5).avg_pool2d(2);
+                head(h).log_softmax().nll(&labels, None, Reduction::Sum)
+            },
+        );
     }
 
     #[test]
@@ -1630,7 +1687,7 @@ mod tests {
             x.grad().unwrap()
         };
         for _ in 0..3 {
-            let g = with_arena_scope(|| {
+            let g = with_tape_arena(|| {
                 let x = Var::leaf(Tensor::from_vec(vec![1.0, 2.0], [2]), true);
                 x.mul(&x).sum().backward();
                 x.grad().unwrap()
@@ -1649,7 +1706,7 @@ mod tests {
     fn var_held_across_scope_end_stays_valid() {
         // Externally held nodes (e.g. Param-bound leaves) must survive
         // the end-of-scope reset untouched.
-        let x = with_arena_scope(|| Var::leaf(Tensor::from_vec(vec![7.0], [1]), true));
+        let x = with_tape_arena(|| Var::leaf(Tensor::from_vec(vec![7.0], [1]), true));
         assert_eq!(x.value().data(), &[7.0]);
     }
 
@@ -1658,7 +1715,7 @@ mod tests {
         // backward's visited set keys on node ids; a recycled node that
         // kept its old id would corrupt topological traversal.
         let ids = |()| {
-            with_arena_scope(|| {
+            with_tape_arena(|| {
                 let x = Var::leaf(Tensor::scalar(1.0), true);
                 let y = x.add_scalar(1.0);
                 (x.node.id, y.node.id)
@@ -1671,8 +1728,8 @@ mod tests {
 
     #[test]
     fn nested_arena_scopes_balance() {
-        let g = with_arena_scope(|| {
-            let inner = with_arena_scope(|| {
+        let g = with_tape_arena(|| {
+            let inner = with_tape_arena(|| {
                 let x = Var::leaf(Tensor::scalar(3.0), true);
                 x.square().backward();
                 x.grad().unwrap()

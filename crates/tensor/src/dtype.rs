@@ -7,8 +7,7 @@
 //! the storage side of that split:
 //!
 //! * [`StorageDtype`] — the parameter-free dtype axis (`f32`, `bf16`,
-//!   `f16`, `i8`) used for CLI flags, plan-cache keys, and the wire
-//!   format's dtype tag;
+//!   `f16`, `i8`) used for CLI flags and the wire format's dtype tag;
 //! * [`ScalarType`] — the fully-parameterized element type, carrying the
 //!   affine quantization parameters for `I8`;
 //! * [`StoredTensor`] — a tensor encoded at a storage dtype. The `F32`
@@ -34,8 +33,8 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// The parameter-free storage-precision axis: which element encoding a
-/// buffer at rest uses. This is the type CLI flags (`--storage-dtype`),
-/// plan-cache keys, and the wire format's dtype tag carry; the
+/// buffer at rest uses. This is the type CLI flags (`--storage-dtype`)
+/// and the wire format's dtype tag carry; the
 /// quantization *parameters* for `I8` live in [`ScalarType`] /
 /// [`StoredTensor`], derived per tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -323,10 +322,6 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct StoredTensor {
     dims: Vec<usize>,
-    /// Process-unique identity for plan-cache keying (packed sub-f32
-    /// operands). Shares the [`Tensor`] id space, so ids never collide
-    /// across the two kinds of cache user.
-    id: u64,
     repr: Repr,
 }
 
@@ -340,7 +335,6 @@ impl StoredTensor {
             StorageDtype::F32 => {
                 return StoredTensor {
                     dims,
-                    id: t.buffer_id(),
                     repr: Repr::F32(t.clone()),
                 }
             }
@@ -359,11 +353,7 @@ impl StoredTensor {
                 }
             }
         };
-        StoredTensor {
-            dims,
-            id: crate::tensor::fresh_buffer_id(),
-            repr,
-        }
+        StoredTensor { dims, repr }
     }
 
     /// Encodes `t` at an explicit scalar type: like
@@ -382,7 +372,6 @@ impl StoredTensor {
                 let dims = t.shape().dims().to_vec();
                 StoredTensor {
                     dims,
-                    id: crate::tensor::fresh_buffer_id(),
                     repr: Repr::I8 {
                         data: t
                             .data()
@@ -411,8 +400,8 @@ impl StoredTensor {
         }
     }
 
-    /// Widens every element into `out` (pack-time widening target for
-    /// the GEMM path).
+    /// Widens every element into a caller-owned f32 buffer (the kernel
+    /// behind [`StoredTensor::decode`]).
     ///
     /// # Panics
     /// Panics unless `out.len()` equals the element count.
@@ -482,13 +471,6 @@ impl StoredTensor {
         }
     }
 
-    /// Process-unique buffer identity (plan-cache keying). Stored
-    /// payloads are immutable, so there is no version component: a
-    /// given id always names the same bytes.
-    pub fn buffer_id(&self) -> u64 {
-        self.id
-    }
-
     /// The wrapped tensor when the dtype is `F32` (lossless fast path).
     pub fn as_f32(&self) -> Option<&Tensor> {
         match &self.repr {
@@ -521,7 +503,6 @@ impl StoredTensor {
         assert_eq!(dims.iter().product::<usize>(), data.len());
         StoredTensor {
             dims,
-            id: crate::tensor::fresh_buffer_id(),
             repr: Repr::Bf16(data),
         }
     }
@@ -534,7 +515,6 @@ impl StoredTensor {
         assert_eq!(dims.iter().product::<usize>(), data.len());
         StoredTensor {
             dims,
-            id: crate::tensor::fresh_buffer_id(),
             repr: Repr::F16(data),
         }
     }
@@ -547,7 +527,6 @@ impl StoredTensor {
         assert_eq!(dims.iter().product::<usize>(), data.len());
         StoredTensor {
             dims,
-            id: crate::tensor::fresh_buffer_id(),
             repr: Repr::I8 { data, scale, zero },
         }
     }
@@ -636,7 +615,8 @@ mod tests {
         let mut rng = Rng::new(1);
         let t = Tensor::randn([3, 4], &mut rng);
         let s = StoredTensor::encode(&t, StorageDtype::F32);
-        assert_eq!(s.buffer_id(), t.buffer_id());
+        let inner = s.as_f32().expect("f32 wraps the tensor");
+        assert!(std::ptr::eq(inner.data().as_ptr(), t.data().as_ptr()));
         let back = s.decode();
         assert_eq!(back.data(), t.data());
         assert_eq!(s.heap_bytes(), t.heap_bytes());

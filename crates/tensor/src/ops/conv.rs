@@ -2,18 +2,22 @@
 //! gradient kernels used by the autograd layer.
 //!
 //! The three expensive kernels — forward, input gradient, and weight
-//! gradient — each have two lowerings, chosen by a pure function of the
-//! problem shape (see [`use_im2col`]):
+//! gradient — lower onto the cache-blocked GEMM core in [`super::gemm`]
+//! through im2col: each image is unrolled into a `[c_in·k·k, oh·ow]`
+//! column matrix and the convolution becomes `out = W × cols` forward
+//! (bias added in the GEMM writeback epilogue), `colsᵍ = Wᵀ × g` then a
+//! col2im scatter-add for the input gradient, and `gw += g × colsᵀ` for
+//! the weight gradient (transposed operands are views; nothing is
+//! materialized).
 //!
-//! * **im2col/GEMM** (the fast path): each image is unrolled into a
-//!   `[c_in·k·k, oh·ow]` column matrix in pooled scratch and the
-//!   convolution becomes a product on the cache-blocked GEMM core in
-//!   [`super::gemm`] — `out = W × cols` forward, `colsᵍ = Wᵀ × g` then
-//!   a col2im scatter-add for the input gradient, and
-//!   `gw += g × colsᵀ` for the weight gradient (transposed operands are
-//!   views; nothing is materialized);
-//! * **direct** (tiny problems): the original 7-loop kernels, kept as
-//!   block kernels over flat block ranges.
+//! Column matrices come from one of two places. A convolution recorded on
+//! the autograd tape ([`crate::Var::conv2d`]) lowers the whole batch once
+//! into a slab (`im2col_slab`) that its forward GEMMs read and that the
+//! tape keeps for the weight gradient, so the backward pass never lowers
+//! the input again; the slab is freed with the tape. Every other caller —
+//! no-grad forwards and the public [`Tensor`] kernels — lowers one image
+//! at a time into pooled scratch. Both read identical bytes, so the two
+//! routes are bitwise identical.
 //!
 //! Serial execution runs one kernel call over the full range; large
 //! problems fan the same kernel out across the `deco-runtime` pool with
@@ -26,7 +30,6 @@
 use std::ops::Range;
 
 use super::gemm::{self, MatRef};
-use crate::plancache;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -34,18 +37,6 @@ use crate::tensor::Tensor;
 const PAR_MIN_OPS: usize = 1 << 17;
 /// Target multiply-accumulates per parallel chunk (shape-derived only).
 const PAR_CHUNK_OPS: usize = 1 << 16;
-
-/// Minimum total multiply-accumulates before the im2col path's scratch
-/// traffic pays for itself; below it the direct kernels win.
-const IM2COL_MIN_MACS: usize = 1 << 12;
-
-/// Shape-only heuristic choosing the im2col/GEMM lowering over the
-/// direct kernels. `force` is a test-only override threaded in from
-/// `testhook` so the conformance differential suite can run both
-/// lowerings on the same problem without any global state.
-fn use_im2col(total_macs: usize, ohw: usize, ckk: usize, force: Option<bool>) -> bool {
-    force.unwrap_or(total_macs >= IM2COL_MIN_MACS && ohw >= 4 && ckk >= 4)
-}
 
 /// Runs `kernel` over `total` blocks of `block_len` output floats and
 /// `block_cost` multiply-accumulates each, writing into `out`
@@ -74,6 +65,61 @@ where
         }
     } else {
         kernel(0..total, out);
+    }
+}
+
+/// Column matrices of a convolution input: read from a full-batch slab
+/// when the caller holds one, else lowered per image into scratch.
+enum Cols<'a> {
+    Slab(&'a Tensor),
+    Scratch { x: &'a Tensor, buf: Vec<f32> },
+}
+
+impl<'a> Cols<'a> {
+    /// `slab` when given, else per-image scratch over input `x`.
+    fn new(slab: Option<&'a Tensor>, x: &'a Tensor, len: usize) -> Cols<'a> {
+        match slab {
+            Some(s) => Cols::Slab(s),
+            None => Cols::Scratch {
+                x,
+                buf: pool::take(len),
+            },
+        }
+    }
+
+    /// Image `ni`'s `[c_in·k·k, oh·ow]` column matrix.
+    fn image(
+        &mut self,
+        ni: usize,
+        (cin, h, w): (usize, usize, usize),
+        (oh, ow): (usize, usize),
+        spec: Conv2dSpec,
+    ) -> &[f32] {
+        match self {
+            Cols::Slab(s) => {
+                let len = s.numel() / s.shape().dim(0);
+                &s.data()[ni * len..(ni + 1) * len]
+            }
+            Cols::Scratch { x, buf } => {
+                let img = cin * h * w;
+                im2col(
+                    buf,
+                    &x.data()[ni * img..(ni + 1) * img],
+                    (cin, h, w),
+                    (oh, ow),
+                    spec,
+                );
+                buf
+            }
+        }
+    }
+}
+
+impl Drop for Cols<'_> {
+    fn drop(&mut self) {
+        if let Cols::Scratch { buf, .. } = self {
+            pool::give(std::mem::take(buf));
+        }
     }
 }
 
@@ -216,28 +262,47 @@ impl Tensor {
     }
 }
 
-/// Implementation of [`Tensor::conv2d`]; `force` overrides the lowering
-/// heuristic (threaded in from `testhook`, tests only).
+/// Lowers the whole NCHW batch `x` into one im2col slab: image `ni`'s
+/// `[c_in·k·k, oh·ow]` column matrix at offset `ni·c_in·k²·oh·ow`, shape
+/// `[n, c_in·k·k, oh·ow]`. Built on the calling thread; the slab is a
+/// pooled tensor, so dropping its last handle recycles the buffer.
+pub(crate) fn im2col_slab(x: &Tensor, spec: Conv2dSpec) -> Tensor {
+    let (n, cin, h, w) = dims4(x);
+    let (oh, ow) = (spec.out_side(h), spec.out_side(w));
+    let ckk = cin * spec.kernel * spec.kernel;
+    let (img, cols) = (cin * h * w, ckk * oh * ow);
+    // Scratch: im2col writes every element of each image's slice.
+    let mut slab = pool::take_scratch(n * cols);
+    for ni in 0..n {
+        im2col(
+            &mut slab[ni * cols..(ni + 1) * cols],
+            &x.data()[ni * img..(ni + 1) * img],
+            (cin, h, w),
+            (oh, ow),
+            spec,
+        );
+    }
+    Tensor::from_pool_buf(slab, [n, ckk, oh * ow])
+}
+
+/// Implementation of [`Tensor::conv2d`]. `slab` is `x`'s
+/// [`im2col_slab`] when the caller keeps one for the weight gradient;
+/// without it each image is lowered into scratch.
 pub(crate) fn conv2d_impl(
-    x_t: &Tensor,
+    x: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: Conv2dSpec,
-    force: Option<bool>,
+    slab: Option<&Tensor>,
 ) -> Tensor {
-    assert_eq!(
-        x_t.rank(),
-        4,
-        "conv2d input must be NCHW, got {}",
-        x_t.shape()
-    );
+    assert_eq!(x.rank(), 4, "conv2d input must be NCHW, got {}", x.shape());
     assert_eq!(
         weight.rank(),
         4,
         "conv2d weight must be [co,ci,k,k], got {}",
         weight.shape()
     );
-    let (n, cin, h, w) = dims4(x_t);
+    let (n, cin, h, w) = dims4(x);
     let (cout, cin2, kh, kw) = dims4(weight);
     assert_eq!(
         cin, cin2,
@@ -261,99 +326,33 @@ pub(crate) fn conv2d_impl(
             b.numel(),
             cout
         );
+        crate::fusion::count_conv_bias_epilogue();
     }
     let (oh, ow) = (spec.out_side(h), spec.out_side(w));
     deco_telemetry::counter!("tensor.ops.conv2d");
     let ohw = oh * ow;
     let ckk = cin * spec.kernel * spec.kernel;
     let macs_per_image = cout * ckk * ohw;
-    let x = x_t.clone();
+    let slab = slab.cloned();
+    let x = x.clone();
     let wt = weight.clone();
     let b = bias.cloned();
     let mut out = pool::take(n * cout * ohw);
-    if use_im2col(n * macs_per_image, ohw, ckk, force) {
-        let _span = deco_telemetry::span!("tensor.gemm");
-        // Full-batch column slab via the plan cache: a hit skips the
-        // im2col lowering entirely. The slab holds exactly what the
-        // per-image path writes, and the consuming GEMMs see the same
-        // bytes either way, so results are bitwise identical. A miss is
-        // built here on the calling thread before fan-out.
-        let slab = plancache::im2col_slab(x_t, spec, (cin, h, w), n * ckk * ohw, |s| {
-            for ni in 0..n {
-                let x_img = &x_t.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                im2col(
-                    &mut s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    x_img,
-                    (cin, h, w),
-                    (oh, ow),
-                    spec,
-                );
-            }
-        });
-        // Fusion gate, read on the calling thread *before* the fan-out
-        // (workers do not see this thread's override) and captured as a
-        // bool. The epilogue adds the bias per finalized GEMM tile with
-        // the same per-element op order as the separate pass below, so
-        // either setting produces identical bits.
-        let fuse_bias = b.is_some() && crate::fusion::enabled();
-        if fuse_bias {
-            crate::fusion::count_conv_bias_epilogue();
+    let _span = deco_telemetry::span!("tensor.gemm");
+    run_blocks(n, macs_per_image, cout * ohw, &mut out, move |imgs, dst| {
+        let wv = MatRef::new(wt.data(), cout, ckk);
+        // The bias rides the GEMM writeback, added per finalized tile.
+        let epi = match &b {
+            Some(b) => gemm::Epilogue::Bias(b.data()),
+            None => gemm::Epilogue::None,
+        };
+        let mut cols = Cols::new(slab.as_ref(), &x, ckk * ohw);
+        for (bi, ni) in imgs.enumerate() {
+            let cols_img = MatRef::new(cols.image(ni, (cin, h, w), (oh, ow), spec), ckk, ohw);
+            let dst_img = &mut dst[bi * cout * ohw..(bi + 1) * cout * ohw];
+            gemm::gemm_into_epi(dst_img, &wv, &cols_img, epi);
         }
-        run_blocks(n, macs_per_image, cout * ohw, &mut out, move |imgs, dst| {
-            let wv = MatRef::new(wt.data(), cout, ckk);
-            let mut scratch = if slab.is_none() {
-                Some(pool::take(ckk * ohw))
-            } else {
-                None
-            };
-            for (bi, ni) in imgs.enumerate() {
-                let cols: &[f32] = match (&slab, &mut scratch) {
-                    (Some(s), _) => &s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    (None, Some(c)) => {
-                        let x_img = &x.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                        im2col(c, x_img, (cin, h, w), (oh, ow), spec);
-                        c
-                    }
-                    _ => unreachable!(),
-                };
-                let dst_img = &mut dst[bi * cout * ohw..(bi + 1) * cout * ohw];
-                let cols_ref = MatRef::new(cols, ckk, ohw);
-                match (&b, fuse_bias) {
-                    (Some(b), true) => {
-                        gemm::gemm_into_epi(dst_img, &wv, &cols_ref, gemm::Epilogue::Bias(b.data()))
-                    }
-                    _ => {
-                        gemm::gemm_into(dst_img, &wv, &cols_ref);
-                        if let Some(b) = &b {
-                            for (co, &bv) in b.data().iter().enumerate() {
-                                if bv != 0.0 {
-                                    for o in &mut dst_img[co * ohw..(co + 1) * ohw] {
-                                        *o += bv;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(c) = scratch {
-                pool::give(c);
-            }
-        });
-    } else {
-        run_blocks(n * cout, ckk * ohw, ohw, &mut out, move |blocks, dst| {
-            conv2d_blocks(
-                x.data(),
-                wt.data(),
-                b.as_ref().map(|t| t.data()),
-                (cin, h, w),
-                (cout, oh, ow),
-                spec,
-                blocks,
-                dst,
-            )
-        });
-    }
+    });
     Tensor::from_pool_buf(out, [n, cout, oh, ow])
 }
 
@@ -367,41 +366,19 @@ impl Tensor {
         input_hw: (usize, usize),
         spec: Conv2dSpec,
     ) -> Tensor {
-        conv2d_input_grad_impl(self, weight, input_hw, spec, None)
-    }
-
-    /// Gradient of [`Tensor::conv2d`] w.r.t. its weight.
-    ///
-    /// `self` is the output gradient; `input` the forward input.
-    pub fn conv2d_weight_grad(&self, input: &Tensor, kernel: usize, spec: Conv2dSpec) -> Tensor {
-        conv2d_weight_grad_impl(self, input, kernel, spec, None)
-    }
-}
-
-/// Implementation of [`Tensor::conv2d_input_grad`]; `force` overrides
-/// the lowering heuristic (tests only).
-pub(crate) fn conv2d_input_grad_impl(
-    g_t: &Tensor,
-    weight: &Tensor,
-    input_hw: (usize, usize),
-    spec: Conv2dSpec,
-    force: Option<bool>,
-) -> Tensor {
-    let (n, cout, oh, ow) = dims4(g_t);
-    let (cout2, cin, k, _) = dims4(weight);
-    assert_eq!(cout, cout2, "conv2d_input_grad c_out mismatch");
-    let (h, w) = input_hw;
-    let ohw = oh * ow;
-    let ckk = cin * k * k;
-    let macs_per_image = cout * ckk * ohw;
-    let g = g_t.clone();
-    let wt = weight.clone();
-    let mut gin = pool::take(n * cin * h * w);
-    if use_im2col(n * macs_per_image, ohw, ckk, force) {
+        let (n, cout, oh, ow) = dims4(self);
+        let (cout2, cin, k, _) = dims4(weight);
+        assert_eq!(cout, cout2, "conv2d_input_grad c_out mismatch");
+        let (h, w) = input_hw;
+        let ohw = oh * ow;
+        let ckk = cin * k * k;
+        let g = self.clone();
+        let wt = weight.clone();
+        let mut gin = pool::take(n * cin * h * w);
         let _span = deco_telemetry::span!("tensor.gemm");
         run_blocks(
             n,
-            macs_per_image,
+            cout * ckk * ohw,
             cin * h * w,
             &mut gin,
             move |imgs, dst| {
@@ -418,37 +395,25 @@ pub(crate) fn conv2d_input_grad_impl(
                 pool::give(cols_g);
             },
         );
-    } else {
-        run_blocks(
-            n * cin,
-            cout * k * k * ohw,
-            h * w,
-            &mut gin,
-            move |blocks, dst| {
-                conv2d_input_grad_blocks(
-                    g.data(),
-                    wt.data(),
-                    (cin, h, w),
-                    (cout, oh, ow),
-                    k,
-                    spec,
-                    blocks,
-                    dst,
-                )
-            },
-        );
+        Tensor::from_pool_buf(gin, [n, cin, h, w])
     }
-    Tensor::from_pool_buf(gin, [n, cin, h, w])
+
+    /// Gradient of [`Tensor::conv2d`] w.r.t. its weight.
+    ///
+    /// `self` is the output gradient; `input` the forward input.
+    pub fn conv2d_weight_grad(&self, input: &Tensor, kernel: usize, spec: Conv2dSpec) -> Tensor {
+        conv2d_weight_grad_impl(self, input, kernel, spec, None)
+    }
 }
 
-/// Implementation of [`Tensor::conv2d_weight_grad`]; `force` overrides
-/// the lowering heuristic (tests only).
+/// Implementation of [`Tensor::conv2d_weight_grad`]; `slab` is the
+/// forward's [`im2col_slab`] of `input` when the tape kept one.
 pub(crate) fn conv2d_weight_grad_impl(
     g_t: &Tensor,
     input: &Tensor,
     kernel: usize,
     spec: Conv2dSpec,
-    force: Option<bool>,
+    slab: Option<&Tensor>,
 ) -> Tensor {
     let (n, cout, oh, ow) = dims4(g_t);
     let (n2, cin, h, w) = dims4(input);
@@ -459,101 +424,52 @@ pub(crate) fn conv2d_weight_grad_impl(
     let macs_per_image = cout * ckk * ohw;
     let g = g_t.clone();
     let x = input.clone();
+    let slab = slab.cloned();
     let mut gw = pool::take(cout * ckk);
-    if use_im2col(n * macs_per_image, ohw, ckk, force) {
-        let _span = deco_telemetry::span!("tensor.gemm");
-        // Same cache key as the forward pass over this input, so the
-        // slab a forward built is reused here without re-lowering.
-        let slab = plancache::im2col_slab(input, spec, (cin, h, w), n * ckk * ohw, |s| {
-            for ni in 0..n {
-                let x_img = &input.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                im2col(
-                    &mut s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    x_img,
-                    (cin, h, w),
-                    (oh, ow),
-                    spec,
-                );
-            }
+    let _span = deco_telemetry::span!("tensor.gemm");
+    // Accumulates `g_i × cols_iᵀ` over an image range into `dst`
+    // (image order within the range).
+    let kernel_fn = move |imgs: Range<usize>, dst: &mut [f32]| {
+        let mut cols = Cols::new(slab.as_ref(), &x, ckk * ohw);
+        for ni in imgs {
+            let cols_img = cols.image(ni, (cin, h, w), (oh, ow), spec);
+            let g_img = &g.data()[ni * cout * ohw..(ni + 1) * cout * ohw];
+            gemm::gemm_into(
+                dst,
+                &MatRef::new(g_img, cout, ohw),
+                &MatRef::transposed(cols_img, ckk, ohw),
+            );
+        }
+    };
+    // The batch sum is not per-image independent, so serial and
+    // parallel execution share one reduction structure: shape-
+    // derived image chunks, each accumulated into a zeroed
+    // partial, folded into `gw` in chunk order.
+    let ipc = (PAR_CHUNK_OPS / macs_per_image.max(1)).clamp(1, n);
+    let mut fold = |partial: Vec<f32>| {
+        for (d, s) in gw.iter_mut().zip(&partial) {
+            *d += s;
+        }
+        pool::give(partial);
+    };
+    if deco_runtime::threads() > 1 && n > 1 && n * macs_per_image >= PAR_MIN_OPS {
+        let partials = deco_runtime::parallel_for_chunks(n, ipc, move |imgs| {
+            let mut p = pool::take(cout * ckk);
+            kernel_fn(imgs, &mut p);
+            p
         });
-        // Accumulates `g_i × cols_iᵀ` over an image range into `dst`
-        // (image order within the range).
-        let kernel_fn = move |imgs: Range<usize>, dst: &mut [f32]| {
-            let mut scratch = if slab.is_none() {
-                Some(pool::take(ckk * ohw))
-            } else {
-                None
-            };
-            for ni in imgs {
-                let cols: &[f32] = match (&slab, &mut scratch) {
-                    (Some(s), _) => &s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    (None, Some(c)) => {
-                        let x_img = &x.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                        im2col(c, x_img, (cin, h, w), (oh, ow), spec);
-                        c
-                    }
-                    _ => unreachable!(),
-                };
-                let g_img = &g.data()[ni * cout * ohw..(ni + 1) * cout * ohw];
-                gemm::gemm_into(
-                    dst,
-                    &MatRef::new(g_img, cout, ohw),
-                    &MatRef::transposed(cols, ckk, ohw),
-                );
-            }
-            if let Some(c) = scratch {
-                pool::give(c);
-            }
-        };
-        // The batch sum is not per-image independent, so serial and
-        // parallel execution share one reduction structure: shape-
-        // derived image chunks, each accumulated into a zeroed
-        // partial, folded into `gw` in chunk order.
-        let ipc = (PAR_CHUNK_OPS / macs_per_image.max(1)).clamp(1, n);
-        let mut fold = |partial: Vec<f32>| {
-            for (d, s) in gw.iter_mut().zip(&partial) {
-                *d += s;
-            }
-            pool::give(partial);
-        };
-        if deco_runtime::threads() > 1 && n > 1 && n * macs_per_image >= PAR_MIN_OPS {
-            let partials = deco_runtime::parallel_for_chunks(n, ipc, move |imgs| {
-                let mut p = pool::take(cout * ckk);
-                kernel_fn(imgs, &mut p);
-                p
-            });
-            for p in partials {
-                fold(p);
-            }
-        } else {
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + ipc).min(n);
-                let mut p = pool::take(cout * ckk);
-                kernel_fn(start..end, &mut p);
-                fold(p);
-                start = end;
-            }
+        for p in partials {
+            fold(p);
         }
     } else {
-        run_blocks(
-            cout,
-            n * cin * k * k * ohw,
-            cin * k * k,
-            &mut gw,
-            move |blocks, dst| {
-                conv2d_weight_grad_blocks(
-                    g.data(),
-                    x.data(),
-                    (n, cin, h, w),
-                    (cout, oh, ow),
-                    k,
-                    spec,
-                    blocks,
-                    dst,
-                )
-            },
-        );
+        let mut start = 0usize;
+        while start < n {
+            let end = (start + ipc).min(n);
+            let mut p = pool::take(cout * ckk);
+            kernel_fn(start..end, &mut p);
+            fold(p);
+            start = end;
+        }
     }
     Tensor::from_pool_buf(gw, [cout, cin, k, k])
 }
@@ -690,167 +606,6 @@ impl Tensor {
             gin[i] += g[o];
         }
         Tensor::from_vec(gin, [n, c, oh * k, ow * k])
-    }
-}
-
-/// Forward kernel over flat `(batch, out-channel)` blocks: block
-/// `flat = ni·c_out + co` produces the contiguous `oh·ow` output tile
-/// for that image/channel pair, written into the pre-zeroed `out`
-/// (blocks-relative). Accumulation order within a tile matches the full
-/// serial loop (`ci → kh → kw → spatial`) exactly.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_blocks(
-    x: &[f32],
-    wt: &[f32],
-    bias: Option<&[f32]>,
-    (cin, h, w): (usize, usize, usize),
-    (cout, oh, ow): (usize, usize, usize),
-    spec: Conv2dSpec,
-    blocks: Range<usize>,
-    out: &mut [f32],
-) {
-    let (s, p, k) = (spec.stride, spec.padding as isize, spec.kernel);
-    debug_assert_eq!(out.len(), blocks.len() * oh * ow);
-    for (bi, flat) in blocks.enumerate() {
-        let (ni, co) = (flat / cout, flat % cout);
-        let o_base = bi * oh * ow;
-        for ci in 0..cin {
-            let x_base = (ni * cin + ci) * h * w;
-            let w_base = (co * cin + ci) * k * k;
-            for khi in 0..k {
-                for kwi in 0..k {
-                    let wv = wt[w_base + khi * k + kwi];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    for ohi in 0..oh {
-                        let ih = (ohi * s) as isize + khi as isize - p;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        let x_row = x_base + (ih as usize) * w;
-                        let o_row = o_base + ohi * ow;
-                        for owi in 0..ow {
-                            let iw = (owi * s) as isize + kwi as isize - p;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            out[o_row + owi] += wv * x[x_row + iw as usize];
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(b) = bias {
-            let bv = b[co];
-            if bv != 0.0 {
-                for o in &mut out[o_base..o_base + oh * ow] {
-                    *o += bv;
-                }
-            }
-        }
-    }
-}
-
-/// Input-gradient kernel over flat `(batch, in-channel)` blocks: block
-/// `flat = ni·c_in + ci` produces the contiguous `h·w` input-gradient
-/// tile for that image/channel pair. For a fixed tile, contributions
-/// arrive in `(co, kh, kw)` lexicographic order — the same sequence as
-/// the original `ni → co → ci → kh → kw` serial loop — so the result is
-/// bitwise identical to it.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_input_grad_blocks(
-    g: &[f32],
-    wt: &[f32],
-    (cin, h, w): (usize, usize, usize),
-    (cout, oh, ow): (usize, usize, usize),
-    k: usize,
-    spec: Conv2dSpec,
-    blocks: Range<usize>,
-    gin: &mut [f32],
-) {
-    let (s, p) = (spec.stride, spec.padding as isize);
-    debug_assert_eq!(gin.len(), blocks.len() * h * w);
-    for (bi, flat) in blocks.enumerate() {
-        let (ni, ci) = (flat / cin, flat % cin);
-        let gi_base = bi * h * w;
-        for co in 0..cout {
-            let g_base = (ni * cout + co) * oh * ow;
-            let w_base = (co * cin + ci) * k * k;
-            for khi in 0..k {
-                for kwi in 0..k {
-                    let wv = wt[w_base + khi * k + kwi];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    for ohi in 0..oh {
-                        let ih = (ohi * s) as isize + khi as isize - p;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        let gi_row = gi_base + (ih as usize) * w;
-                        let g_row = g_base + ohi * ow;
-                        for owi in 0..ow {
-                            let iw = (owi * s) as isize + kwi as isize - p;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            gin[gi_row + iw as usize] += wv * g[g_row + owi];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Weight-gradient kernel over out-channel blocks: block `co` produces
-/// the contiguous `c_in·k·k` weight-gradient slab for that output
-/// channel. For a fixed weight element, per-image contributions arrive
-/// in batch order — the same sequence as the original `ni → co`
-/// serial loop — so the result is bitwise identical to it.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_weight_grad_blocks(
-    g: &[f32],
-    x: &[f32],
-    (n, cin, h, w): (usize, usize, usize, usize),
-    (cout, oh, ow): (usize, usize, usize),
-    k: usize,
-    spec: Conv2dSpec,
-    blocks: Range<usize>,
-    gw: &mut [f32],
-) {
-    let (s, p) = (spec.stride, spec.padding as isize);
-    debug_assert_eq!(gw.len(), blocks.len() * cin * k * k);
-    for (bi, co) in blocks.enumerate() {
-        for ni in 0..n {
-            let g_base = (ni * cout + co) * oh * ow;
-            for ci in 0..cin {
-                let x_base = (ni * cin + ci) * h * w;
-                let w_base = (bi * cin + ci) * k * k;
-                for khi in 0..k {
-                    for kwi in 0..k {
-                        let mut acc = 0.0f32;
-                        for ohi in 0..oh {
-                            let ih = (ohi * s) as isize + khi as isize - p;
-                            if ih < 0 || ih >= h as isize {
-                                continue;
-                            }
-                            let x_row = x_base + (ih as usize) * w;
-                            let g_row = g_base + ohi * ow;
-                            for owi in 0..ow {
-                                let iw = (owi * s) as isize + kwi as isize - p;
-                                if iw < 0 || iw >= w as isize {
-                                    continue;
-                                }
-                                acc += g[g_row + owi] * x[x_row + iw as usize];
-                            }
-                        }
-                        gw[w_base + khi * k + kwi] += acc;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1059,8 +814,8 @@ mod tests {
 
     #[test]
     fn rectangular_and_strided_shapes_work() {
-        // H ≠ W with stride 2 + padding: exercises both lowerings'
-        // geometry handling (the heuristic sends big shapes to im2col).
+        // H ≠ W with stride 2 + padding: exercises the im2col/col2im
+        // geometry handling.
         let mut rng = crate::Rng::new(41);
         let x = Tensor::randn([2, 3, 9, 5], &mut rng);
         let wt = Tensor::randn([4, 3, 3, 3], &mut rng);
@@ -1079,48 +834,6 @@ mod tests {
             (lhs - rhs).abs() <= 1e-3 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
         );
-    }
-
-    #[test]
-    fn im2col_agrees_with_direct_within_tolerance() {
-        // Accumulation orders differ, so compare with a small relative
-        // tolerance rather than bitwise.
-        let mut rng = crate::Rng::new(42);
-        for &(n, cin, cout, h, w, kk, s, p) in &[
-            (
-                2usize, 3usize, 4usize, 8usize, 8usize, 3usize, 1usize, 1usize,
-            ),
-            (1, 2, 3, 7, 5, 3, 2, 1),
-            (2, 1, 2, 6, 9, 2, 2, 0),
-        ] {
-            let spec = Conv2dSpec::new(kk, s, p);
-            let x = Tensor::randn([n, cin, h, w], &mut rng);
-            let wt = Tensor::randn([cout, cin, kk, kk], &mut rng);
-            let b = Tensor::randn([cout], &mut rng);
-            let (oh, ow) = (spec.out_side(h), spec.out_side(w));
-            let g = Tensor::randn([n, cout, oh, ow], &mut rng);
-            use crate::testhook::{
-                conv2d_forced, conv2d_input_grad_forced, conv2d_weight_grad_forced,
-            };
-            let fwd_i = conv2d_forced(&x, &wt, Some(&b), spec, true);
-            let gin_i = conv2d_input_grad_forced(&g, &wt, (h, w), spec, true);
-            let gw_i = conv2d_weight_grad_forced(&g, &x, kk, spec, true);
-            let fwd_d = conv2d_forced(&x, &wt, Some(&b), spec, false);
-            let gin_d = conv2d_input_grad_forced(&g, &wt, (h, w), spec, false);
-            let gw_d = conv2d_weight_grad_forced(&g, &x, kk, spec, false);
-            for (which, a, b) in [
-                ("fwd", &fwd_i, &fwd_d),
-                ("gin", &gin_i, &gin_d),
-                ("gw", &gw_i, &gw_d),
-            ] {
-                for (i, (&xi, &yi)) in a.data().iter().zip(b.data()).enumerate() {
-                    assert!(
-                        (xi - yi).abs() <= 1e-3 * yi.abs().max(1.0),
-                        "{which} elem {i}: {xi} vs {yi}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! `relu → avg-pool`, `log-softmax → nll` — into a single pass (or a
 //! fixed small number of passes) over the data, while replicating the
 //! **exact per-element f32 operation and accumulation order** of the
-//! unfused graph. That invariant is what makes the fusion layer safe to
-//! toggle with `DECO_FUSION`: fused and unfused runs produce identical
-//! bits, so golden files never need re-blessing and the conformance
-//! fuzzer can assert `==` on raw bit patterns (see
-//! `crates/conformance/src/fuzz.rs`).
+//! unfused graph. That invariant is what makes fusion safe: a fused op
+//! produces the bits of the chain it replaces, so golden files never
+//! need re-blessing and the conformance fuzzer can assert `==` on raw
+//! bit patterns against the chains, which `deco-conformance` keeps as
+//! reference implementations (see `crates/conformance/src/unfused.rs`).
 //!
 //! The contract per kernel is documented inline as "replicates": the
 //! sequence of unfused ops whose arithmetic it reproduces. Three
@@ -60,7 +60,10 @@ pub fn group_norm_relu_fwd(
     eps: f32,
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = dims4(x);
-    assert!(groups > 0 && c % groups == 0, "channels {c} not divisible by groups {groups}");
+    assert!(
+        groups > 0 && c % groups == 0,
+        "channels {c} not divisible by groups {groups}"
+    );
     assert_eq!(gamma.numel(), c, "gamma must have {c} elements");
     assert_eq!(beta.numel(), c, "beta must have {c} elements");
     let cpg = c / groups;
@@ -132,7 +135,11 @@ pub fn group_norm_relu_bwd(
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = dims4(x);
     assert_eq!(g.numel(), x.numel(), "grad/input element count mismatch");
-    assert_eq!(out.numel(), x.numel(), "saved output element count mismatch");
+    assert_eq!(
+        out.numel(),
+        x.numel(),
+        "saved output element count mismatch"
+    );
     let cpg = c / groups;
     let l = cpg * h * w;
     let inv = 1.0 / (l as f32);
@@ -251,7 +258,11 @@ pub fn relu_avg_pool2d_bwd(g: &Tensor, x: &Tensor, k: usize) -> Tensor {
         "pool window {k} must divide {h}x{w}"
     );
     let (oh, ow) = (h / k, w / k);
-    assert_eq!(g.numel(), n * c * oh * ow, "grad shape does not match pooled output");
+    assert_eq!(
+        g.numel(),
+        n * c * oh * ow,
+        "grad shape does not match pooled output"
+    );
     let gd = g.data();
     let xd = x.data();
     let inv = 1.0 / (k * k) as f32;

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use super::gemm::{self, MatRef, PackedB, MC};
-use crate::plancache;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -65,16 +64,8 @@ impl Tensor {
         if deco_runtime::threads() > 1 && flops >= PAR_MIN_FLOPS && gemm::use_packed(m, k, n) {
             let _span = deco_telemetry::span!("tensor.gemm");
             let a = self.clone();
-            // Reuse a cached pack of B when the plan cache has one for
-            // this exact buffer version; packing is value-preserving, so
-            // the product is bitwise identical either way.
-            let (bp, from_cache) = match plancache::packed_b(other, k, n) {
-                Some(bp) => (bp, true),
-                None => (
-                    Arc::new(PackedB::pack(&MatRef::new(other.data(), k, n))),
-                    false,
-                ),
-            };
+            // Packed once here, shared read-only by every row chunk.
+            let bp = Arc::new(PackedB::pack(&MatRef::new(other.data(), k, n)));
             let bp_worker = Arc::clone(&bp);
             let chunks =
                 deco_runtime::parallel_for_chunks(m, rows_per_chunk(m, k, n), move |rows| {
@@ -89,109 +80,22 @@ impl Tensor {
                 cursor += chunk.len();
                 pool::give(chunk);
             }
-            if !from_cache {
-                if let Ok(bp) = Arc::try_unwrap(bp) {
-                    bp.recycle();
-                }
+            if let Ok(bp) = Arc::try_unwrap(bp) {
+                bp.recycle();
             }
         } else if gemm::use_packed(m, k, n) {
             // Serial packed path: identical accumulation to gemm_into's
             // packed branch (a full-range row split is the unsplit run).
             let _span = deco_telemetry::span!("tensor.gemm");
-            let (bp, from_cache) = match plancache::packed_b(other, k, n) {
-                Some(bp) => (bp, true),
-                None => (
-                    Arc::new(PackedB::pack(&MatRef::new(other.data(), k, n))),
-                    false,
-                ),
-            };
+            let bp = PackedB::pack(&MatRef::new(other.data(), k, n));
             gemm::gemm_rows_packed(&mut out, &MatRef::new(self.data(), m, k), &bp, 0..m);
-            if !from_cache {
-                if let Ok(bp) = Arc::try_unwrap(bp) {
-                    bp.recycle();
-                }
-            }
+            bp.recycle();
         } else {
             gemm::gemm_into(
                 &mut out,
                 &MatRef::new(self.data(), m, k),
                 &MatRef::new(other.data(), k, n),
             );
-        }
-        if crate::testhook::matmul_ulp_perturbation() {
-            if let Some(first) = out.first_mut() {
-                *first = crate::testhook::one_ulp_up(*first);
-            }
-        }
-        Tensor::from_pool_buf(out, [m, n])
-    }
-
-    /// Matrix product against a *stored* right operand:
-    /// `[m, k] × stored [k, n] → [m, n]`.
-    ///
-    /// Bitwise identical to `self.matmul(&other.decode())` — the stored
-    /// payload is widened to the same f32 values and fed through the
-    /// same kernels in the same order — but sub-f32 operands widen at
-    /// *pack time* via the plan cache ([`crate::plancache`]), so a
-    /// synthetic set held in bf16/f16/i8 never needs a persistent f32
-    /// copy across the repeated products of a match step. The `F32`
-    /// variant delegates to [`Tensor::matmul`] directly (zero-copy).
-    ///
-    /// # Panics
-    /// Panics unless both operands are rank 2 with matching inner
-    /// dimension.
-    pub fn matmul_stored(&self, other: &crate::dtype::StoredTensor) -> Tensor {
-        if let Some(t) = other.as_f32() {
-            return self.matmul(t);
-        }
-        assert_eq!(
-            self.rank(),
-            2,
-            "matmul_stored lhs must be rank 2, got {}",
-            self.shape()
-        );
-        assert_eq!(
-            other.dims().len(),
-            2,
-            "matmul_stored rhs must be rank 2, got {:?}",
-            other.dims()
-        );
-        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
-        assert_eq!(k, k2, "matmul_stored inner dims: {k} vs {k2}");
-        if !gemm::use_packed(m, k, n) {
-            // Tiny product: the naive kernel reads a flat f32 slice, so
-            // widen and delegate (identical result, no pack to cache).
-            return self.matmul(&other.decode());
-        }
-        let bp = match plancache::packed_b_stored(other, k, n) {
-            Some(bp) => bp,
-            // Cache disabled: widen per call, exactly the uncached path.
-            None => return self.matmul(&other.decode()),
-        };
-        deco_telemetry::counter!("tensor.ops.matmul");
-        deco_telemetry::counter!("tensor.ops.matmul_flops", (2 * m * k * n) as u64);
-        let flops = 2 * m * k * n;
-        let mut out = pool::take(m * n);
-        let _span = deco_telemetry::span!("tensor.gemm");
-        if deco_runtime::threads() > 1 && flops >= PAR_MIN_FLOPS {
-            let a = self.clone();
-            let bp_worker = Arc::clone(&bp);
-            let chunks =
-                deco_runtime::parallel_for_chunks(m, rows_per_chunk(m, k, n), move |rows| {
-                    let av = MatRef::new(a.data(), m, k);
-                    let mut buf = pool::take(rows.len() * n);
-                    gemm::gemm_rows_packed(&mut buf, &av, &bp_worker, rows);
-                    buf
-                });
-            let mut cursor = 0usize;
-            for chunk in chunks {
-                out[cursor..cursor + chunk.len()].copy_from_slice(&chunk);
-                cursor += chunk.len();
-                pool::give(chunk);
-            }
-        } else {
-            gemm::gemm_rows_packed(&mut out, &MatRef::new(self.data(), m, k), &bp, 0..m);
         }
         if crate::testhook::matmul_ulp_perturbation() {
             if let Some(first) = out.first_mut() {
@@ -273,26 +177,6 @@ mod tests {
         let parallel = deco_runtime::with_thread_count(4, || a.matmul(&b));
         assert_eq!(serial.data(), parallel.data());
         assert_eq!(serial.shape(), parallel.shape());
-    }
-
-    #[test]
-    fn matmul_stored_matches_decode_bitwise_per_dtype() {
-        use crate::dtype::{StorageDtype, StoredTensor};
-        let mut rng = crate::Rng::new(11);
-        // Large enough for the packed path at >1 thread; also check a
-        // tiny (naive-path) product.
-        for (m, k, n) in [(64usize, 64usize, 64usize), (3, 4, 2)] {
-            let a = Tensor::randn([m, k], &mut rng);
-            let b = Tensor::randn([k, n], &mut rng);
-            for dtype in StorageDtype::ALL {
-                let stored = StoredTensor::encode(&b, dtype);
-                let via_decode = a.matmul(&stored.decode());
-                let direct = a.matmul_stored(&stored);
-                assert_eq!(direct.data(), via_decode.data(), "{dtype} {m}x{k}x{n}");
-                let parallel = deco_runtime::with_thread_count(4, || a.matmul_stored(&stored));
-                assert_eq!(direct.data(), parallel.data(), "{dtype} thread-invariance");
-            }
-        }
     }
 
     #[test]

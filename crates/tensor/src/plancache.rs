@@ -1,615 +1,21 @@
-//! Thread-local forward-plan cache: memoized im2col column slabs and
-//! packed GEMM B-panels, plus the scope entry point for the autograd
-//! node arena.
+//! Statistics stub left where the forward-plan cache used to be.
 //!
-//! The condensation matcher lowers the *same* synthetic batch through
-//! im2col several times per matching step (the g_syn pass plus the two
-//! θ± passes — im2col depends only on the input, never on the perturbed
-//! weights) and re-packs GEMM weight panels that have not changed
-//! between passes. Everything here memoizes that work:
-//!
-//! * **im2col slabs** — the full-batch `[n · c_in·k·k · oh·ow]` column
-//!   buffer of a convolution input, keyed by
-//!   `(buffer id, buffer version, Conv2dSpec, c_in, h, w)`;
-//! * **packed B-panels** — a matmul right-hand operand packed into the
-//!   GEMM core's slab layout, keyed by
-//!   `(buffer id, buffer version, k, n)`;
-//! * **broadcast index plans** — the flat gather/scatter index map of a
-//!   broadcast elementwise op or its adjoint reduction, keyed by the
-//!   `(source dims, output dims)` pair alone. These replace a
-//!   per-element coordinate `unravel` (one heap allocation per output
-//!   element on the uncached path) with one precomputed `u32` table,
-//!   and the normalization-heavy ConvNet forward repeats the same few
-//!   shape pairs hundreds of times per pass.
-//!
-//! The first two kinds key on [`Tensor::buffer_id`] / [`Tensor::buffer_version`]:
-//! buffer ids are process-unique and never reused, and every mutable
-//! access bumps the version (see [`Tensor::data_mut`]), so a cached
-//! entry can never outlive the bytes it was derived from. In-place
-//! perturbation of network weights (`ConvNet::perturb`) therefore
-//! evicts weight packs naturally, while im2col entries for the
-//! untouched synthetic images survive all passes of a step.
-//!
-//! Cached entries are byte-exact copies of what the kernels would
-//! recompute, and the consuming GEMM calls run with identical operand
-//! values and identical chunk boundaries — results are **bitwise
-//! identical** with the cache on or off, at any `DECO_THREADS`.
-//!
-//! The cache is thread-local (workers each own one; no cross-thread
-//! state) and scoped per match job: `one_step_match` and the DM round
-//! closure call [`clear`] when a job finishes so entries never leak
-//! across jobs. A byte cap (default 64 MiB, `DECO_PLAN_CACHE_CAP_BYTES`
-//! override) bounds the held scratch; overflow evicts everything, which
-//! costs recomputation but never correctness.
-//!
-//! Kill switch: `DECO_PLAN_CACHE=0` disables both the plan cache and
-//! the node arena process-wide; [`set_thread_override`] flips the
-//! switch per thread so benchmarks and fuzzers can A/B both modes in
-//! one process. Always-on statistics are mirrored to the
-//! `tensor.plan_cache.{hits,misses,evictions,bytes}` telemetry series.
+//! The cache (memoized im2col slabs, packed GEMM panels and broadcast
+//! index plans) is gone: its one paying reuse — a convolution's im2col
+//! slab feeding that convolution's weight gradient — now lives on the
+//! autograd tape (see [`crate::Var::conv2d`]). This module survives only
+//! because the repository benchmark's probe still reads
+//! `plancache::stats().held_bytes`; it reports zero and can be deleted
+//! together with that read.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use crate::dtype::{StorageDtype, StoredTensor};
-use crate::ops::conv::Conv2dSpec;
-use crate::ops::gemm::PackedB;
-use crate::pool;
-use crate::shape::Shape;
-use crate::tensor::Tensor;
-
-/// Default byte cap on cached slabs + packs per thread.
-const DEFAULT_CAP_BYTES: u64 = 64 * 1024 * 1024;
-
-/// Key of a cached full-batch im2col slab. `n`, `oh`, `ow` are derived
-/// from the buffer length, `(c_in, h, w)` and the spec, so they need no
-/// slot of their own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Im2colKey {
-    id: u64,
-    version: u64,
-    spec: Conv2dSpec,
-    cin: usize,
-    h: usize,
-    w: usize,
-}
-
-/// Key of a cached packed GEMM B operand (the blocking shape is the
-/// logical `k × n`; slab/panel geometry is a pure function of it). The
-/// `dtype` component keeps packs derived from different storage
-/// precisions of a buffer from ever aliasing: a widened bf16 pack and
-/// an f32 pack of "the same" operand are different bytes and get
-/// different keys even before the id spaces diverge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PackKey {
-    id: u64,
-    version: u64,
-    k: usize,
-    n: usize,
-    dtype: StorageDtype,
-}
-
-/// Key of a cached broadcast index plan: source and output dims. Pure
-/// geometry — no buffer identity involved, so an entry can never go
-/// stale; it is still dropped with everything else at job scope.
-///
-/// Dims are stored inline so a cache *hit* never touches the heap;
-/// shapes above [`BCAST_KEY_MAX_RANK`] fall back to the uncached path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct BcastKey {
-    src: [usize; BCAST_KEY_MAX_RANK],
-    src_len: u8,
-    out: [usize; BCAST_KEY_MAX_RANK],
-    out_len: u8,
-}
-
-/// Highest rank a [`BcastKey`] can hold inline.
-const BCAST_KEY_MAX_RANK: usize = 8;
-
-impl BcastKey {
-    fn new(src: &Shape, out: &Shape) -> Option<BcastKey> {
-        let (sr, or) = (src.rank(), out.rank());
-        if sr > BCAST_KEY_MAX_RANK || or > BCAST_KEY_MAX_RANK {
-            return None;
-        }
-        let mut key = BcastKey {
-            src: [0; BCAST_KEY_MAX_RANK],
-            src_len: sr as u8,
-            out: [0; BCAST_KEY_MAX_RANK],
-            out_len: or as u8,
-        };
-        key.src[..sr].copy_from_slice(src.dims());
-        key.out[..or].copy_from_slice(out.dims());
-        Some(key)
-    }
-}
-
-/// Always-on plan-cache statistics for the current thread.
+/// Bytes held by the removed plan cache: always zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// im2col slab lookups served from the cache.
-    pub im2col_hits: u64,
-    /// im2col slab lookups that had to build the slab.
-    pub im2col_misses: u64,
-    /// Packed-B lookups served from the cache.
-    pub pack_hits: u64,
-    /// Packed-B lookups that had to pack.
-    pub pack_misses: u64,
-    /// Packed-B hits split by storage dtype, indexed by
-    /// [`StorageDtype::tag_byte`]. Sums to `pack_hits`.
-    pub pack_dtype_hits: [u64; 4],
-    /// Packed-B misses split by storage dtype, indexed by
-    /// [`StorageDtype::tag_byte`]. Sums to `pack_misses`.
-    pub pack_dtype_misses: [u64; 4],
-    /// Broadcast index-plan lookups served from the cache.
-    pub bcast_hits: u64,
-    /// Broadcast index-plan lookups that had to build the plan.
-    pub bcast_misses: u64,
-    /// Entries dropped (job-scope clears and byte-cap overflow alike).
-    pub evictions: u64,
-    /// Bytes currently held by cached entries.
+    /// Bytes currently held by cached entries (always 0).
     pub held_bytes: u64,
 }
 
-impl PlanCacheStats {
-    /// Total hits across all entry kinds.
-    pub fn hits(&self) -> u64 {
-        self.im2col_hits + self.pack_hits + self.bcast_hits
-    }
-
-    /// Total misses across all entry kinds.
-    pub fn misses(&self) -> u64 {
-        self.im2col_misses + self.pack_misses + self.bcast_misses
-    }
-
-    /// Packed-B hits for one storage dtype.
-    pub fn pack_hits_for(&self, dtype: StorageDtype) -> u64 {
-        self.pack_dtype_hits[dtype.tag_byte() as usize]
-    }
-
-    /// Packed-B misses for one storage dtype.
-    pub fn pack_misses_for(&self, dtype: StorageDtype) -> u64 {
-        self.pack_dtype_misses[dtype.tag_byte() as usize]
-    }
-}
-
-struct CacheState {
-    im2col: HashMap<Im2colKey, Arc<Vec<f32>>>,
-    packs: HashMap<PackKey, Arc<PackedB>>,
-    bcasts: HashMap<BcastKey, Arc<Vec<u32>>>,
-    cap_bytes: u64,
-    stats: PlanCacheStats,
-}
-
-impl CacheState {
-    fn new() -> Self {
-        let cap_bytes = std::env::var("DECO_PLAN_CACHE_CAP_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAP_BYTES);
-        CacheState {
-            im2col: HashMap::new(),
-            packs: HashMap::new(),
-            bcasts: HashMap::new(),
-            cap_bytes,
-            stats: PlanCacheStats::default(),
-        }
-    }
-
-    /// Drops every entry, recycling uniquely-owned scratch to the pool.
-    fn evict_all(&mut self) {
-        let count = (self.im2col.len() + self.packs.len() + self.bcasts.len()) as u64;
-        if count == 0 {
-            return;
-        }
-        for (_, slab) in self.im2col.drain() {
-            if let Ok(buf) = Arc::try_unwrap(slab) {
-                pool::give(buf);
-            }
-        }
-        for (_, bp) in self.packs.drain() {
-            if let Ok(bp) = Arc::try_unwrap(bp) {
-                bp.recycle();
-            }
-        }
-        self.bcasts.clear();
-        self.stats.evictions += count;
-        self.stats.held_bytes = 0;
-        deco_telemetry::counter!("tensor.plan_cache.evictions", count);
-        deco_telemetry::gauge_set!("tensor.plan_cache.bytes", 0i64);
-    }
-
-    /// Makes room for an entry of `bytes`; over the cap, everything
-    /// goes (costs recomputation, never correctness).
-    fn reserve(&mut self, bytes: u64) {
-        if self.stats.held_bytes + bytes > self.cap_bytes {
-            self.evict_all();
-        }
-    }
-
-    fn charge(&mut self, bytes: u64) {
-        self.stats.held_bytes += bytes;
-        deco_telemetry::gauge_set!(
-            "tensor.plan_cache.bytes",
-            self.stats.held_bytes.min(i64::MAX as u64) as i64
-        );
-    }
-}
-
-thread_local! {
-    static CACHE: RefCell<CacheState> = RefCell::new(CacheState::new());
-    static OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-fn env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("DECO_PLAN_CACHE").map_or(true, |v| v != "0"))
-}
-
-/// Whether the plan cache (and with it the node arena) is active on
-/// this thread: the thread override if set, else the `DECO_PLAN_CACHE`
-/// environment default (on unless `=0`).
-pub fn enabled() -> bool {
-    OVERRIDE.with(Cell::get).unwrap_or_else(env_default)
-}
-
-/// Overrides the `DECO_PLAN_CACHE` switch for the current thread:
-/// `Some(true)` forces the cache on, `Some(false)` off, `None` restores
-/// the environment default. Lets benchmarks and the conformance fuzzer
-/// A/B cache-on vs cache-off in one process.
-pub fn set_thread_override(on: Option<bool>) {
-    OVERRIDE.with(|o| o.set(on));
-}
-
-/// Looks up (or builds and inserts) the full-batch im2col slab for
-/// convolution input `x` under `spec`. `build` must write every element
-/// of the `slab_len`-float buffer; it runs at most once, on a miss.
-/// Returns `None` when the cache is disabled — callers then keep their
-/// uncached scratch path.
-pub(crate) fn im2col_slab(
-    x: &Tensor,
-    spec: Conv2dSpec,
-    (cin, h, w): (usize, usize, usize),
-    slab_len: usize,
-    build: impl FnOnce(&mut [f32]),
-) -> Option<Arc<Vec<f32>>> {
-    if !enabled() {
-        return None;
-    }
-    let key = Im2colKey {
-        id: x.buffer_id(),
-        version: x.buffer_version(),
-        spec,
-        cin,
-        h,
-        w,
-    };
-    CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if let Some(slab) = c.im2col.get(&key) {
-            let slab = Arc::clone(slab);
-            c.stats.im2col_hits += 1;
-            deco_telemetry::counter!("tensor.plan_cache.hits");
-            return Some(slab);
-        }
-        c.stats.im2col_misses += 1;
-        deco_telemetry::counter!("tensor.plan_cache.misses");
-        let mut buf = pool::take(slab_len);
-        build(&mut buf);
-        let slab = Arc::new(buf);
-        let bytes = (slab_len * std::mem::size_of::<f32>()) as u64;
-        c.reserve(bytes);
-        c.charge(bytes);
-        c.im2col.insert(key, Arc::clone(&slab));
-        Some(slab)
-    })
-}
-
-/// Looks up (or packs and inserts) the GEMM-packed form of matmul right
-/// operand `b` (logical `k × n`). Returns `None` when the cache is
-/// disabled — callers then pack per call as before. The returned pack
-/// is shared, never recycled by callers; eviction recycles it once the
-/// last worker reference drops.
-pub(crate) fn packed_b(b: &Tensor, k: usize, n: usize) -> Option<Arc<PackedB>> {
-    if !enabled() {
-        return None;
-    }
-    let key = PackKey {
-        id: b.buffer_id(),
-        version: b.buffer_version(),
-        k,
-        n,
-        dtype: StorageDtype::F32,
-    };
-    packed_b_cached(key, || {
-        PackedB::pack(&crate::ops::gemm::MatRef::new(b.data(), k, n))
-    })
-}
-
-/// Looks up (or widens, packs and inserts) the GEMM-packed form of a
-/// *stored* matmul right operand (logical `k × n`). The `F32` variant
-/// delegates to [`packed_b`] on the wrapped tensor (identical key,
-/// identical bytes). Sub-f32 variants key on the stored payload's own
-/// id + dtype — stored payloads are immutable, so the version component
-/// is always 0 — and widen into pooled scratch only on a miss
-/// (pack-time widening: the f32 copy lives exactly as long as the pack
-/// build). Returns `None` when the cache is disabled.
-pub(crate) fn packed_b_stored(b: &StoredTensor, k: usize, n: usize) -> Option<Arc<PackedB>> {
-    if let Some(t) = b.as_f32() {
-        return packed_b(t, k, n);
-    }
-    if !enabled() {
-        return None;
-    }
-    let key = PackKey {
-        id: b.buffer_id(),
-        version: 0,
-        k,
-        n,
-        dtype: b.dtype(),
-    };
-    packed_b_cached(key, || {
-        let mut wide = pool::take(k * n);
-        b.widen_into(&mut wide);
-        let bp = PackedB::pack(&crate::ops::gemm::MatRef::new(&wide, k, n));
-        pool::give(wide);
-        bp
-    })
-}
-
-fn packed_b_cached(key: PackKey, pack: impl FnOnce() -> PackedB) -> Option<Arc<PackedB>> {
-    let di = key.dtype.tag_byte() as usize;
-    CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if let Some(bp) = c.packs.get(&key) {
-            let bp = Arc::clone(bp);
-            c.stats.pack_hits += 1;
-            c.stats.pack_dtype_hits[di] += 1;
-            deco_telemetry::counter!("tensor.plan_cache.hits");
-            return Some(bp);
-        }
-        c.stats.pack_misses += 1;
-        c.stats.pack_dtype_misses[di] += 1;
-        deco_telemetry::counter!("tensor.plan_cache.misses");
-        let bp = Arc::new(pack());
-        let bytes = bp.bytes();
-        c.reserve(bytes);
-        c.charge(bytes);
-        c.packs.insert(key, Arc::clone(&bp));
-        Some(bp)
-    })
-}
-
-/// Looks up (or builds and inserts) the broadcast index plan mapping
-/// every element of the `out` shape to its source element in `src` —
-/// the flat-index form of the per-element `unravel`/stride walk the
-/// uncached path performs. `build` runs at most once, on a miss.
-/// Returns `None` when the cache is disabled or a shape overflows the
-/// `u32` index space — callers then keep the per-element fallback.
-pub(crate) fn broadcast_index_plan(
-    src: &Shape,
-    out: &Shape,
-    build: impl FnOnce() -> Vec<u32>,
-) -> Option<Arc<Vec<u32>>> {
-    if !enabled() || out.numel() > u32::MAX as usize || src.numel() > u32::MAX as usize {
-        return None;
-    }
-    let key = BcastKey::new(src, out)?;
-    CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if let Some(plan) = c.bcasts.get(&key) {
-            let plan = Arc::clone(plan);
-            c.stats.bcast_hits += 1;
-            deco_telemetry::counter!("tensor.plan_cache.hits");
-            return Some(plan);
-        }
-        c.stats.bcast_misses += 1;
-        deco_telemetry::counter!("tensor.plan_cache.misses");
-        let plan = Arc::new(build());
-        let bytes = (plan.len() * std::mem::size_of::<u32>()) as u64;
-        c.reserve(bytes);
-        c.charge(bytes);
-        c.bcasts.insert(key, Arc::clone(&plan));
-        Some(plan)
-    })
-}
-
-/// Drops every cached entry on the current thread (match-job scope
-/// boundary). Statistics survive; use [`reset_stats`] for those.
-pub fn clear() {
-    let _ = CACHE.try_with(|c| c.borrow_mut().evict_all());
-}
-
-/// Snapshot of this thread's plan-cache statistics.
+/// Zeroed statistics; nothing is cached any more.
 pub fn stats() -> PlanCacheStats {
-    CACHE.try_with(|c| c.borrow().stats).unwrap_or_default()
-}
-
-/// Zeroes this thread's hit/miss/eviction counters (held bytes reflect
-/// live entries and are preserved).
-pub fn reset_stats() {
-    let _ = CACHE.try_with(|c| {
-        let mut c = c.borrow_mut();
-        let held = c.stats.held_bytes;
-        c.stats = PlanCacheStats {
-            held_bytes: held,
-            ..PlanCacheStats::default()
-        };
-    });
-}
-
-/// Runs `f` inside an autograd node-arena scope: tape nodes built
-/// during `f` whose handles are dropped by the time the scope ends are
-/// reset and recycled for the next scope on this thread instead of
-/// round-tripping the global allocator. No-op passthrough when the plan
-/// cache is disabled ([`enabled`] is the single kill switch for both).
-pub fn with_tape_arena<R>(f: impl FnOnce() -> R) -> R {
-    if !enabled() {
-        return f();
-    }
-    crate::autograd::with_arena_scope(f)
-}
-
-/// High-water mark of live arena-scope nodes on this thread (a proxy
-/// for the largest tape a single scope built). Mirrored to the
-/// `tensor.tape.arena_node_high_water` telemetry gauge.
-pub fn arena_node_high_water() -> u64 {
-    crate::autograd::arena_node_high_water()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The cache is thread-local, so tests pin the override and clean
-    /// up to stay independent of the environment and of each other.
-    struct ForceOn;
-    impl ForceOn {
-        fn new() -> Self {
-            set_thread_override(Some(true));
-            clear();
-            reset_stats();
-            ForceOn
-        }
-    }
-    impl Drop for ForceOn {
-        fn drop(&mut self) {
-            clear();
-            set_thread_override(None);
-        }
-    }
-
-    #[test]
-    fn im2col_slab_hits_on_same_buffer_version() {
-        let _guard = ForceOn::new();
-        let x = Tensor::ones([2, 3 * 4 * 4]).reshape([2, 3, 4, 4]);
-        let spec = Conv2dSpec::default();
-        let len = 2 * 3 * 9 * 16;
-        let a = im2col_slab(&x, spec, (3, 4, 4), len, |s| s.fill(1.0)).unwrap();
-        let b = im2col_slab(&x, spec, (3, 4, 4), len, |_| panic!("must not rebuild")).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = stats();
-        assert_eq!(s.im2col_hits, 1);
-        assert_eq!(s.im2col_misses, 1);
-    }
-
-    #[test]
-    fn mutation_invalidates_via_version_bump() {
-        let _guard = ForceOn::new();
-        let mut x = Tensor::ones([1, 8]).reshape([1, 1, 2, 4]);
-        let spec = Conv2dSpec::new(1, 1, 0);
-        let len = 8;
-        let _ = im2col_slab(&x, spec, (1, 2, 4), len, |s| s.fill(0.0));
-        x.data_mut()[0] = 2.0;
-        let mut rebuilt = false;
-        let _ = im2col_slab(&x, spec, (1, 2, 4), len, |_| rebuilt = true);
-        assert!(rebuilt, "stale entry must not serve new contents");
-        assert_eq!(stats().im2col_misses, 2);
-    }
-
-    #[test]
-    fn disabled_cache_returns_none() {
-        set_thread_override(Some(false));
-        let x = Tensor::ones([1, 4]).reshape([1, 1, 2, 2]);
-        let r = im2col_slab(&x, Conv2dSpec::new(1, 1, 0), (1, 2, 2), 4, |_| {});
-        assert!(r.is_none());
-        assert!(packed_b(&Tensor::ones([4, 4]), 4, 4).is_none());
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn packed_b_hits_until_mutation() {
-        let _guard = ForceOn::new();
-        let mut b = Tensor::ones([16, 16]);
-        let p1 = packed_b(&b, 16, 16).unwrap();
-        let p2 = packed_b(&b, 16, 16).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(stats().pack_hits, 1);
-        b.data_mut()[0] = 3.0;
-        let p3 = packed_b(&b, 16, 16).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(stats().pack_misses, 2);
-    }
-
-    #[test]
-    fn stored_packs_do_not_alias_across_dtypes() {
-        let _guard = ForceOn::new();
-        let mut rng = crate::rng::Rng::new(7);
-        let b = Tensor::randn([16, 16], &mut rng);
-        let f32_pack = packed_b(&b, 16, 16).unwrap();
-        let mut packs = vec![];
-        for dtype in [StorageDtype::Bf16, StorageDtype::F16, StorageDtype::I8] {
-            let stored = StoredTensor::encode(&b, dtype);
-            let p1 = packed_b_stored(&stored, 16, 16).unwrap();
-            let p2 = packed_b_stored(&stored, 16, 16).unwrap();
-            assert!(Arc::ptr_eq(&p1, &p2), "{dtype}: second lookup must hit");
-            assert!(
-                !Arc::ptr_eq(&f32_pack, &p1),
-                "{dtype}: must not alias the f32 pack"
-            );
-            packs.push(p1);
-        }
-        // The F32 stored variant shares the tensor's own key/pack.
-        let stored_f32 = StoredTensor::encode(&b, StorageDtype::F32);
-        let p = packed_b_stored(&stored_f32, 16, 16).unwrap();
-        assert!(Arc::ptr_eq(&f32_pack, &p));
-        let s = stats();
-        assert_eq!(s.pack_misses, 4, "one pack per dtype");
-        assert_eq!(s.pack_hits_for(StorageDtype::F32), 1);
-        for dtype in [StorageDtype::Bf16, StorageDtype::F16, StorageDtype::I8] {
-            assert_eq!(s.pack_hits_for(dtype), 1, "{dtype}");
-            assert_eq!(s.pack_misses_for(dtype), 1, "{dtype}");
-        }
-        assert_eq!(
-            s.pack_dtype_hits.iter().sum::<u64>(),
-            s.pack_hits,
-            "per-dtype hits must sum to the total"
-        );
-        assert_eq!(s.pack_dtype_misses.iter().sum::<u64>(), s.pack_misses);
-    }
-
-    #[test]
-    fn clear_counts_evictions_and_zeroes_bytes() {
-        let _guard = ForceOn::new();
-        let x = Tensor::ones([1, 16]).reshape([1, 1, 4, 4]);
-        let _ = im2col_slab(&x, Conv2dSpec::new(1, 1, 0), (1, 4, 4), 16, |s| s.fill(0.0));
-        assert!(stats().held_bytes > 0);
-        clear();
-        let s = stats();
-        assert_eq!(s.held_bytes, 0);
-        assert_eq!(s.evictions, 1);
-    }
-
-    #[test]
-    fn broadcast_plan_hits_on_same_shape_pair() {
-        let _guard = ForceOn::new();
-        let src = Shape::new(vec![1, 4]);
-        let out = Shape::new(vec![3, 4]);
-        let a =
-            broadcast_index_plan(&src, &out, || vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]).unwrap();
-        let b = broadcast_index_plan(&src, &out, || panic!("must not rebuild")).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = stats();
-        assert_eq!(s.bcast_hits, 1);
-        assert_eq!(s.bcast_misses, 1);
-        assert!(s.held_bytes >= (a.len() * std::mem::size_of::<u32>()) as u64);
-        set_thread_override(Some(false));
-        assert!(broadcast_index_plan(&src, &out, Vec::new).is_none());
-        set_thread_override(Some(true));
-    }
-
-    #[test]
-    fn byte_cap_overflow_evicts() {
-        let _guard = ForceOn::new();
-        // Two entries each larger than half the cap force an eviction.
-        let big = (DEFAULT_CAP_BYTES as usize / std::mem::size_of::<f32>()) * 3 / 4;
-        let x1 = Tensor::zeros([1, 4]).reshape([1, 1, 2, 2]);
-        let x2 = Tensor::zeros([1, 4]).reshape([1, 1, 2, 2]);
-        let _ = im2col_slab(&x1, Conv2dSpec::new(1, 1, 0), (1, 2, 2), big, |_| {});
-        let _ = im2col_slab(&x2, Conv2dSpec::new(1, 1, 0), (1, 2, 2), big, |_| {});
-        let s = stats();
-        assert!(s.evictions >= 1, "cap overflow must evict");
-        assert!(s.held_bytes <= DEFAULT_CAP_BYTES);
-    }
+    PlanCacheStats::default()
 }

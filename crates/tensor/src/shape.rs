@@ -9,7 +9,7 @@ use std::hash::{Hash, Hasher};
 /// Ranks up to this many axes are stored inline (no heap allocation).
 /// Everything in the reproduction is rank ≤ 4 (NCHW), so in practice
 /// shape construction never allocates; higher ranks spill to a `Vec`.
-const INLINE_RANK: usize = 4;
+pub(crate) const INLINE_RANK: usize = 4;
 
 /// The dimensions of a [`Tensor`](crate::Tensor), row-major.
 ///

@@ -12,53 +12,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::ops::conv::{self, Conv2dSpec};
 use crate::ops::gemm::{self, MatRef, PackedB};
 use crate::ops::simd::GemmKernel;
 use crate::pool;
 use crate::tensor::Tensor;
 
 static PERTURB_MATMUL: AtomicBool = AtomicBool::new(false);
-
-/// [`Tensor::conv2d`] with the lowering forced: `im2col = true` takes
-/// the im2col/GEMM path, `false` the direct kernels, regardless of the
-/// shape heuristic. No global state — safe alongside concurrent tests.
-/// Used by the conformance differential suite to compare both lowerings
-/// on identical problems.
-#[doc(hidden)]
-pub fn conv2d_forced(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: Conv2dSpec,
-    im2col: bool,
-) -> Tensor {
-    conv::conv2d_impl(x, weight, bias, spec, Some(im2col))
-}
-
-/// [`Tensor::conv2d_input_grad`] with the lowering forced.
-#[doc(hidden)]
-pub fn conv2d_input_grad_forced(
-    g: &Tensor,
-    weight: &Tensor,
-    input_hw: (usize, usize),
-    spec: Conv2dSpec,
-    im2col: bool,
-) -> Tensor {
-    conv::conv2d_input_grad_impl(g, weight, input_hw, spec, Some(im2col))
-}
-
-/// [`Tensor::conv2d_weight_grad`] with the lowering forced.
-#[doc(hidden)]
-pub fn conv2d_weight_grad_forced(
-    g: &Tensor,
-    input: &Tensor,
-    kernel: usize,
-    spec: Conv2dSpec,
-    im2col: bool,
-) -> Tensor {
-    conv::conv2d_weight_grad_impl(g, input, kernel, spec, Some(im2col))
-}
 
 /// Force-overrides the process-global SIMD numerics mode:
 /// `Some(true)` forces the detected SIMD kernel, `Some(false)` forces
