@@ -1,6 +1,7 @@
 //! `kernel_scaling`: single-thread latency and allocation behaviour of
-//! the hot kernels — matmul plus all three conv2d kernels — at the
-//! paper's ConvNet shapes. Complements `runtime_scaling` (which measures
+//! the hot kernels — matmul plus the conv2d forward and its three
+//! gradient kernels — at the paper's ConvNet shapes, and of whole
+//! ConvNet passes. Complements `runtime_scaling` (which measures
 //! multi-thread speedup): this bench answers "how fast is one step on
 //! one core, and does the buffer pool actually keep it off the heap?".
 //!
@@ -15,10 +16,11 @@
 //! ```
 //!
 //! `--check` reads the committed `BENCH_kernels.json` *before*
-//! overwriting it and fails (exit 1) if `conv2d_fwd_16x3x32x32_w16`
-//! got slower than [`CHECK_FACTOR`] × the committed mean — a generous
-//! threshold meant to catch order-of-magnitude regressions on shared CI
-//! runners, not micro-noise.
+//! overwriting it and fails (exit 1) if any op in [`CHECK_OPS`] (the
+//! conv forward and the ConvNet train step) got slower than
+//! [`CHECK_FACTOR`] × its committed mean — a generous threshold meant
+//! to catch order-of-magnitude regressions on shared CI runners, not
+//! micro-noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,11 +49,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Regression gate for `--check`: fail if the tracked op's mean exceeds
+/// Regression gate for `--check`: fail if a tracked op's mean exceeds
 /// this multiple of the committed baseline.
 const CHECK_FACTOR: f64 = 2.5;
-/// Op the `--check` gate tracks.
-const CHECK_OP: &str = "conv2d_fwd_16x3x32x32_w16";
+/// The conv forward at the CIFAR stem shape.
+const CONV_FWD_OP: &str = "conv2d_fwd_16x3x32x32_w16";
+/// One ConvNet forward+backward at the `deco_stream` shapes.
+const TRAIN_STEP_OP: &str = "convnet_train_step_100x3x16x16_w8";
+/// Ops the `--check` gate tracks.
+const CHECK_OPS: [&str; 2] = [CONV_FWD_OP, TRAIN_STEP_OP];
 
 fn iters() -> usize {
     std::env::var("DECO_BENCH_ITERS")
@@ -127,7 +133,7 @@ fn bench_ops(iters: usize) -> Vec<OpResult> {
         time_op("matmul_128x128", iters, || {
             std::hint::black_box(a.matmul(&b));
         }),
-        time_op(CHECK_OP, iters, || {
+        time_op(CONV_FWD_OP, iters, || {
             std::hint::black_box(x.conv2d(&w, None, spec));
         }),
         time_op("conv2d_input_grad_16x16x32x32_w16", iters, || {
@@ -135,6 +141,9 @@ fn bench_ops(iters: usize) -> Vec<OpResult> {
         }),
         time_op("conv2d_weight_grad_16x16x32x32_w16", iters, || {
             std::hint::black_box(g.conv2d_weight_grad(&x, 3, spec));
+        }),
+        time_op("conv2d_bias_grad_16x16x32x32", iters, || {
+            std::hint::black_box(g.conv2d_bias_grad());
         }),
     ]
 }
@@ -176,6 +185,49 @@ fn bench_convnet(iters: usize) -> Vec<OpResult> {
     ]
 }
 
+/// The two ConvNet pass kinds a `deco_stream` segment runs, at its
+/// shapes: a full 100-image buffer batch of the CORe50 analogue
+/// (3×16×16, 10 classes) through width 8, depth 3.
+fn bench_deco_passes(iters: usize) -> Vec<OpResult> {
+    use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig};
+    use deco_tensor::{with_tape_arena, Reduction, Var};
+
+    let mut rng = Rng::new(42);
+    let net = ConvNet::new(
+        ConvNetConfig {
+            in_channels: 3,
+            image_side: 16,
+            width: 8,
+            depth: 3,
+            num_classes: 10,
+            norm: true,
+        },
+        &mut rng,
+    );
+    let x = Tensor::randn([100, 3, 16, 16], &mut rng);
+    let labels: Vec<usize> = (0..100).map(|i| i % 10).collect();
+    vec![
+        // Constant images, live parameters: the retrain step and the
+        // matcher's g_real / g_syn passes.
+        time_op(TRAIN_STEP_OP, iters, || {
+            with_tape_arena(|| {
+                let logits = net.forward(&Var::constant(x.clone()), false);
+                weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
+            });
+        }),
+        // Image leaf, frozen parameters: the matcher's θ± passes and the
+        // Eq. 8 discrimination gradient.
+        time_op("convnet_input_grad_100x3x16x16_w8", iters, || {
+            with_tape_arena(|| {
+                let images = Var::leaf(x.clone(), true);
+                let logits = net.forward(&images, true);
+                weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
+                std::hint::black_box(images.grad());
+            });
+        }),
+    ]
+}
+
 fn baseline_mean_ms(path: &str, op: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
     let json = Json::parse(&text).ok()?;
@@ -191,7 +243,7 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let iters = iters();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let baseline = baseline_mean_ms(path, CHECK_OP);
+    let baselines = CHECK_OPS.map(|op| baseline_mean_ms(path, op));
 
     let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let dispatch = deco_tensor::ops::simd::active_kernel().name();
@@ -201,6 +253,7 @@ fn main() {
     );
     let mut results = bench_ops(iters);
     results.extend(bench_convnet(iters));
+    results.extend(bench_deco_passes(iters));
     let simd = bench_simd_matmul(iters);
 
     println!("\n## kernel_scaling — single-thread latency & allocations\n");
@@ -253,28 +306,34 @@ fn main() {
     eprintln!("[kernel_scaling] wrote {path}");
 
     if check {
-        let current = results
-            .iter()
-            .find(|r| r.name == CHECK_OP)
-            .expect("tracked op missing")
-            .mean_ms;
-        match baseline {
-            Some(base) if current > base * CHECK_FACTOR => {
-                eprintln!(
-                    "[kernel_scaling] REGRESSION: {CHECK_OP} {current:.4} ms > \
-                     {CHECK_FACTOR} x committed {base:.4} ms"
-                );
-                std::process::exit(1);
+        let mut regressed = false;
+        for (op, baseline) in CHECK_OPS.iter().zip(baselines) {
+            let current = results
+                .iter()
+                .find(|r| r.name == *op)
+                .expect("tracked op missing")
+                .mean_ms;
+            match baseline {
+                Some(base) if current > base * CHECK_FACTOR => {
+                    eprintln!(
+                        "[kernel_scaling] REGRESSION: {op} {current:.4} ms > \
+                         {CHECK_FACTOR} x committed {base:.4} ms"
+                    );
+                    regressed = true;
+                }
+                Some(base) => {
+                    eprintln!(
+                        "[kernel_scaling] check ok: {op} {current:.4} ms vs \
+                         committed {base:.4} ms (limit {CHECK_FACTOR}x)"
+                    );
+                }
+                None => {
+                    eprintln!("[kernel_scaling] check skipped: no committed baseline for {op}");
+                }
             }
-            Some(base) => {
-                eprintln!(
-                    "[kernel_scaling] check ok: {CHECK_OP} {current:.4} ms vs \
-                     committed {base:.4} ms (limit {CHECK_FACTOR}x)"
-                );
-            }
-            None => {
-                eprintln!("[kernel_scaling] check skipped: no committed baseline for {CHECK_OP}");
-            }
+        }
+        if regressed {
+            std::process::exit(1);
         }
     }
 }

@@ -530,49 +530,76 @@ impl Var {
     /// Elementwise sum with broadcasting.
     pub fn add(&self, rhs: &Var) -> Var {
         let value = self.value() + rhs.value();
-        let (sa, sb) = (self.shape().clone(), rhs.shape().clone());
+        let sa = self.requires_grad().then(|| self.shape().clone());
+        let sb = rhs.requires_grad().then(|| rhs.shape().clone());
         Var::from_op(
             value,
             &[self, rhs],
-            Box::new(move |g| grads![Some(g.sum_to(&sa)), Some(g.sum_to(&sb))]),
+            Box::new(move |g| {
+                grads![
+                    sa.as_ref().map(|sa| g.sum_to(sa)),
+                    sb.as_ref().map(|sb| g.sum_to(sb)),
+                ]
+            }),
         )
     }
 
     /// Elementwise difference with broadcasting.
     pub fn sub(&self, rhs: &Var) -> Var {
         let value = self.value() - rhs.value();
-        let (sa, sb) = (self.shape().clone(), rhs.shape().clone());
+        let sa = self.requires_grad().then(|| self.shape().clone());
+        let sb = rhs.requires_grad().then(|| rhs.shape().clone());
         Var::from_op(
             value,
             &[self, rhs],
-            Box::new(move |g| grads![Some(g.sum_to(&sa)), Some((-g).sum_to(&sb))]),
+            Box::new(move |g| {
+                grads![
+                    sa.as_ref().map(|sa| g.sum_to(sa)),
+                    sb.as_ref().map(|sb| (-g).sum_to(sb)),
+                ]
+            }),
         )
     }
 
     /// Elementwise product with broadcasting.
     pub fn mul(&self, rhs: &Var) -> Var {
         let value = self.value() * rhs.value();
-        let (sa, sb) = (self.shape().clone(), rhs.shape().clone());
-        let (va, vb) = (self.value().clone(), rhs.value().clone());
+        // Each side's gradient reads the other side's value.
+        let a = self
+            .requires_grad()
+            .then(|| (self.shape().clone(), rhs.value().clone()));
+        let b = rhs
+            .requires_grad()
+            .then(|| (rhs.shape().clone(), self.value().clone()));
         Var::from_op(
             value,
             &[self, rhs],
-            Box::new(move |g| grads![Some((g * &vb).sum_to(&sa)), Some((g * &va).sum_to(&sb))]),
+            Box::new(move |g| {
+                grads![
+                    a.as_ref().map(|(sa, vb)| (g * vb).sum_to(sa)),
+                    b.as_ref().map(|(sb, va)| (g * va).sum_to(sb)),
+                ]
+            }),
         )
     }
 
     /// Elementwise quotient with broadcasting.
     pub fn div(&self, rhs: &Var) -> Var {
         let value = self.value() / rhs.value();
-        let (sa, sb) = (self.shape().clone(), rhs.shape().clone());
-        let (va, vb) = (self.value().clone(), rhs.value().clone());
+        let sa = self.requires_grad().then(|| self.shape().clone());
+        let b = rhs
+            .requires_grad()
+            .then(|| (rhs.shape().clone(), self.value().clone()));
+        let vb = rhs.value().clone();
         Var::from_op(
             value,
             &[self, rhs],
             Box::new(move |g| {
-                let ga = (g / &vb).sum_to(&sa);
-                let gb = (&(&(-g) * &va) / &(&vb * &vb)).sum_to(&sb);
-                grads![Some(ga), Some(gb)]
+                let ga = sa.as_ref().map(|sa| (g / &vb).sum_to(sa));
+                let gb = b
+                    .as_ref()
+                    .map(|(sb, va)| (&(&(-g) * va) / &(&vb * &vb)).sum_to(sb));
+                grads![ga, gb]
             }),
         )
     }
@@ -813,14 +840,16 @@ impl Var {
     /// Matrix product of rank-2 vars.
     pub fn matmul(&self, rhs: &Var) -> Var {
         let value = self.value().matmul(rhs.value());
-        let (a, b) = (self.value().clone(), rhs.value().clone());
+        // `ga = g·bᵀ` reads `b`; `gb = aᵀ·g` reads `a`.
+        let b = self.requires_grad().then(|| rhs.value().clone());
+        let a = rhs.requires_grad().then(|| self.value().clone());
         Var::from_op(
             value,
             &[self, rhs],
             Box::new(move |g| {
-                let ga = g.matmul(&b.transpose2());
-                let gb = a.transpose2().matmul(g);
-                grads![Some(ga), Some(gb)]
+                let ga = b.as_ref().map(|b| g.matmul(&b.transpose2()));
+                let gb = a.as_ref().map(|a| a.transpose2().matmul(g));
+                grads![ga, gb]
             }),
         )
     }
@@ -839,36 +868,45 @@ impl Var {
 
     /// 2-D convolution; gradients flow to input, weight and bias.
     ///
-    /// When the node records a backward, the forward lowers the whole
+    /// The backward computes only the gradients of parents that require
+    /// one: a constant input skips the input-gradient kernel, a frozen
+    /// weight the weight-gradient GEMM, a frozen bias its reduction.
+    ///
+    /// When the weight needs a gradient, the forward lowers the whole
     /// input batch into one im2col slab that the node keeps: the weight
     /// gradient multiplies against it instead of lowering the input a
-    /// second time, and it is freed with the tape. No-grad convolutions
-    /// lower image by image into scratch, exactly like
+    /// second time, and it is freed with the tape. Every other
+    /// convolution lowers image by image into scratch, exactly like
     /// [`Tensor::conv2d`]; both routes produce identical bits.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, spec: Conv2dSpec) -> Var {
-        let parents_need_grad =
-            self.requires_grad() || weight.requires_grad() || bias.is_some_and(Var::requires_grad);
+        let need_gx = self.requires_grad();
+        let need_gw = weight.requires_grad();
+        let need_gb = bias.is_some_and(Var::requires_grad);
         let b = bias.map(Var::value);
-        if !parents_need_grad {
+        if !(need_gx || need_gw || need_gb) {
             let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, None);
             return match bias {
                 Some(b) => Var::alloc_node(value, false, &[self, weight, b], None),
                 None => Var::alloc_node(value, false, &[self, weight], None),
             };
         }
-        let slab = conv::im2col_slab(self.value(), spec);
-        let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, Some(&slab));
-        let x = self.value().clone();
-        let w = weight.value().clone();
+        // The weight gradient reads the input (through its slab); the
+        // input gradient reads the weight.
+        let for_gw = need_gw.then(|| (self.value().clone(), conv::im2col_slab(self.value(), spec)));
+        let slab = for_gw.as_ref().map(|(_, slab)| slab);
+        let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, slab);
+        let w = need_gx.then(|| weight.value().clone());
         let hw = (self.shape().dim(2), self.shape().dim(3));
         let kernel = spec.kernel;
         let has_bias = bias.is_some();
         let backward: BackwardFn = Box::new(move |g| {
-            let gx = g.conv2d_input_grad(&w, hw, spec);
-            let gw = conv::conv2d_weight_grad_impl(g, &x, kernel, spec, Some(&slab));
-            let mut out = grads![Some(gx), Some(gw)];
+            let gx = w.as_ref().map(|w| g.conv2d_input_grad(w, hw, spec));
+            let gw = for_gw
+                .as_ref()
+                .map(|(x, slab)| conv::conv2d_weight_grad_impl(g, x, kernel, spec, Some(slab)));
+            let mut out = grads![gx, gw];
             if has_bias {
-                out.push(Some(g.conv2d_bias_grad()));
+                out.push(need_gb.then(|| g.conv2d_bias_grad()));
             }
             out
         });
@@ -1274,10 +1312,20 @@ mod tests {
     #[test]
     fn group_norm_relu_matches_reference_bitwise() {
         let mut rng = Rng::new(90);
-        for groups in [1usize, 2, 4] {
-            let x = Tensor::randn([2, 4, 3, 3], &mut rng);
-            let gamma = Tensor::rand_uniform([1, 4, 1, 1], 0.5, 1.5, &mut rng);
-            let beta = Tensor::randn([1, 4, 1, 1], &mut rng);
+        // `[1, c, 1, 1]` takes the backward's copy-scatter path (the
+        // reference's affine `sum_to` is an identity copy there); the
+        // others accumulate, with one or several channels per group.
+        for ([n, c, h, w], groups) in [
+            ([2, 4, 3, 3], 1usize),
+            ([2, 4, 3, 3], 2),
+            ([2, 4, 3, 3], 4),
+            ([1, 4, 1, 1], 4),
+            ([1, 4, 1, 1], 2),
+            ([3, 6, 2, 5], 3),
+        ] {
+            let x = Tensor::randn([n, c, h, w], &mut rng);
+            let gamma = Tensor::rand_uniform([1, c, 1, 1], 0.5, 1.5, &mut rng);
+            let beta = Tensor::randn([1, c, 1, 1], &mut rng);
             assert_matches_reference(
                 &[x, gamma, beta],
                 |v| {

@@ -370,6 +370,7 @@ impl Tensor {
         let (cout2, cin, k, _) = dims4(weight);
         assert_eq!(cout, cout2, "conv2d_input_grad c_out mismatch");
         let (h, w) = input_hw;
+        deco_telemetry::counter!("tensor.ops.conv2d_input_grad");
         let ohw = oh * ow;
         let ckk = cin * k * k;
         let g = self.clone();
@@ -418,6 +419,7 @@ pub(crate) fn conv2d_weight_grad_impl(
     let (n, cout, oh, ow) = dims4(g_t);
     let (n2, cin, h, w) = dims4(input);
     assert_eq!(n, n2, "conv2d_weight_grad batch mismatch");
+    deco_telemetry::counter!("tensor.ops.conv2d_weight_grad");
     let k = kernel;
     let ohw = oh * ow;
     let ckk = cin * k * k;
@@ -477,9 +479,24 @@ pub(crate) fn conv2d_weight_grad_impl(
 impl Tensor {
     /// Gradient of [`Tensor::conv2d`] w.r.t. its bias: sum over batch and
     /// spatial axes of the output gradient.
+    ///
+    /// Bitwise identical to `self.sum_axes(&[0, 2, 3], false)`: each
+    /// channel starts at `0.0` and accumulates its elements in ascending
+    /// source order (image, then spatial position).
     pub fn conv2d_bias_grad(&self) -> Tensor {
-        let (_, cout, _, _) = dims4(self);
-        self.sum_axes(&[0, 2, 3], false).reshape([cout])
+        let (n, cout, oh, ow) = dims4(self);
+        let ohw = oh * ow;
+        let g = self.data();
+        let mut gb = pool::take(cout);
+        for ni in 0..n {
+            for (ci, acc) in gb.iter_mut().enumerate() {
+                let base = (ni * cout + ci) * ohw;
+                for &v in &g[base..base + ohw] {
+                    *acc += v;
+                }
+            }
+        }
+        Tensor::from_pool_buf(gb, [cout])
     }
 
     /// Non-overlapping average pooling with a square `k × k` window.

@@ -95,9 +95,16 @@ pub fn group_norm_relu_fwd(
             let sd = (var + eps).sqrt();
             mean[ni * groups + gi] = m;
             std[ni * groups + gi] = sd;
-            for (j, &v) in block.iter().enumerate() {
-                let ch = gi * cpg + j / hw;
-                out[base + j] = ((((v - m) / sd) * gam[ch]) + bet[ch]).max(0.0);
+            for ci in 0..cpg {
+                let ch = gi * cpg + ci;
+                let (ga, be) = (gam[ch], bet[ch]);
+                let start = base + ci * hw;
+                for (o, &v) in out[start..start + hw]
+                    .iter_mut()
+                    .zip(&xd[start..start + hw])
+                {
+                    *o = ((((v - m) / sd) * ga) + be).max(0.0);
+                }
             }
         }
     }
@@ -167,22 +174,28 @@ pub fn group_norm_relu_bwd(
             let s = sd_all[ni * groups + gi];
             let ss = s * s;
             let mut gstd = 0.0f32;
-            for j in 0..l {
-                let i = base + j;
-                let ch = gi * cpg + j / hw;
-                let gy = if od[i] > 0.0 { gd[i] } else { 0.0 };
-                let cent = xd[i] - m;
-                let normed = cent / s;
-                if copy_scatter {
-                    gbeta[ch] = gy;
-                    ggamma[ch] = gy * normed;
-                } else {
-                    gbeta[ch] += gy;
-                    ggamma[ch] += gy * normed;
+            for ci in 0..cpg {
+                let ch = gi * cpg + ci;
+                let ga = gam[ch];
+                let (mut gb, mut gg) = (gbeta[ch], ggamma[ch]);
+                let start = base + ci * hw;
+                for i in start..start + hw {
+                    let gy = if od[i] > 0.0 { gd[i] } else { 0.0 };
+                    let cent = xd[i] - m;
+                    let normed = cent / s;
+                    if copy_scatter {
+                        gb = gy;
+                        gg = gy * normed;
+                    } else {
+                        gb += gy;
+                        gg += gy * normed;
+                    }
+                    let gn = gy * ga;
+                    gx[i] = gn / s;
+                    gstd += ((-gn) * cent) / ss;
                 }
-                let gn = gy * gam[ch];
-                gx[i] = gn / s;
-                gstd += ((-gn) * cent) / ss;
+                gbeta[ch] = gb;
+                ggamma[ch] = gg;
             }
             let gvs = gstd * (0.5 / s);
             let gs2 = gvs * inv;

@@ -1,69 +1,47 @@
 //! Axis reductions and argmax utilities.
 
 use crate::shape::Shape;
-use crate::tensor::Tensor;
+use crate::tensor::{for_each_broadcast, Tensor};
 
 impl Tensor {
     /// Sums over the given axes. With `keepdim`, reduced axes stay with size
     /// 1 (so the result broadcasts back against the input).
+    ///
+    /// Each output slot starts at `0.0` and accumulates its input
+    /// elements in ascending source order — also when no axis is reduced,
+    /// so a size-1 "reduction" maps `-0.0` to `+0.0`.
     ///
     /// # Panics
     /// Panics if any axis is out of range or repeated.
     pub fn sum_axes(&self, axes: &[usize], keepdim: bool) -> Tensor {
         let rank = self.rank();
         let mut reduce = vec![false; rank];
+        let mut kept = self.shape().dims().to_vec();
         for &ax in axes {
             assert!(ax < rank, "axis {ax} out of range for rank {rank}");
             assert!(!reduce[ax], "axis {ax} repeated");
             reduce[ax] = true;
+            kept[ax] = 1;
         }
-        let out_dims: Vec<usize> = self
-            .shape()
-            .dims()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| {
-                if reduce[i] {
-                    if keepdim {
-                        Some(1)
-                    } else {
-                        None
-                    }
-                } else {
-                    Some(d)
-                }
-            })
-            .collect();
-        let out_shape = Shape::new(out_dims);
-        // Build an indexer: the output index of each input element.
-        let in_strides = self.shape().strides();
-        // Stride of each non-reduced input axis in the output.
-        let mut out_axis_strides = vec![0usize; rank];
-        {
-            let mut acc = 1usize;
-            for i in (0..rank).rev() {
-                if !reduce[i] {
-                    out_axis_strides[i] = acc;
-                    acc *= self.shape().dim(i);
-                } else if keepdim {
-                    // size-1 axis contributes stride 0 regardless
-                }
-            }
-        }
-        let mut out = crate::pool::take(out_shape.numel());
+        // The input shape with every reduced axis at size 1: walking the
+        // input against it maps each element to its output slot.
+        let kept = Shape::new(kept);
+        let mut out = crate::pool::take(kept.numel());
         let src = self.data();
-        for (flat, &v) in src.iter().enumerate() {
-            let mut rem = flat;
-            let mut out_idx = 0usize;
-            for i in 0..rank {
-                let c = rem / in_strides[i];
-                rem %= in_strides[i];
-                if !reduce[i] {
-                    out_idx += c * out_axis_strides[i];
-                }
-            }
-            out[out_idx] += v;
-        }
+        for_each_broadcast(self.shape(), [&kept], |i, [o]| out[o] += src[i]);
+        let out_shape = if keepdim {
+            kept
+        } else {
+            Shape::new(
+                self.shape()
+                    .dims()
+                    .iter()
+                    .zip(&reduce)
+                    .filter(|&(_, &r)| !r)
+                    .map(|(&d, _)| d)
+                    .collect(),
+            )
+        };
         Tensor::from_pool_buf(out, out_shape)
     }
 
@@ -183,6 +161,90 @@ mod tests {
         let m = t.max_rows();
         assert_eq!(m.shape().dims(), &[2, 1]);
         assert_eq!(m.data(), &[5.0, 2.0]);
+    }
+
+    /// Per-element coordinate unravel: the reduction `sum_axes` must
+    /// reproduce bit for bit (zeroed slots, ascending source order).
+    fn sum_axes_reference(t: &Tensor, axes: &[usize], keepdim: bool) -> Tensor {
+        let dims = t.shape().dims();
+        let kept: Vec<usize> = (0..dims.len())
+            .map(|i| if axes.contains(&i) { 1 } else { dims[i] })
+            .collect();
+        let kept = Shape::new(kept);
+        let mut out = vec![0.0f32; kept.numel()];
+        for (flat, &v) in t.data().iter().enumerate() {
+            let mut coords = t.shape().unravel(flat);
+            for &ax in axes {
+                coords[ax] = 0;
+            }
+            out[kept.ravel(&coords)] += v;
+        }
+        let out_dims: Vec<usize> = if keepdim {
+            kept.dims().to_vec()
+        } else {
+            (0..dims.len())
+                .filter(|i| !axes.contains(i))
+                .map(|i| dims[i])
+                .collect()
+        };
+        Tensor::from_vec(out, out_dims)
+    }
+
+    fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn sum_axes_matches_unravel_reference_bitwise() {
+        let mut rng = crate::Rng::new(17);
+        // Ranks 0–5 (rank 5 takes the odometer's heap path), every axis
+        // subset, and size-1 axes; every third element is -0.0, so
+        // size-1 reductions must canonicalize it to +0.0.
+        for rank in 0..=5usize {
+            let dims: Vec<usize> = (0..rank).map(|i| [3, 1, 4, 2, 1][i]).collect();
+            let mut t = Tensor::randn(dims.clone(), &mut rng);
+            for v in t.data_mut().iter_mut().step_by(3) {
+                *v = -0.0;
+            }
+            for mask in 0..1usize << rank {
+                let axes: Vec<usize> = (0..rank).filter(|a| mask >> a & 1 == 1).collect();
+                for keepdim in [false, true] {
+                    assert_bits_eq(
+                        &t.sum_axes(&axes, keepdim),
+                        &sum_axes_reference(&t, &axes, keepdim),
+                        &format!("dims {dims:?} axes {axes:?} keepdim {keepdim}"),
+                    );
+                }
+            }
+        }
+        let neg_zero = Tensor::from_vec(vec![-0.0], [1]);
+        assert_eq!(
+            neg_zero.sum_axes(&[], false).item().to_bits(),
+            0.0f32.to_bits()
+        );
+        assert_eq!(
+            neg_zero.sum_axes(&[0], true).item().to_bits(),
+            0.0f32.to_bits()
+        );
+    }
+
+    #[test]
+    fn conv2d_bias_grad_matches_sum_axes_bitwise() {
+        let mut rng = crate::Rng::new(18);
+        for dims in [[2, 3, 4, 5], [1, 4, 1, 1], [3, 1, 2, 2], [16, 16, 8, 8]] {
+            let mut g = Tensor::randn(dims, &mut rng);
+            for v in g.data_mut().iter_mut().step_by(5) {
+                *v = -0.0;
+            }
+            assert_bits_eq(
+                &g.conv2d_bias_grad(),
+                &g.sum_axes(&[0, 2, 3], false),
+                &format!("dims {dims:?}"),
+            );
+        }
     }
 
     #[test]

@@ -428,7 +428,7 @@ impl Tensor {
 /// leading axes). An incremental odometer advances every source index per
 /// step, so the walk never unravels a coordinate vector per element and,
 /// for rank ≤ [`INLINE_RANK`], never touches the heap.
-fn for_each_broadcast<const N: usize>(
+pub(crate) fn for_each_broadcast<const N: usize>(
     out: &Shape,
     srcs: [&Shape; N],
     mut f: impl FnMut(usize, [usize; N]),
