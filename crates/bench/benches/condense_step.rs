@@ -255,11 +255,7 @@ fn main() {
     let baseline = baseline_mean_ms(path, CHECK_OP);
 
     let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let dispatch = deco_tensor::ops::simd::active_kernel().name();
-    eprintln!(
-        "[condense_step] {iters} iters/op, single thread, host parallelism {parallelism}, \
-         simd_dispatch {dispatch}"
-    );
+    eprintln!("[condense_step] {iters} iters/op, single thread, host parallelism {parallelism}");
     let results = bench_ops(iters);
 
     println!("\n## condense_step — single thread\n");
@@ -322,7 +318,6 @@ fn main() {
         ("iters_per_point", Json::Num(iters as f64)),
         ("threads", Json::Num(1.0)),
         ("available_parallelism", Json::Num(parallelism as f64)),
-        ("simd_dispatch", Json::Str(dispatch.to_string())),
         ("ops", Json::Arr(ops)),
         ("storage_dtypes", Json::Arr(dtype_rows)),
     ]);

@@ -93,31 +93,6 @@ fn time_op(name: &'static str, iters: usize, mut f: impl FnMut()) -> OpResult {
     })
 }
 
-/// Measured 1T scalar-vs-SIMD comparison on the GEMM-dominated op.
-/// Returns `(scalar_ms, simd_ms, kernel_name)`; `None` when the host has
-/// no SIMD kernel. Safe to flip the process-global override here: this
-/// bench is its own process and the goldens are not in play.
-fn bench_simd_matmul(iters: usize) -> Option<(f64, f64, &'static str)> {
-    let kernel = deco_tensor::ops::simd::detected_simd()?;
-    let mut rng = Rng::new(42);
-    let a = Tensor::randn([128, 128], &mut rng);
-    let b = Tensor::randn([128, 128], &mut rng);
-
-    deco_tensor::testhook::set_simd_override(Some(false));
-    let scalar = time_op("matmul_128x128_scalar", iters, {
-        let (a, b) = (a.clone(), b.clone());
-        move || {
-            std::hint::black_box(a.matmul(&b));
-        }
-    });
-    deco_tensor::testhook::set_simd_override(Some(true));
-    let simd = time_op("matmul_128x128_simd", iters, move || {
-        std::hint::black_box(a.matmul(&b));
-    });
-    deco_tensor::testhook::set_simd_override(None);
-    Some((scalar.mean_ms, simd.mean_ms, kernel.name()))
-}
-
 fn bench_ops(iters: usize) -> Vec<OpResult> {
     let mut rng = Rng::new(42);
     let a = Tensor::randn([128, 128], &mut rng);
@@ -246,29 +221,16 @@ fn main() {
     let baselines = CHECK_OPS.map(|op| baseline_mean_ms(path, op));
 
     let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let dispatch = deco_tensor::ops::simd::active_kernel().name();
-    eprintln!(
-        "[kernel_scaling] {iters} iters/op, single thread, host parallelism {parallelism}, \
-         simd_dispatch {dispatch}"
-    );
+    eprintln!("[kernel_scaling] {iters} iters/op, single thread, host parallelism {parallelism}");
     let mut results = bench_ops(iters);
     results.extend(bench_convnet(iters));
     results.extend(bench_deco_passes(iters));
-    let simd = bench_simd_matmul(iters);
 
     println!("\n## kernel_scaling — single-thread latency & allocations\n");
     println!("| op | 1T mean (ms) | allocs/op |");
     println!("|---|---|---|");
     for r in &results {
         println!("| {} | {:.4} | {:.1} |", r.name, r.mean_ms, r.allocs_per_op);
-    }
-    match simd {
-        Some((scalar_ms, simd_ms, kernel)) => println!(
-            "\nSIMD ({kernel}) matmul_128x128: {simd_ms:.4} ms vs scalar {scalar_ms:.4} ms \
-             = {:.2}x",
-            scalar_ms / simd_ms
-        ),
-        None => println!("\nSIMD: no kernel detected on this host (scalar only)"),
     }
 
     let ops: Vec<Json> = results
@@ -281,23 +243,11 @@ fn main() {
             ])
         })
         .collect();
-    let simd_json = match simd {
-        Some((scalar_ms, simd_ms, kernel)) => Json::obj([
-            ("kernel", Json::Str(kernel.to_string())),
-            ("op", Json::Str("matmul_128x128".to_string())),
-            ("scalar_mean_ms", Json::Num(scalar_ms)),
-            ("simd_mean_ms", Json::Num(simd_ms)),
-            ("speedup", Json::Num(scalar_ms / simd_ms)),
-        ]),
-        None => Json::Null,
-    };
     let report = Json::obj([
         ("bench", Json::Str("kernel_scaling".to_string())),
         ("iters_per_point", Json::Num(iters as f64)),
         ("threads", Json::Num(1.0)),
         ("available_parallelism", Json::Num(parallelism as f64)),
-        ("simd_dispatch", Json::Str(dispatch.to_string())),
-        ("simd_vs_scalar", simd_json),
         ("ops", Json::Arr(ops)),
     ]);
     let mut text = report.to_string_pretty();

@@ -141,10 +141,6 @@ fn main() {
         ("bench", Json::Str("runtime_scaling".to_string())),
         ("schema_version", Json::Num(2.0)),
         ("available_parallelism", Json::Num(cores as f64)),
-        (
-            "simd_dispatch",
-            Json::Str(deco_tensor::ops::simd::active_kernel().name().to_string()),
-        ),
         ("intra_op", intra_op),
     ];
     if let Some(tp) = throughput {

@@ -256,10 +256,9 @@ fn main() {
     let baseline = baseline_match_jobs_per_sec(path);
 
     let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let dispatch = deco_tensor::ops::simd::active_kernel().name();
     eprintln!(
         "[throughput_scaling] {JOBS} jobs/round x {rounds} rounds, host parallelism \
-         {parallelism}, simd_dispatch {dispatch}"
+         {parallelism}"
     );
 
     let classes = build_classes();
@@ -275,7 +274,7 @@ fn main() {
         .collect();
 
     println!("\n## throughput_scaling — {JOBS} concurrent independent jobs\n");
-    println!("(host parallelism: {parallelism}; simd_dispatch: {dispatch})");
+    println!("(host parallelism: {parallelism})");
     print_table("match_jobs (per-class one_step_match)", &match_results);
     print_table(
         &format!("serve_batches ({JOBS}-tenant batch scheduler)"),
@@ -308,7 +307,6 @@ fn main() {
         ("bench", Json::Str("runtime_scaling".to_string())),
         ("schema_version", Json::Num(2.0)),
         ("available_parallelism", Json::Num(parallelism as f64)),
-        ("simd_dispatch", Json::Str(dispatch.to_string())),
     ];
     if let Some(intra) = intra_op {
         fields.push(("intra_op", intra));

@@ -15,14 +15,18 @@ use deco_conformance::unfused;
 use deco_nn::{cosine_distance, ConvNet, ConvNetConfig};
 use deco_tensor::{Rng, Tensor, Var};
 
-fn batch_data(rng: &mut Rng) -> (Tensor, Vec<usize>, Tensor, Vec<usize>) {
-    let syn = Tensor::randn([3, 1, 8, 8], rng);
-    let syn_labels = vec![0, 1, 0];
-    let real = Tensor::randn([6, 1, 8, 8], rng);
-    let real_labels = vec![0, 1, 0, 1, 0, 1];
-    (syn, syn_labels, real, real_labels)
+/// Three synthetic and six real images shaped for `config`, labelled
+/// round-robin over its classes.
+fn batch_data(config: &ConvNetConfig, rng: &mut Rng) -> (Tensor, Vec<usize>, Tensor, Vec<usize>) {
+    let (c, side) = (config.in_channels, config.image_side);
+    let labels = |n: usize| (0..n).map(|i| i % config.num_classes).collect();
+    let syn = Tensor::randn([3, c, side, side], rng);
+    let real = Tensor::randn([6, c, side, side], rng);
+    (syn, labels(3), real, labels(6))
 }
 
+/// A 1×8×8 width-4 net: every GEMM is below `PACKED_MIN_FLOPS` and
+/// runs the naive loop.
 fn config() -> ConvNetConfig {
     ConvNetConfig {
         in_channels: 1,
@@ -30,6 +34,19 @@ fn config() -> ConvNetConfig {
         width: 4,
         depth: 2,
         num_classes: 2,
+        norm: true,
+    }
+}
+
+/// A 3×16×16 width-8 net with 4 classes: its conv GEMMs cross
+/// `PACKED_MIN_FLOPS` and run the packed microkernel.
+fn packed_config() -> ConvNetConfig {
+    ConvNetConfig {
+        in_channels: 3,
+        image_side: 16,
+        width: 8,
+        depth: 2,
+        num_classes: 4,
         norm: true,
     }
 }
@@ -42,48 +59,52 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
 }
 
 /// `one_step_match` vs the reference step at 1 and 4 threads: distance
-/// and image gradient bitwise identical across all four runs.
+/// and image gradient bitwise identical across all four runs, on both
+/// the naive-loop and the packed-GEMM net.
 #[test]
 fn one_step_match_matches_reference_bitwise() {
-    let mut rng = Rng::new(31);
-    let config = config();
-    let params = ConvNet::new(config, &mut rng).get_params();
-    let (syn, sl, real, rl) = batch_data(&mut rng);
-    let batch = MatchBatch {
-        syn_images: &syn,
-        syn_labels: &sl,
-        real_images: &real,
-        real_labels: &rl,
-        real_weights: None,
-    };
-    // The step perturbs and restores θ in floating point, which is not
-    // bit-exact — so each run gets a fresh net from the same snapshot.
-    let fused = |threads: usize| {
-        deco_runtime::with_thread_count(threads, || {
-            one_step_match(&ConvNet::from_params(config, &params), &batch, None, 0.01)
-        })
-    };
-    let reference = |threads: usize| {
-        deco_runtime::with_thread_count(threads, || {
-            unfused::one_step_match(&config, &params, &batch, 0.01)
-        })
-    };
-    let base = fused(1);
-    for (other, what) in [
-        (fused(4), "fused/4t"),
-        (reference(1), "reference/1t"),
-        (reference(4), "reference/4t"),
-    ] {
-        assert_eq!(
-            base.distance.to_bits(),
-            other.distance.to_bits(),
-            "distance drifted ({what})"
-        );
-        assert_bits_eq(
-            base.image_grad.data(),
-            other.image_grad.data(),
-            &format!("image grad ({what})"),
-        );
+    for (seed, config) in [(31, config()), (77, packed_config())] {
+        let mut rng = Rng::new(seed);
+        let params = ConvNet::new(config, &mut rng).get_params();
+        let (syn, sl, real, rl) = batch_data(&config, &mut rng);
+        let batch = MatchBatch {
+            syn_images: &syn,
+            syn_labels: &sl,
+            real_images: &real,
+            real_labels: &rl,
+            real_weights: None,
+        };
+        // The step perturbs and restores θ in floating point, which is
+        // not bit-exact — so each run gets a fresh net from the same
+        // snapshot.
+        let fused = |threads: usize| {
+            deco_runtime::with_thread_count(threads, || {
+                one_step_match(&ConvNet::from_params(config, &params), &batch, None, 0.01)
+            })
+        };
+        let reference = |threads: usize| {
+            deco_runtime::with_thread_count(threads, || {
+                unfused::one_step_match(&config, &params, &batch, 0.01)
+            })
+        };
+        let base = fused(1);
+        for (other, what) in [
+            (fused(4), "fused/4t"),
+            (reference(1), "reference/1t"),
+            (reference(4), "reference/4t"),
+        ] {
+            let what = format!("seed {seed}, {what}");
+            assert_eq!(
+                base.distance.to_bits(),
+                other.distance.to_bits(),
+                "distance drifted ({what})"
+            );
+            assert_bits_eq(
+                base.image_grad.data(),
+                other.image_grad.data(),
+                &format!("image grad ({what})"),
+            );
+        }
     }
 }
 
@@ -94,7 +115,7 @@ fn gradient_distance_matches_reference_bitwise() {
     let mut rng = Rng::new(32);
     let config = config();
     let params = ConvNet::new(config, &mut rng).get_params();
-    let (syn, sl, real, rl) = batch_data(&mut rng);
+    let (syn, sl, real, rl) = batch_data(&config, &mut rng);
     let batch = MatchBatch {
         syn_images: &syn,
         syn_labels: &sl,

@@ -1,20 +1,11 @@
 //! Golden-trace acceptance: the checked-in fixtures match a fresh run,
 //! and regeneration is deterministic (blessing twice produces byte-equal
 //! traces).
-//!
-//! The committed fixtures are pinned to the **scalar** GEMM numerics
-//! (the bitwise-determinism reference), so every test here forces the
-//! scalar kernel first — this binary must stay byte-stable even when a
-//! CI job exports `DECO_SIMD=1` for the rest of the suite. The override
-//! is process-global and every test in this binary wants the same
-//! value, so no test resets it.
 
 use deco_conformance::golden::{check, default_fixture_dir, generate_traces};
-use deco_tensor::testhook::set_simd_override;
 
 #[test]
 fn checked_in_fixtures_match_current_kernels() {
-    set_simd_override(Some(false));
     if let Err(diffs) = check(&default_fixture_dir()) {
         let rendered: Vec<String> = diffs.iter().map(|d| d.to_string()).collect();
         panic!(
@@ -28,7 +19,6 @@ fn checked_in_fixtures_match_current_kernels() {
 
 #[test]
 fn regeneration_is_deterministic() {
-    set_simd_override(Some(false));
     let a = generate_traces();
     let b = generate_traces();
     assert_eq!(a.len(), 6, "expected one trace per method");

@@ -11,9 +11,6 @@ use deco_tensor::testhook::set_matmul_ulp_perturbation;
 
 #[test]
 fn one_ulp_matmul_perturbation_turns_golden_check_red() {
-    // The fixtures are pinned to the scalar GEMM numerics; force them
-    // so this binary stays green under a DECO_SIMD=1 environment.
-    deco_tensor::testhook::set_simd_override(Some(false));
     // Sanity: unperturbed kernels match the fixtures.
     check(&default_fixture_dir()).expect("fixtures should match before perturbation");
 

@@ -32,7 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod autograd;
 pub mod dtype;
@@ -55,7 +55,6 @@ pub use autograd::{
 };
 pub use dtype::{ScalarType, StorageDtype, StoredTensor};
 pub use ops::conv::Conv2dSpec;
-pub use ops::simd::GemmKernel;
 pub use ops::stats::RunningStats;
 pub use rng::Rng;
 pub use shape::Shape;

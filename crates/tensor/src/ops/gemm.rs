@@ -187,16 +187,20 @@ fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
 /// start of the output slice). The fixed-size `acc` array is what the
 /// compiler keeps in vector registers.
 ///
-/// This is the **bitwise-determinism reference**: separate multiply and
-/// add per step (rustc never contracts `a*b + c` to FMA), so results
-/// are identical across vector widths and hosts of one architecture.
-/// The explicit-SIMD variants in [`super::simd`] run over the same
-/// panels in the same accumulation order but round once per step; they
-/// are only selected in SIMD numerics mode. Keep this kernel verbatim —
+/// This is the only GEMM kernel and the **bitwise-determinism
+/// reference**: separate multiply and add per step (rustc never
+/// contracts `a*b + c` to FMA), so results are identical across vector
+/// widths and hosts of one architecture. Keep its arithmetic verbatim —
 /// every committed f32 golden is pinned to it.
+///
+/// Both panels are sliced to exactly `kc` depth steps so the zipped
+/// loop has a single exit. Once inlined into [`gemm_rows_packed_epi`],
+/// the loop must keep the `acc` tile in registers with no per-step
+/// copies: check the disassembly after changing this loop or its caller
+/// (EXPERIMENTS.md, "One GEMM kernel").
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn microkernel(
+fn microkernel(
     apanel: &[f32],
     bpanel: &[f32],
     kc: usize,
@@ -208,10 +212,9 @@ pub(crate) fn microkernel(
     nr: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in apanel
+    for (a, b) in apanel[..kc * MR]
         .chunks_exact(MR)
-        .zip(bpanel.chunks_exact(NR))
-        .take(kc)
+        .zip(bpanel[..kc * NR].chunks_exact(NR))
     {
         for (i, row) in acc.iter_mut().enumerate() {
             let ai = a[i];
@@ -279,28 +282,22 @@ impl PackedB {
 ///
 /// ## Bitwise contract
 ///
-/// Both variants replicate the exact per-element operation order of
-/// the historical separate passes over the finished GEMM output:
-///
-/// * the bias is indexed by **absolute output row** and added with the
-///   same `if bv != 0.0 { c += bv }` skip the unfused conv bias pass
-///   uses (the skip is itself bitwise-relevant: `0.0 + (-0.0)` would
-///   canonicalize `-0.0` outputs);
-/// * the ReLU clamp is `f32::max(·, 0.0)` applied after the bias,
-///   unconditionally — exactly the unfused `relu` map.
+/// The bias replicates the exact per-element operation order of the
+/// historical separate pass over the finished GEMM output: it is
+/// indexed by **absolute output row** and added with the same
+/// `if bv != 0.0 { c += bv }` skip the unfused conv bias pass uses (the
+/// skip is itself bitwise-relevant: `0.0 + (-0.0)` would canonicalize
+/// `-0.0` outputs).
 ///
 /// A tile's epilogue only runs once every one of its `k`-slabs has
 /// accumulated, so per-element results are identical to running the
-/// full GEMM first and the bias/ReLU pass second, at any row-range
-/// split and under every microkernel.
+/// full GEMM first and the bias pass second, at any row-range split.
 #[derive(Clone, Copy)]
 pub(crate) enum Epilogue<'a> {
     /// Plain accumulate — the historical behavior.
     None,
     /// Per-output-row bias add (`bias.len() == m`, row = out channel).
     Bias(&'a [f32]),
-    /// Bias add followed by a ReLU clamp.
-    BiasRelu(&'a [f32]),
 }
 
 /// Applies `epi` to the finalized `mr × cols` tile at
@@ -318,22 +315,15 @@ fn apply_epilogue(
     mr: usize,
     cols: usize,
 ) {
-    let (bias, relu) = match epi {
-        Epilogue::None => return,
-        Epilogue::Bias(b) => (b, false),
-        Epilogue::BiasRelu(b) => (b, true),
+    let Epilogue::Bias(bias) = epi else {
+        return;
     };
     for i in 0..mr {
         let bv = bias[rows_start + c_row0 + i];
-        let row = &mut c[(c_row0 + i) * n + c_col0..(c_row0 + i) * n + c_col0 + cols];
         if bv != 0.0 {
+            let row = &mut c[(c_row0 + i) * n + c_col0..(c_row0 + i) * n + c_col0 + cols];
             for slot in row.iter_mut() {
                 *slot += bv;
-            }
-        }
-        if relu {
-            for slot in row.iter_mut() {
-                *slot = slot.max(0.0);
             }
         }
     }
@@ -351,37 +341,19 @@ pub(crate) fn gemm_rows_packed(
     bp: &PackedB,
     rows: std::ops::Range<usize>,
 ) {
-    gemm_rows_packed_epi(super::simd::active_kernel(), c, a, bp, rows, Epilogue::None)
+    gemm_rows_packed_epi(c, a, bp, rows, Epilogue::None)
 }
 
-/// [`gemm_rows_packed`] with the microkernel forced, bypassing the
-/// process-global numerics mode. Used by the conformance fuzzer (via
-/// [`crate::testhook::matmul_with_kernel`]) to compare kernels per call
-/// without global state. Callers must only pass SIMD kernels the host
-/// actually supports (see [`super::simd::detected_simd`]).
-pub(crate) fn gemm_rows_packed_with(
-    kernel: super::simd::GemmKernel,
-    c: &mut [f32],
-    a: &MatRef<'_>,
-    bp: &PackedB,
-    rows: std::ops::Range<usize>,
-) {
-    gemm_rows_packed_epi(kernel, c, a, bp, rows, Epilogue::None)
-}
-
-/// [`gemm_rows_packed_with`] plus a fused writeback [`Epilogue`]: each
-/// tile gets its bias/ReLU applied right after its last `k`-slab (see
-/// the [`Epilogue`] bitwise contract).
+/// [`gemm_rows_packed`] plus a fused writeback [`Epilogue`]: each tile
+/// gets its bias applied right after its last `k`-slab (see the
+/// [`Epilogue`] bitwise contract).
 pub(crate) fn gemm_rows_packed_epi(
-    kernel: super::simd::GemmKernel,
     c: &mut [f32],
     a: &MatRef<'_>,
     bp: &PackedB,
     rows: std::ops::Range<usize>,
     epi: Epilogue<'_>,
 ) {
-    super::simd::count_dispatch(kernel);
-    let pair = super::simd::pairs_panels(kernel);
     let (k, n) = (bp.k, bp.n);
     debug_assert_eq!(a.cols, k);
     debug_assert_eq!(c.len(), rows.len() * n);
@@ -403,49 +375,13 @@ pub(crate) fn gemm_rows_packed_epi(
                 let apanel = &apack[pm * kc * MR..(pm + 1) * kc * MR];
                 let mr = MR.min(mc - pm * MR);
                 let c_row0 = r0 + pm * MR - rows.start;
-                let mut pn = 0;
-                while pn < panels_n {
-                    let off = |q: usize| slab_off + q * kc * NR;
-                    // Wide kernels take two adjacent panels at a time
-                    // (the pairing is a function of `n` alone, so any
-                    // row-range split pairs identically).
-                    if pair && pn + 1 < panels_n {
-                        let nr1 = NR.min(n - (pn + 1) * NR);
-                        super::simd::microkernel_dispatch_pair(
-                            kernel,
-                            apanel,
-                            &bp.buf[off(pn)..off(pn + 1)],
-                            &bp.buf[off(pn + 1)..off(pn + 2)],
-                            kc,
-                            c,
-                            c_row0,
-                            pn * NR,
-                            n,
-                            mr,
-                            nr1,
-                        );
-                        if s == last_slab {
-                            apply_epilogue(epi, c, rows.start, c_row0, pn * NR, n, mr, NR + nr1);
-                        }
-                        pn += 2;
-                    } else {
-                        let nr = NR.min(n - pn * NR);
-                        super::simd::microkernel_dispatch(
-                            kernel,
-                            apanel,
-                            &bp.buf[off(pn)..off(pn + 1)],
-                            kc,
-                            c,
-                            c_row0,
-                            pn * NR,
-                            n,
-                            mr,
-                            nr,
-                        );
-                        if s == last_slab {
-                            apply_epilogue(epi, c, rows.start, c_row0, pn * NR, n, mr, nr);
-                        }
-                        pn += 1;
+                for pn in 0..panels_n {
+                    let nr = NR.min(n - pn * NR);
+                    let off = slab_off + pn * kc * NR;
+                    let bpanel = &bp.buf[off..off + kc * NR];
+                    microkernel(apanel, bpanel, kc, c, c_row0, pn * NR, n, mr, nr);
+                    if s == last_slab {
+                        apply_epilogue(epi, c, rows.start, c_row0, pn * NR, n, mr, nr);
                     }
                 }
             }
@@ -486,8 +422,8 @@ pub(crate) fn gemm_into(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>) {
 
 /// [`gemm_into`] plus a fused writeback [`Epilogue`]. The packed path
 /// applies the epilogue per finalized tile; the naive path runs the
-/// full product first and then one bias/ReLU pass over the rows — the
-/// two orders are bitwise identical per element (every element's GEMM
+/// full product first and then one bias pass over the rows — the two
+/// orders are bitwise identical per element (every element's GEMM
 /// accumulation completes before its epilogue op either way).
 pub(crate) fn gemm_into_epi(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>, epi: Epilogue<'_>) {
     debug_assert_eq!(a.cols, b.rows, "gemm inner dimension");
@@ -495,7 +431,7 @@ pub(crate) fn gemm_into_epi(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>, epi: 
     if use_packed(a.rows, a.cols, b.cols) {
         let _span = deco_telemetry::span!("tensor.gemm");
         let bp = PackedB::pack(b);
-        gemm_rows_packed_epi(super::simd::active_kernel(), c, a, &bp, 0..a.rows, epi);
+        gemm_rows_packed_epi(c, a, &bp, 0..a.rows, epi);
         bp.recycle();
     } else {
         gemm_naive(c, a, b);
@@ -629,43 +565,30 @@ mod tests {
             let b = randv(k * n, &mut rng);
             let mut bias = randv(m, &mut rng);
             bias[0] = 0.0; // exercise the zero-skip
-            for relu in [false, true] {
-                let epi = if relu {
-                    Epilogue::BiasRelu(&bias)
-                } else {
-                    Epilogue::Bias(&bias)
-                };
-                let mut fused = vec![0.0f32; m * n];
-                gemm_into_epi(
-                    &mut fused,
-                    &MatRef::new(&a, m, k),
-                    &MatRef::new(&b, k, n),
-                    epi,
-                );
-                let mut unfused = vec![0.0f32; m * n];
-                gemm_into(&mut unfused, &MatRef::new(&a, m, k), &MatRef::new(&b, k, n));
-                for r in 0..m {
-                    let bv = bias[r];
-                    let row = &mut unfused[r * n..(r + 1) * n];
-                    if bv != 0.0 {
-                        for slot in row.iter_mut() {
-                            *slot += bv;
-                        }
-                    }
-                    if relu {
-                        for slot in row.iter_mut() {
-                            *slot = slot.max(0.0);
-                        }
+            let mut fused = vec![0.0f32; m * n];
+            gemm_into_epi(
+                &mut fused,
+                &MatRef::new(&a, m, k),
+                &MatRef::new(&b, k, n),
+                Epilogue::Bias(&bias),
+            );
+            let mut unfused = vec![0.0f32; m * n];
+            gemm_into(&mut unfused, &MatRef::new(&a, m, k), &MatRef::new(&b, k, n));
+            for r in 0..m {
+                let bv = bias[r];
+                if bv != 0.0 {
+                    for slot in unfused[r * n..(r + 1) * n].iter_mut() {
+                        *slot += bv;
                     }
                 }
-                assert!(
-                    fused
-                        .iter()
-                        .zip(&unfused)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "({m},{k},{n}) relu={relu}"
-                );
             }
+            assert!(
+                fused
+                    .iter()
+                    .zip(&unfused)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "({m},{k},{n})"
+            );
         }
     }
 
@@ -680,21 +603,13 @@ mod tests {
         let bias = randv(m, &mut rng);
         let av = MatRef::new(&a, m, k);
         let bp = PackedB::pack(&MatRef::new(&b, k, n));
-        let kernel = super::super::simd::active_kernel();
-        let epi = Epilogue::BiasRelu(&bias);
+        let epi = Epilogue::Bias(&bias);
         let mut full = vec![0.0f32; m * n];
-        gemm_rows_packed_epi(kernel, &mut full, &av, &bp, 0..m, epi);
+        gemm_rows_packed_epi(&mut full, &av, &bp, 0..m, epi);
         let mut split = vec![0.0f32; m * n];
-        gemm_rows_packed_epi(kernel, &mut split[..MC * n], &av, &bp, 0..MC, epi);
-        gemm_rows_packed_epi(
-            kernel,
-            &mut split[MC * n..2 * MC * n],
-            &av,
-            &bp,
-            MC..2 * MC,
-            epi,
-        );
-        gemm_rows_packed_epi(kernel, &mut split[2 * MC * n..], &av, &bp, 2 * MC..m, epi);
+        gemm_rows_packed_epi(&mut split[..MC * n], &av, &bp, 0..MC, epi);
+        gemm_rows_packed_epi(&mut split[MC * n..2 * MC * n], &av, &bp, MC..2 * MC, epi);
+        gemm_rows_packed_epi(&mut split[2 * MC * n..], &av, &bp, 2 * MC..m, epi);
         bp.recycle();
         assert!(full
             .iter()

@@ -1,692 +1,22 @@
-//! Explicit SIMD/FMA microkernels for the packed GEMM, with runtime
-//! CPU-feature dispatch.
+//! Stub left where the opt-in SIMD GEMM kernels used to be.
 //!
-//! The scalar register-tile microkernel in [`super::gemm`] relies on
-//! autovectorization with FMA contraction disabled, which keeps results
-//! bitwise identical across vector widths — that kernel stays the
-//! bitwise-determinism reference and the default. This module adds
-//! explicitly vectorized variants over the *same* packed panel layout
-//! (`MR = 8` column-major `A` lanes × `NR = 8` row-major `B` lanes,
-//! zero-padded to full panels):
-//!
-//! * **AVX2+FMA** (`x86_64`): one 256-bit `B` row load plus eight
-//!   broadcast-FMA accumulators per `k` step;
-//! * **AVX-512** (`x86_64`, F+DQ): the same tile over *pairs* of
-//!   adjacent `B` panels — each 512-bit accumulator spans two panels,
-//!   halving the FMA instruction count with bit-identical per-lane
-//!   results (single panels and edges reuse the 256-bit kernel);
-//! * **NEON** (`aarch64`): two 128-bit `B` half-rows plus sixteen
-//!   `vfmaq_f32` accumulators per `k` step.
-//!
-//! ## Numerics-mode contract
-//!
-//! Fused multiply-add rounds once where the scalar kernel rounds twice,
-//! so the SIMD kernels produce *different bit patterns* (well inside the
-//! conformance tolerance band, see `docs/kernels.md`). Kernel choice is
-//! therefore an explicit, process-global **numerics mode**, never an
-//! automatic fast path:
-//!
-//! * `DECO_SIMD=1` in the environment opts the process in; anything
-//!   else (including unset) keeps the scalar reference. The variable is
-//!   read once and cached.
-//! * [`crate::testhook::set_simd_override`] force-overrides the mode
-//!   for dedicated test binaries; the conformance fuzzer instead forces
-//!   a kernel *per call* via [`crate::testhook::matmul_with_kernel`],
-//!   which is safe alongside concurrent tests.
-//!
-//! The mode is process-global (not thread-local) on purpose: the
-//! work-stealing pool assigns row chunks to threads nondeterministically,
-//! so a per-thread kernel choice would break bitwise thread-invariance.
-//! Within one kernel the accumulation order stays the shape-derived
-//! order of the scalar path (`k`-slabs ascending, sequential within a
-//! slab), so any fixed dispatch choice is still bitwise identical at any
-//! `DECO_THREADS`.
-//!
-//! Feature detection runs once per process and is cached; the selected
-//! kernel is observable through the `tensor.gemm.dispatch.*` telemetry
-//! counters and the `simd_dispatch` field of the bench reports.
+//! The scalar register-tile microkernel in `super::gemm` is the only
+//! GEMM kernel. This module survives only because the repository
+//! benchmark's report header still prints `active_kernel().name()`; it
+//! always names the scalar kernel and can be deleted together with that
+//! read.
 
-// SAFETY: the only unsafe code in this crate. Each intrinsic kernel is
-// `#[target_feature]`-gated and only ever invoked after the matching
-// runtime CPU-feature check in `detect()`; all pointer arithmetic stays
-// inside panel bounds asserted by the caller.
-#![allow(unsafe_code)]
+/// The GEMM microkernel every product runs: the scalar one.
+pub struct ScalarKernel;
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-use super::gemm::{MR, NR};
-
-/// Which GEMM microkernel executes the inner register tile.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GemmKernel {
-    /// The no-contraction scalar reference kernel (bitwise-determinism
-    /// baseline; what all f32 goldens are pinned to).
-    Scalar,
-    /// AVX2 + FMA, 256-bit lanes (`x86_64`).
-    Avx2Fma,
-    /// AVX-512 (F+DQ), 512-bit lanes over *pairs* of adjacent `B`
-    /// panels (`x86_64`). Per-lane arithmetic is the same single-rounded
-    /// FMA as [`GemmKernel::Avx2Fma`], so the two produce bitwise
-    /// identical results — pairing only halves the instruction count.
-    Avx512Fma,
-    /// NEON, 2×128-bit lanes (`aarch64`).
-    Neon,
-}
-
-impl GemmKernel {
-    /// Stable identifier used in telemetry labels and bench reports.
+impl ScalarKernel {
+    /// Stable identifier printed in benchmark report headers.
     pub fn name(self) -> &'static str {
-        match self {
-            GemmKernel::Scalar => "scalar",
-            GemmKernel::Avx2Fma => "avx2_fma",
-            GemmKernel::Avx512Fma => "avx512_fma",
-            GemmKernel::Neon => "neon",
-        }
+        "scalar"
     }
 }
 
-/// Runtime CPU-feature probe, evaluated once per process.
-fn detect() -> Option<GemmKernel> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // AVX2+FMA is required even for the AVX-512 kernel: single
-        // panels and edge tiles dispatch to the 256-bit path.
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-            {
-                return Some(GemmKernel::Avx512Fma);
-            }
-            return Some(GemmKernel::Avx2Fma);
-        }
-        None
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Some(GemmKernel::Neon);
-        }
-        None
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        None
-    }
-}
-
-/// The SIMD kernel this host supports, if any (cached detection).
-pub fn detected_simd() -> Option<GemmKernel> {
-    static DETECTED: OnceLock<Option<GemmKernel>> = OnceLock::new();
-    *DETECTED.get_or_init(detect)
-}
-
-/// Testhook override: 0 = follow `DECO_SIMD`, 1 = force scalar,
-/// 2 = force SIMD. See [`crate::testhook::set_simd_override`].
-static SIMD_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-pub(crate) fn set_override(mode: Option<bool>) {
-    let v = match mode {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    SIMD_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Whether SIMD numerics mode is requested (override, else `DECO_SIMD`).
-pub fn simd_mode() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    match SIMD_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *ENV.get_or_init(|| std::env::var("DECO_SIMD").as_deref() == Ok("1")),
-    }
-}
-
-/// The kernel the packed GEMM dispatches to right now: the detected
-/// SIMD kernel when SIMD mode is on and the host supports one, the
-/// scalar reference otherwise.
-pub fn active_kernel() -> GemmKernel {
-    if simd_mode() {
-        detected_simd().unwrap_or(GemmKernel::Scalar)
-    } else {
-        GemmKernel::Scalar
-    }
-}
-
-/// Bumps the per-kernel dispatch counter (`tensor.gemm.dispatch.*`).
-/// One increment per packed-GEMM row-range call; no-op when telemetry
-/// is disabled.
-#[inline]
-pub(crate) fn count_dispatch(kernel: GemmKernel) {
-    match kernel {
-        GemmKernel::Scalar => deco_telemetry::counter!("tensor.gemm.dispatch.scalar"),
-        GemmKernel::Avx2Fma => deco_telemetry::counter!("tensor.gemm.dispatch.avx2_fma"),
-        GemmKernel::Avx512Fma => deco_telemetry::counter!("tensor.gemm.dispatch.avx512_fma"),
-        GemmKernel::Neon => deco_telemetry::counter!("tensor.gemm.dispatch.neon"),
-    }
-}
-
-/// AVX2+FMA `MR × NR` microkernel over one packed `A`/`B` panel pair.
-/// Same signature and accumulation order as the scalar kernel; the only
-/// numeric difference is single-rounded FMA. Full-width loads are safe
-/// because panels are zero-padded to `MR`/`NR` lanes.
-///
-/// # Safety
-/// Caller must have verified AVX2 and FMA support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn microkernel_avx2(
-    apanel: &[f32],
-    bpanel: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_row0: usize,
-    c_col0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-) {
-    use core::arch::x86_64::*;
-    debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-    let mut acc = [_mm256_setzero_ps(); MR];
-    let mut ap = apanel.as_ptr();
-    let mut bp = bpanel.as_ptr();
-    // Unrolled by two depth steps so the B loads of step k+1 issue while
-    // step k's FMAs drain; accumulation order per element is unchanged
-    // (still strictly ascending in k).
-    for _ in 0..kc / 2 {
-        let bv0 = _mm256_loadu_ps(bp);
-        let bv1 = _mm256_loadu_ps(bp.add(NR));
-        for (i, slot) in acc.iter_mut().enumerate() {
-            let t = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(i)), bv0, *slot);
-            *slot = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(MR + i)), bv1, t);
-        }
-        ap = ap.add(2 * MR);
-        bp = bp.add(2 * NR);
-    }
-    if kc % 2 == 1 {
-        let bv = _mm256_loadu_ps(bp);
-        for (i, slot) in acc.iter_mut().enumerate() {
-            *slot = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(i)), bv, *slot);
-        }
-    }
-    if mr == MR && nr == NR {
-        for (i, &av) in acc.iter().enumerate() {
-            let row = c.as_mut_ptr().add((c_row0 + i) * n + c_col0);
-            _mm256_storeu_ps(row, _mm256_add_ps(_mm256_loadu_ps(row), av));
-        }
-    } else {
-        // Edge tile: spill the accumulators and add the valid corner.
-        let mut tile = [[0.0f32; NR]; MR];
-        for (row, &av) in tile.iter_mut().zip(&acc) {
-            _mm256_storeu_ps(row.as_mut_ptr(), av);
-        }
-        for (i, tile_row) in tile.iter().enumerate().take(mr) {
-            let row = &mut c[(c_row0 + i) * n + c_col0..(c_row0 + i) * n + c_col0 + nr];
-            for (slot, &v) in row.iter_mut().zip(tile_row) {
-                *slot += v;
-            }
-        }
-    }
-}
-
-/// AVX-512 `MR × 2·NR` microkernel over one packed `A` panel and a
-/// *pair* of adjacent `B` panels: each 512-bit accumulator holds one
-/// output row across both panels (low 256 bits = first panel, high =
-/// second). Lanes never interact, so every output element sees exactly
-/// the same single-rounded FMA sequence as the 256-bit kernel — the
-/// pairing is a pure instruction-count optimization. The first panel is
-/// always full-width (`NR` lanes, guaranteed by the caller's pairing
-/// condition); `nr1` is the valid width of the second.
-///
-/// # Safety
-/// Caller must have verified AVX-512 F and DQ support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn microkernel_avx512(
-    apanel: &[f32],
-    b0: &[f32],
-    b1: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_row0: usize,
-    c_col0: usize,
-    n: usize,
-    mr: usize,
-    nr1: usize,
-) {
-    use core::arch::x86_64::*;
-    debug_assert!(apanel.len() >= kc * MR && b0.len() >= kc * NR && b1.len() >= kc * NR);
-    let mut acc = [_mm512_setzero_ps(); MR];
-    let mut ap = apanel.as_ptr();
-    let mut p0 = b0.as_ptr();
-    let mut p1 = b1.as_ptr();
-    // Same two-step unroll as the AVX2 kernel; accumulation order per
-    // element stays strictly ascending in k.
-    let combine = |lo: *const f32, hi: *const f32| {
-        _mm512_insertf32x8(
-            _mm512_castps256_ps512(_mm256_loadu_ps(lo)),
-            _mm256_loadu_ps(hi),
-            1,
-        )
-    };
-    for _ in 0..kc / 2 {
-        let bv0 = combine(p0, p1);
-        let bv1 = combine(p0.add(NR), p1.add(NR));
-        for (i, slot) in acc.iter_mut().enumerate() {
-            let t = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(i)), bv0, *slot);
-            *slot = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(MR + i)), bv1, t);
-        }
-        ap = ap.add(2 * MR);
-        p0 = p0.add(2 * NR);
-        p1 = p1.add(2 * NR);
-    }
-    if kc % 2 == 1 {
-        let bv = combine(p0, p1);
-        for (i, slot) in acc.iter_mut().enumerate() {
-            *slot = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(i)), bv, *slot);
-        }
-    }
-    if mr == MR && nr1 == NR {
-        for (i, &av) in acc.iter().enumerate() {
-            let row = c.as_mut_ptr().add((c_row0 + i) * n + c_col0);
-            _mm512_storeu_ps(row, _mm512_add_ps(_mm512_loadu_ps(row), av));
-        }
-    } else {
-        // Edge tile: spill the accumulators and add the valid corner.
-        let mut tile = [[0.0f32; 2 * NR]; MR];
-        for (row, &av) in tile.iter_mut().zip(&acc) {
-            _mm512_storeu_ps(row.as_mut_ptr(), av);
-        }
-        let cols = NR + nr1;
-        for (i, tile_row) in tile.iter().enumerate().take(mr) {
-            let row = &mut c[(c_row0 + i) * n + c_col0..(c_row0 + i) * n + c_col0 + cols];
-            for (slot, &v) in row.iter_mut().zip(tile_row) {
-                *slot += v;
-            }
-        }
-    }
-}
-
-/// NEON `MR × NR` microkernel: two `float32x4` accumulators per row.
-/// Mirrors the AVX2 kernel's structure and numerics (fused
-/// multiply-add, same accumulation order).
-///
-/// # Safety
-/// Caller must have verified NEON support at runtime.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn microkernel_neon(
-    apanel: &[f32],
-    bpanel: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_row0: usize,
-    c_col0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-) {
-    use core::arch::aarch64::*;
-    debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-    let mut acc_lo = [vdupq_n_f32(0.0); MR];
-    let mut acc_hi = [vdupq_n_f32(0.0); MR];
-    let mut ap = apanel.as_ptr();
-    let mut bp = bpanel.as_ptr();
-    for _ in 0..kc {
-        let b_lo = vld1q_f32(bp);
-        let b_hi = vld1q_f32(bp.add(4));
-        for i in 0..MR {
-            let av = vdupq_n_f32(*ap.add(i));
-            acc_lo[i] = vfmaq_f32(acc_lo[i], av, b_lo);
-            acc_hi[i] = vfmaq_f32(acc_hi[i], av, b_hi);
-        }
-        ap = ap.add(MR);
-        bp = bp.add(NR);
-    }
-    if mr == MR && nr == NR {
-        for i in 0..MR {
-            let row = c.as_mut_ptr().add((c_row0 + i) * n + c_col0);
-            vst1q_f32(row, vaddq_f32(vld1q_f32(row), acc_lo[i]));
-            vst1q_f32(row.add(4), vaddq_f32(vld1q_f32(row.add(4)), acc_hi[i]));
-        }
-    } else {
-        let mut tile = [[0.0f32; NR]; MR];
-        for i in 0..MR {
-            vst1q_f32(tile[i].as_mut_ptr(), acc_lo[i]);
-            vst1q_f32(tile[i].as_mut_ptr().add(4), acc_hi[i]);
-        }
-        for (i, tile_row) in tile.iter().enumerate().take(mr) {
-            let row = &mut c[(c_row0 + i) * n + c_col0..(c_row0 + i) * n + c_col0 + nr];
-            for (slot, &v) in row.iter_mut().zip(tile_row) {
-                *slot += v;
-            }
-        }
-    }
-}
-
-/// Runs the microkernel selected by `kernel`. SIMD variants are only
-/// reachable when runtime detection succeeded (see [`active_kernel`]
-/// and the fuzzer's explicit availability check), which is exactly the
-/// safety contract of the `#[target_feature]` functions.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn microkernel_dispatch(
-    kernel: GemmKernel,
-    apanel: &[f32],
-    bpanel: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_row0: usize,
-    c_col0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-) {
-    match kernel {
-        GemmKernel::Scalar => {
-            super::gemm::microkernel(apanel, bpanel, kc, c, c_row0, c_col0, n, mr, nr)
-        }
-        // Detection guarantees AVX2+FMA whenever AVX-512 is reported, and
-        // the 256-bit kernel is bitwise identical per lane — single
-        // panels (odd tail, narrow n) take this path.
-        #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2Fma | GemmKernel::Avx512Fma => unsafe {
-            microkernel_avx2(apanel, bpanel, kc, c, c_row0, c_col0, n, mr, nr)
-        },
-        #[cfg(target_arch = "aarch64")]
-        GemmKernel::Neon => unsafe {
-            microkernel_neon(apanel, bpanel, kc, c, c_row0, c_col0, n, mr, nr)
-        },
-        // A kernel for a different architecture can only be requested by
-        // constructing the enum by hand; fall back to the reference.
-        #[allow(unreachable_patterns)]
-        _ => super::gemm::microkernel(apanel, bpanel, kc, c, c_row0, c_col0, n, mr, nr),
-    }
-}
-
-/// Whether `kernel` consumes two adjacent `B` panels per microkernel
-/// call (see [`microkernel_dispatch_pair`]). Shape-only — the pairing
-/// decision must never depend on thread count or data.
-#[inline]
-pub(crate) fn pairs_panels(kernel: GemmKernel) -> bool {
-    matches!(kernel, GemmKernel::Avx512Fma)
-}
-
-/// Runs one `MR × 2·NR` tile over a pair of adjacent `B` panels. Only
-/// meaningful for kernels where [`pairs_panels`] is true; the fallback
-/// arm (unreachable through [`super::gemm`]) degrades to two
-/// single-panel calls with identical results.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn microkernel_dispatch_pair(
-    kernel: GemmKernel,
-    apanel: &[f32],
-    b0: &[f32],
-    b1: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_row0: usize,
-    c_col0: usize,
-    n: usize,
-    mr: usize,
-    nr1: usize,
-) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx512Fma => unsafe {
-            microkernel_avx512(apanel, b0, b1, kc, c, c_row0, c_col0, n, mr, nr1)
-        },
-        #[allow(unreachable_patterns)]
-        _ => {
-            microkernel_dispatch(kernel, apanel, b0, kc, c, c_row0, c_col0, n, mr, NR);
-            microkernel_dispatch(kernel, apanel, b1, kc, c, c_row0, c_col0 + NR, n, mr, nr1);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_is_default_without_env_or_override() {
-        // The test harness never sets DECO_SIMD, so the process default
-        // must be the scalar reference kernel.
-        assert_eq!(active_kernel(), GemmKernel::Scalar);
-    }
-
-    #[test]
-    fn kernel_names_are_stable() {
-        assert_eq!(GemmKernel::Scalar.name(), "scalar");
-        assert_eq!(GemmKernel::Avx2Fma.name(), "avx2_fma");
-        assert_eq!(GemmKernel::Avx512Fma.name(), "avx512_fma");
-        assert_eq!(GemmKernel::Neon.name(), "neon");
-    }
-
-    #[test]
-    fn detection_is_arch_consistent() {
-        let arch = std::env::consts::ARCH;
-        match detected_simd() {
-            Some(GemmKernel::Avx2Fma | GemmKernel::Avx512Fma) => assert_eq!(arch, "x86_64"),
-            Some(GemmKernel::Neon) => assert_eq!(arch, "aarch64"),
-            Some(GemmKernel::Scalar) => panic!("detect() must not report scalar as SIMD"),
-            None => {}
-        }
-    }
-
-    #[test]
-    #[ignore = "manual microkernel timing; run with --ignored --nocapture"]
-    fn time_microkernels() {
-        let kc = 128usize;
-        let apanel: Vec<f32> = (0..kc * MR).map(|i| i as f32 * 0.001).collect();
-        let bpanel: Vec<f32> = (0..kc * NR).map(|i| i as f32 * 0.002).collect();
-        let mut c = vec![0.0f32; MR * NR];
-        let iters = 200_000u32;
-        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2Fma] {
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                microkernel_dispatch(
-                    kernel,
-                    std::hint::black_box(&apanel),
-                    std::hint::black_box(&bpanel),
-                    kc,
-                    &mut c,
-                    0,
-                    0,
-                    NR,
-                    MR,
-                    NR,
-                );
-            }
-            let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-            eprintln!(
-                "{}: {ns:.1} ns / call ({:.2} GFLOP/s)",
-                kernel.name(),
-                (2 * kc * MR * NR) as f64 / ns
-            );
-        }
-        if detected_simd() == Some(GemmKernel::Avx512Fma) {
-            let b1: Vec<f32> = (0..kc * NR).map(|i| i as f32 * 0.003).collect();
-            let mut c = vec![0.0f32; MR * 2 * NR];
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                microkernel_dispatch_pair(
-                    GemmKernel::Avx512Fma,
-                    std::hint::black_box(&apanel),
-                    std::hint::black_box(&bpanel),
-                    std::hint::black_box(&b1),
-                    kc,
-                    &mut c,
-                    0,
-                    0,
-                    2 * NR,
-                    MR,
-                    NR,
-                );
-            }
-            let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-            eprintln!(
-                "avx512_fma (panel pair): {ns:.1} ns / call ({:.2} GFLOP/s)",
-                (2 * kc * MR * 2 * NR) as f64 / ns
-            );
-        }
-    }
-
-    #[test]
-    fn avx512_pair_matches_two_scalar_panels() {
-        if detected_simd() != Some(GemmKernel::Avx512Fma) {
-            eprintln!("no AVX-512 on this host; skipping");
-            return;
-        }
-        let mut rng = crate::Rng::new(22);
-        // Full pair, then edge tiles: short second panel and short rows.
-        for &(kc, mr, nr1) in &[(64usize, MR, NR), (17, MR, 3usize), (33, 5, NR), (9, 4, 2)] {
-            let apanel: Vec<f32> = (0..kc * MR).map(|_| rng.normal()).collect();
-            let b0: Vec<f32> = (0..kc * NR).map(|_| rng.normal()).collect();
-            let b1: Vec<f32> = (0..kc * NR).map(|_| rng.normal()).collect();
-            let n = 2 * NR + 2;
-            let mut c_ref = vec![0.25f32; MR * n];
-            let mut c_pair = c_ref.clone();
-            microkernel_dispatch(
-                GemmKernel::Scalar,
-                &apanel,
-                &b0,
-                kc,
-                &mut c_ref,
-                0,
-                1,
-                n,
-                mr,
-                NR,
-            );
-            microkernel_dispatch(
-                GemmKernel::Scalar,
-                &apanel,
-                &b1,
-                kc,
-                &mut c_ref,
-                0,
-                1 + NR,
-                n,
-                mr,
-                nr1,
-            );
-            microkernel_dispatch_pair(
-                GemmKernel::Avx512Fma,
-                &apanel,
-                &b0,
-                &b1,
-                kc,
-                &mut c_pair,
-                0,
-                1,
-                n,
-                mr,
-                nr1,
-            );
-            for (i, (&x, &y)) in c_ref.iter().zip(&c_pair).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-4 * x.abs().max(1.0),
-                    "kc={kc} mr={mr} nr1={nr1} elem {i}: scalar {x} vs avx512 {y}"
-                );
-            }
-        }
-        // And bitwise-identical to the 256-bit kernel run panel-by-panel
-        // (the per-lane FMA sequences are the same).
-        let kc = 40;
-        let mut rng = crate::Rng::new(23);
-        let apanel: Vec<f32> = (0..kc * MR).map(|_| rng.normal()).collect();
-        let b0: Vec<f32> = (0..kc * NR).map(|_| rng.normal()).collect();
-        let b1: Vec<f32> = (0..kc * NR).map(|_| rng.normal()).collect();
-        let n = 2 * NR;
-        let mut c_avx2 = vec![0.0f32; MR * n];
-        let mut c_pair = c_avx2.clone();
-        microkernel_dispatch(
-            GemmKernel::Avx2Fma,
-            &apanel,
-            &b0,
-            kc,
-            &mut c_avx2,
-            0,
-            0,
-            n,
-            MR,
-            NR,
-        );
-        microkernel_dispatch(
-            GemmKernel::Avx2Fma,
-            &apanel,
-            &b1,
-            kc,
-            &mut c_avx2,
-            0,
-            NR,
-            n,
-            MR,
-            NR,
-        );
-        microkernel_dispatch_pair(
-            GemmKernel::Avx512Fma,
-            &apanel,
-            &b0,
-            &b1,
-            kc,
-            &mut c_pair,
-            0,
-            0,
-            n,
-            MR,
-            NR,
-        );
-        assert!(
-            c_avx2
-                .iter()
-                .zip(&c_pair)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "512-bit pair kernel must be bitwise identical to the 256-bit kernel per lane"
-        );
-    }
-
-    #[test]
-    fn simd_microkernel_matches_scalar_within_tolerance() {
-        let Some(kernel) = detected_simd() else {
-            eprintln!("no SIMD kernel on this host; skipping");
-            return;
-        };
-        let mut rng = crate::Rng::new(21);
-        // One full panel pair plus an edge tile (mr=5, nr=3).
-        for &(kc, mr, nr) in &[(64usize, MR, NR), (17, 5usize, 3usize)] {
-            let apanel: Vec<f32> = (0..kc * MR).map(|_| rng.normal()).collect();
-            let bpanel: Vec<f32> = (0..kc * NR).map(|_| rng.normal()).collect();
-            let n = NR + 3; // wider C than the tile, exercising strides
-            let mut c_scalar = vec![0.5f32; MR * n];
-            let mut c_simd = c_scalar.clone();
-            microkernel_dispatch(
-                GemmKernel::Scalar,
-                &apanel,
-                &bpanel,
-                kc,
-                &mut c_scalar,
-                0,
-                1,
-                n,
-                mr,
-                nr,
-            );
-            microkernel_dispatch(kernel, &apanel, &bpanel, kc, &mut c_simd, 0, 1, n, mr, nr);
-            for (i, (&x, &y)) in c_scalar.iter().zip(&c_simd).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-4 * x.abs().max(1.0),
-                    "elem {i}: scalar {x} vs simd {y}"
-                );
-            }
-        }
-    }
+/// The kernel every GEMM runs.
+pub fn active_kernel() -> ScalarKernel {
+    ScalarKernel
 }

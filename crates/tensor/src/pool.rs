@@ -21,9 +21,8 @@
 //!
 //! The pool is strictly thread-local (no locks, no cross-thread
 //! contention); each runtime worker warms its own free lists. Held
-//! bytes are capped (default 256 MiB, override with
-//! `DECO_POOL_CAP_BYTES`); a `give` that would exceed the cap frees the
-//! buffer instead and counts an eviction.
+//! bytes are capped at 256 MiB per thread; a `give` that would exceed
+//! the cap frees the buffer instead and counts an eviction.
 //!
 //! ## Telemetry
 //!
@@ -42,8 +41,8 @@ use std::cell::RefCell;
 /// byte cap).
 const MAX_BUCKET_LOG2: usize = 28; // 2^28 f32 = 1 GiB
 
-/// Default cap on bytes held across all free lists of one thread.
-const DEFAULT_CAP_BYTES: u64 = 256 * 1024 * 1024;
+/// Cap on bytes held across all free lists of one thread.
+const CAP_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Cumulative counters of one thread's pool, since thread start or the
 /// last [`reset_stats`].
@@ -65,19 +64,13 @@ struct PoolState {
     /// `buckets[i]` holds buffers of capacity exactly `2^i`.
     buckets: Vec<Vec<Vec<f32>>>,
     stats: PoolStats,
-    cap_bytes: u64,
 }
 
 impl PoolState {
     fn new() -> Self {
-        let cap_bytes = std::env::var("DECO_POOL_CAP_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_CAP_BYTES);
         PoolState {
             buckets: (0..=MAX_BUCKET_LOG2).map(|_| Vec::new()).collect(),
             stats: PoolStats::default(),
-            cap_bytes,
         }
     }
 }
@@ -169,7 +162,7 @@ pub fn give(buf: Vec<f32>) {
     let evicted = POOL
         .try_with(|p| {
             let mut p = p.borrow_mut();
-            if p.stats.held_bytes + bytes_of(cap) > p.cap_bytes {
+            if p.stats.held_bytes + bytes_of(cap) > CAP_BYTES {
                 p.stats.evictions += 1;
                 true
             } else {
@@ -262,16 +255,14 @@ mod tests {
     fn byte_cap_evicts() {
         clear();
         reset_stats();
-        // Two 64 MiB buffers fit a 256 MiB cap; a loop of them plus more
-        // eventually evicts. Use small buffers against a tiny synthetic
-        // cap by filling beyond DEFAULT via many gives of one bucket.
+        // Fill one bucket beyond the cap with many gives.
         let evictions_before = stats().evictions;
-        // 1 MiB buffers: 256 fit under the default cap; give 300.
+        // 1 MiB buffers: 256 fit under the 256 MiB cap; give 300.
         for _ in 0..300 {
             give(Vec::with_capacity(1 << 18));
         }
         let s = stats();
-        assert!(s.held_bytes <= DEFAULT_CAP_BYTES);
+        assert!(s.held_bytes <= CAP_BYTES);
         assert!(s.evictions > evictions_before);
         clear();
     }

@@ -1,6 +1,10 @@
 #!/bin/bash
 # Regenerates every table/figure at smoke scale, centerpiece first.
-cd /root/repo
+# Runs from any working directory; logs go to reports/logs/.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")"
+cargo build --release -p deco-bench --bins
+mkdir -p reports/logs
 B=target/release
 $B/table1    --out reports > reports/logs/table1.log 2>&1
 $B/fig3      --out reports > reports/logs/fig3.log 2>&1
