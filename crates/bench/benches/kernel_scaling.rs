@@ -1,6 +1,7 @@
 //! `kernel_scaling`: single-thread latency and allocation behaviour of
-//! the hot kernels — matmul plus the conv2d forward and its three
-//! gradient kernels — at the paper's ConvNet shapes, and of whole
+//! the hot kernels — matmul, the conv2d forward and its three gradient
+//! kernels, and the ConvNet block's memory-bound kernels (GroupNorm +
+//! ReLU, average pooling) — at the paper's ConvNet shapes, and of whole
 //! ConvNet passes. Complements `runtime_scaling` (which measures
 //! multi-thread speedup): this bench answers "how fast is one step on
 //! one core, and does the buffer pool actually keep it off the heap?".
@@ -17,10 +18,10 @@
 //!
 //! `--check` reads the committed `BENCH_kernels.json` *before*
 //! overwriting it and fails (exit 1) if any op in [`CHECK_OPS`] (the
-//! conv forward and the ConvNet train step) got slower than
-//! [`CHECK_FACTOR`] × its committed mean — a generous threshold meant
-//! to catch order-of-magnitude regressions on shared CI runners, not
-//! micro-noise.
+//! conv forward and the ConvNet train and input-gradient passes) got
+//! slower than [`CHECK_FACTOR`] × its committed mean — a generous
+//! threshold meant to catch order-of-magnitude regressions on shared CI
+//! runners, not micro-noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,8 +57,11 @@ const CHECK_FACTOR: f64 = 2.5;
 const CONV_FWD_OP: &str = "conv2d_fwd_16x3x32x32_w16";
 /// One ConvNet forward+backward at the `deco_stream` shapes.
 const TRAIN_STEP_OP: &str = "convnet_train_step_100x3x16x16_w8";
+/// The frozen-network image-gradient pass (θ± and Eq. 8) at the same
+/// shapes.
+const INPUT_GRAD_OP: &str = "convnet_input_grad_100x3x16x16_w8";
 /// Ops the `--check` gate tracks.
-const CHECK_OPS: [&str; 2] = [CONV_FWD_OP, TRAIN_STEP_OP];
+const CHECK_OPS: [&str; 3] = [CONV_FWD_OP, TRAIN_STEP_OP, INPUT_GRAD_OP];
 
 fn iters() -> usize {
     std::env::var("DECO_BENCH_ITERS")
@@ -192,13 +196,55 @@ fn bench_deco_passes(iters: usize) -> Vec<OpResult> {
         }),
         // Image leaf, frozen parameters: the matcher's θ± passes and the
         // Eq. 8 discrimination gradient.
-        time_op("convnet_input_grad_100x3x16x16_w8", iters, || {
+        time_op(INPUT_GRAD_OP, iters, || {
             with_tape_arena(|| {
                 let images = Var::leaf(x.clone(), true);
                 let logits = net.forward(&images, true);
                 weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
                 std::hint::black_box(images.grad());
             });
+        }),
+    ]
+}
+
+/// The first ConvNet block's kernels, one by one, at `deco_stream`'s
+/// layer-1 shape: 100 images of 3×16×16 through a width-8 3×3 conv,
+/// instance GroupNorm + ReLU and a 2×2 average pool.
+fn bench_deco_block(iters: usize) -> Vec<OpResult> {
+    use deco_tensor::ops::fused;
+
+    let mut rng = Rng::new(42);
+    let x = Tensor::randn([100, 3, 16, 16], &mut rng);
+    let w = Tensor::randn([8, 3, 3, 3], &mut rng);
+    let b = Tensor::randn([8], &mut rng);
+    let h = Tensor::randn([100, 8, 16, 16], &mut rng);
+    let g = Tensor::randn([100, 8, 16, 16], &mut rng);
+    let g_pooled = Tensor::randn([100, 8, 8, 8], &mut rng);
+    let gamma = Tensor::randn([1, 8, 1, 1], &mut rng);
+    let beta = Tensor::randn([1, 8, 1, 1], &mut rng);
+    let spec = Conv2dSpec::default();
+    let (out, mean, std) = fused::group_norm_relu_fwd(&h, &gamma, &beta, 8, 1e-5);
+    vec![
+        // `Tensor::conv2d` lowers each image into im2col scratch.
+        time_op("conv2d_fwd_100x3x16x16_w8", iters, || {
+            std::hint::black_box(x.conv2d(&w, Some(&b), spec));
+        }),
+        time_op("conv2d_input_grad_100x8x16x16_w8", iters, || {
+            std::hint::black_box(g.conv2d_input_grad(&w, (16, 16), spec));
+        }),
+        time_op("group_norm_relu_fwd_100x8x16x16", iters, || {
+            std::hint::black_box(fused::group_norm_relu_fwd(&h, &gamma, &beta, 8, 1e-5));
+        }),
+        time_op("group_norm_relu_bwd_100x8x16x16", iters, || {
+            std::hint::black_box(fused::group_norm_relu_bwd(
+                &g, &h, &out, &mean, &std, &gamma, 8, [true; 3],
+            ));
+        }),
+        time_op("avg_pool2d_100x8x16x16_k2", iters, || {
+            std::hint::black_box(out.avg_pool2d(2));
+        }),
+        time_op("avg_pool2d_grad_100x8x8x8_k2", iters, || {
+            std::hint::black_box(g_pooled.avg_pool2d_grad(2));
         }),
     ]
 }
@@ -225,6 +271,7 @@ fn main() {
     let mut results = bench_ops(iters);
     results.extend(bench_convnet(iters));
     results.extend(bench_deco_passes(iters));
+    results.extend(bench_deco_block(iters));
 
     println!("\n## kernel_scaling — single-thread latency & allocations\n");
     println!("| op | 1T mean (ms) | allocs/op |");

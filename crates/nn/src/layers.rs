@@ -3,11 +3,10 @@
 //! Each layer owns its [`Param`]s and exposes a `forward` that builds onto
 //! the caller's autograd graph. `frozen = true` binds parameters as
 //! constants, which is how the θ± perturbation passes of efficient
-//! condensation differentiate the input alone. Conv and linear layers
-//! then skip their parameter-gradient kernels (weight GEMM, bias
-//! reduction), since the tape computes gradients only for parents that
-//! require one. The fused group-norm backward still forms its
-//! per-channel γ/β sums inside its single pass; the tape discards them.
+//! condensation differentiate the input alone. Conv, linear and
+//! group-norm layers then skip their parameter-gradient work (weight
+//! GEMM, bias reduction, per-channel γ/β sums), since the tape computes
+//! gradients only for parents that require one.
 
 use deco_tensor::{Conv2dSpec, Rng, Tensor, Var};
 

@@ -930,11 +930,10 @@ impl Var {
     /// input positions.
     pub fn max_pool2d(&self, k: usize) -> Var {
         let (value, indices) = self.value().max_pool2d(k);
-        let input_numel = self.value().numel();
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g.max_pool2d_grad(&indices, input_numel))]),
+            Box::new(move |g| grads![Some(g.max_pool2d_grad(&indices, k))]),
         )
     }
 
@@ -1137,7 +1136,10 @@ impl Var {
     /// Bitwise identical to
     /// `reshape → mean → sub → square → mean → add_scalar → sqrt → div →
     /// reshape → mul(gamma) → add(beta) → relu`, but records one tape
-    /// node and runs one backward kernel instead of eleven.
+    /// node and runs one backward kernel instead of eleven. The backward
+    /// forms only the gradients of parents that require one: constant
+    /// `gamma`/`beta` (a frozen layer) skip their per-channel sums, a
+    /// constant input its gradient.
     ///
     /// # Panics
     /// Panics unless `self` is `[n, c, h, w]` with `c % groups == 0` and
@@ -1151,6 +1153,11 @@ impl Var {
             groups,
             eps,
         );
+        let live = [
+            self.requires_grad(),
+            gamma.requires_grad(),
+            beta.requires_grad(),
+        ];
         let x = self.value().clone();
         let gam = gamma.value().clone();
         let (gshape, bshape) = (gamma.shape().clone(), beta.shape().clone());
@@ -1160,13 +1167,13 @@ impl Var {
             &[self, gamma, beta],
             Box::new(move |g| {
                 crate::fusion::count_fused_backward();
-                let (gx, ggamma, gbeta) = crate::ops::fused::group_norm_relu_bwd(
-                    g, &x, &saved_out, &mean, &std, &gam, groups,
+                let [gx, ggamma, gbeta] = crate::ops::fused::group_norm_relu_bwd(
+                    g, &x, &saved_out, &mean, &std, &gam, groups, live,
                 );
-                vec![
-                    Some(gx),
-                    Some(ggamma.reshape(gshape.clone())),
-                    Some(gbeta.reshape(bshape.clone())),
+                grads![
+                    gx,
+                    ggamma.map(|t| t.reshape(gshape.clone())),
+                    gbeta.map(|t| t.reshape(bshape.clone())),
                 ]
             }),
         )

@@ -123,10 +123,25 @@ impl Drop for Cols<'_> {
     }
 }
 
+/// The output positions `o ∈ lo..hi` (of `out`) whose input coordinate
+/// `o·s + tap − p` falls inside `0..side`, for kernel tap `tap` along one
+/// axis: the tap reads padding everywhere outside the run. Empty when the
+/// tap never lands inside the image.
+fn in_range(tap: usize, side: usize, out: usize, s: usize, p: usize) -> Range<usize> {
+    let lo = p.saturating_sub(tap).div_ceil(s).min(out);
+    let hi = (side + p).saturating_sub(tap).div_ceil(s).clamp(lo, out);
+    lo..hi
+}
+
 /// Unrolls one NCHW image into its `[c_in·k·k, oh·ow]` column matrix:
 /// row `ci·k² + khi·k + kwi` holds the input value under kernel tap
 /// `(khi, kwi)` of channel `ci` for every output position (zero where
 /// the tap falls in padding). Writes every element of `cols`.
+///
+/// Each tap's in-range output rows and columns are computed once
+/// ([`in_range`]): rows outside the run are zero-filled, and each row
+/// inside zero-fills its two edges and copies its run of input values
+/// (a strided gather when `stride > 1`).
 fn im2col(
     cols: &mut [f32],
     x_img: &[f32],
@@ -134,31 +149,36 @@ fn im2col(
     (oh, ow): (usize, usize),
     spec: Conv2dSpec,
 ) {
-    let (s, p, k) = (spec.stride, spec.padding as isize, spec.kernel);
+    let (s, p, k) = (spec.stride, spec.padding, spec.kernel);
     let ohw = oh * ow;
     debug_assert_eq!(cols.len(), cin * k * k * ohw);
     let mut row = 0usize;
     for ci in 0..cin {
-        let x_base = ci * h * w;
+        let x_ch = &x_img[ci * h * w..(ci + 1) * h * w];
         for khi in 0..k {
+            let rows = in_range(khi, h, oh, s, p);
             for kwi in 0..k {
                 let dst = &mut cols[row * ohw..(row + 1) * ohw];
                 row += 1;
-                for ohi in 0..oh {
-                    let ih = (ohi * s) as isize + khi as isize - p;
+                let run = in_range(kwi, w, ow, s, p);
+                dst[..rows.start * ow].fill(0.0);
+                dst[rows.end * ow..].fill(0.0);
+                for ohi in rows.clone() {
                     let drow = &mut dst[ohi * ow..(ohi + 1) * ow];
-                    if ih < 0 || ih >= h as isize {
-                        drow.fill(0.0);
+                    drow[..run.start].fill(0.0);
+                    drow[run.end..].fill(0.0);
+                    if run.is_empty() {
                         continue;
                     }
-                    let x_row = x_base + (ih as usize) * w;
-                    for (owi, d) in drow.iter_mut().enumerate() {
-                        let iw = (owi * s) as isize + kwi as isize - p;
-                        *d = if iw < 0 || iw >= w as isize {
-                            0.0
-                        } else {
-                            x_img[x_row + iw as usize]
-                        };
+                    let x_row = &x_ch[(ohi * s + khi - p) * w..][..w];
+                    let first = run.start * s + kwi - p;
+                    let drun = &mut drow[run.clone()];
+                    if s == 1 {
+                        drun.copy_from_slice(&x_row[first..first + drun.len()]);
+                    } else {
+                        for (d, &v) in drun.iter_mut().zip(x_row[first..].iter().step_by(s)) {
+                            *d = v;
+                        }
                     }
                 }
             }
@@ -168,8 +188,9 @@ fn im2col(
 
 /// Adjoint of [`im2col`]: scatter-adds a `[c_in·k·k, oh·ow]` column
 /// matrix back into one NCHW image gradient (which the caller has
-/// zeroed). Contributions to each input cell arrive in fixed row-major
-/// column order — a pure function of the shapes.
+/// zeroed). Walks the same per-tap runs as [`im2col`], so each input
+/// cell receives its contributions in ascending `(ci, khi, kwi, ohi,
+/// owi)` order — a pure function of the shapes.
 fn col2im_add(
     gin_img: &mut [f32],
     cols: &[f32],
@@ -177,25 +198,31 @@ fn col2im_add(
     (oh, ow): (usize, usize),
     spec: Conv2dSpec,
 ) {
-    let (s, p, k) = (spec.stride, spec.padding as isize, spec.kernel);
+    let (s, p, k) = (spec.stride, spec.padding, spec.kernel);
     let ohw = oh * ow;
     let mut row = 0usize;
     for ci in 0..cin {
-        let gi_base = ci * h * w;
+        let g_ch = &mut gin_img[ci * h * w..(ci + 1) * h * w];
         for khi in 0..k {
+            let rows = in_range(khi, h, oh, s, p);
             for kwi in 0..k {
                 let src = &cols[row * ohw..(row + 1) * ohw];
                 row += 1;
-                for ohi in 0..oh {
-                    let ih = (ohi * s) as isize + khi as isize - p;
-                    if ih < 0 || ih >= h as isize {
-                        continue;
-                    }
-                    let gi_row = gi_base + (ih as usize) * w;
-                    for (owi, &v) in src[ohi * ow..(ohi + 1) * ow].iter().enumerate() {
-                        let iw = (owi * s) as isize + kwi as isize - p;
-                        if iw >= 0 && iw < w as isize {
-                            gin_img[gi_row + iw as usize] += v;
+                let run = in_range(kwi, w, ow, s, p);
+                if run.is_empty() {
+                    continue;
+                }
+                let first = run.start * s + kwi - p;
+                for ohi in rows.clone() {
+                    let g_row = &mut g_ch[(ohi * s + khi - p) * w..][..w];
+                    let srun = &src[ohi * ow..(ohi + 1) * ow][run.clone()];
+                    if s == 1 {
+                        for (d, &v) in g_row[first..].iter_mut().zip(srun) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in g_row[first..].iter_mut().step_by(s).zip(srun) {
+                            *d += v;
                         }
                     }
                 }
@@ -228,8 +255,10 @@ impl Conv2dSpec {
     /// Output spatial side for an input side of `n`.
     ///
     /// # Panics
-    /// Panics if the kernel does not fit in the padded input.
+    /// Panics if the kernel or stride is 0, or the kernel does not fit in
+    /// the padded input.
     pub fn out_side(&self, n: usize) -> usize {
+        self.validate();
         let padded = n + 2 * self.padding;
         assert!(
             padded >= self.kernel,
@@ -238,6 +267,12 @@ impl Conv2dSpec {
             padded
         );
         (padded - self.kernel) / self.stride + 1
+    }
+
+    /// Asserts a usable geometry: kernel side and stride at least 1.
+    fn validate(&self) {
+        assert!(self.kernel >= 1, "conv kernel side must be at least 1");
+        assert!(self.stride >= 1, "conv stride must be at least 1");
     }
 }
 
@@ -370,6 +405,7 @@ impl Tensor {
         let (cout2, cin, k, _) = dims4(weight);
         assert_eq!(cout, cout2, "conv2d_input_grad c_out mismatch");
         let (h, w) = input_hw;
+        spec.validate();
         deco_telemetry::counter!("tensor.ops.conv2d_input_grad");
         let ohw = oh * ow;
         let ckk = cin * k * k;
@@ -419,6 +455,7 @@ pub(crate) fn conv2d_weight_grad_impl(
     let (n, cout, oh, ow) = dims4(g_t);
     let (n2, cin, h, w) = dims4(input);
     assert_eq!(n, n2, "conv2d_weight_grad batch mismatch");
+    spec.validate();
     deco_telemetry::counter!("tensor.ops.conv2d_weight_grad");
     let k = kernel;
     let ohw = oh * ow;
@@ -447,7 +484,7 @@ pub(crate) fn conv2d_weight_grad_impl(
     // parallel execution share one reduction structure: shape-
     // derived image chunks, each accumulated into a zeroed
     // partial, folded into `gw` in chunk order.
-    let ipc = (PAR_CHUNK_OPS / macs_per_image.max(1)).clamp(1, n);
+    let ipc = (PAR_CHUNK_OPS / macs_per_image.max(1)).clamp(1, n.max(1));
     let mut fold = |partial: Vec<f32>| {
         for (d, s) in gw.iter_mut().zip(&partial) {
             *d += s;
@@ -502,14 +539,12 @@ impl Tensor {
     /// Non-overlapping average pooling with a square `k × k` window.
     ///
     /// # Panics
-    /// Panics unless the input is rank 4 and H, W are divisible by `k`.
+    /// Panics unless the input is rank 4, `k ≥ 1` and H, W are divisible
+    /// by `k`.
     pub fn avg_pool2d(&self, k: usize) -> Tensor {
         assert_eq!(self.rank(), 4, "avg_pool2d input must be NCHW");
         let (n, c, h, w) = dims4(self);
-        assert!(
-            h % k == 0 && w % k == 0,
-            "pool window {k} must divide {h}x{w}"
-        );
+        check_pool_window(k, h, w);
         let (oh, ow) = (h / k, w / k);
         let x = self.data();
         let inv = 1.0 / (k * k) as f32;
@@ -536,29 +571,43 @@ impl Tensor {
 
     /// Gradient of [`Tensor::avg_pool2d`]: spreads each output gradient
     /// uniformly over its window. `self` is the output gradient.
+    ///
+    /// Walks each input row in `k`-wide windows. The windows tile the
+    /// input, so each input cell gets exactly one contribution, assigned
+    /// as `0.0 + g·(1/k²)` (the `+ 0.0` of accumulating into a zeroed
+    /// buffer, which turns `-0.0` into `+0.0`).
+    ///
+    /// # Panics
+    /// Panics unless `self` is rank 4 and `k ≥ 1`.
     pub fn avg_pool2d_grad(&self, k: usize) -> Tensor {
         let (n, c, oh, ow) = dims4(self);
+        assert!(k >= 1, "pool window must be at least 1");
         let (h, w) = (oh * k, ow * k);
         let g = self.data();
         let inv = 1.0 / (k * k) as f32;
-        let mut gin = pool::take(n * c * h * w);
-        for nc in 0..n * c {
-            let g_base = nc * oh * ow;
-            let gi_base = nc * h * w;
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let gv = g[g_base + ohi * ow + owi] * inv;
-                    for dy in 0..k {
-                        let row = gi_base + (ohi * k + dy) * w + owi * k;
-                        for dx in 0..k {
-                            gin[row + dx] += gv;
-                        }
-                    }
+        // Scratch: the windows tile the input, so every cell is written.
+        let mut gin = pool::take_scratch(n * c * h * w);
+        for r in 0..n * c * oh {
+            let g_row = &g[r * ow..(r + 1) * ow];
+            for dy in 0..k {
+                let gi_row = &mut gin[(r * k + dy) * w..][..w];
+                for (win, &gv) in gi_row.chunks_exact_mut(k).zip(g_row) {
+                    win.fill(0.0f32 + gv * inv);
                 }
             }
         }
         Tensor::from_pool_buf(gin, [n, c, h, w])
     }
+}
+
+/// Asserts a `k × k` pooling window is at least 1 wide and tiles an
+/// `h × w` input.
+pub(crate) fn check_pool_window(k: usize, h: usize, w: usize) {
+    assert!(k >= 1, "pool window must be at least 1");
+    assert!(
+        h.is_multiple_of(k) && w.is_multiple_of(k),
+        "pool window {k} must divide {h}x{w}"
+    );
 }
 
 impl Tensor {
@@ -567,14 +616,12 @@ impl Tensor {
     /// (for the backward pass).
     ///
     /// # Panics
-    /// Panics unless the input is rank 4 and H, W are divisible by `k`.
+    /// Panics unless the input is rank 4, `k ≥ 1` and H, W are divisible
+    /// by `k`.
     pub fn max_pool2d(&self, k: usize) -> (Tensor, Vec<usize>) {
         assert_eq!(self.rank(), 4, "max_pool2d input must be NCHW");
         let (n, c, h, w) = dims4(self);
-        assert!(
-            h % k == 0 && w % k == 0,
-            "pool window {k} must divide {h}x{w}"
-        );
+        check_pool_window(k, h, w);
         let (oh, ow) = (h / k, w / k);
         let x = self.data();
         let mut out = vec![0.0f32; n * c * oh * ow];
@@ -604,25 +651,24 @@ impl Tensor {
         (Tensor::from_vec(out, [n, c, oh, ow]), idx)
     }
 
-    /// Gradient of [`Tensor::max_pool2d`]: routes each output gradient to
-    /// the input position that won the max. `self` is the output gradient;
-    /// `indices` comes from the forward pass.
+    /// Gradient of [`Tensor::max_pool2d`] with window `k`: routes each
+    /// output gradient to the input position that won the max. `self` is
+    /// the output gradient; `indices` comes from the forward pass.
     ///
     /// # Panics
-    /// Panics if `indices` length differs from this tensor's element count.
-    pub fn max_pool2d_grad(&self, indices: &[usize], input_numel: usize) -> Tensor {
+    /// Panics if `k` is 0 or `indices` length differs from this tensor's
+    /// element count.
+    pub fn max_pool2d_grad(&self, indices: &[usize], k: usize) -> Tensor {
         assert_eq!(indices.len(), self.numel(), "index count mismatch");
+        assert!(k >= 1, "pool window must be at least 1");
         let (n, c, oh, ow) = dims4(self);
-        let k2 = input_numel / (n * c * oh * ow);
-        // k² must be a perfect square times the output; reconstruct sides.
-        let k = (k2 as f32).sqrt() as usize;
-        debug_assert_eq!(k * k * n * c * oh * ow, input_numel);
+        let (h, w) = (oh * k, ow * k);
         let g = self.data();
-        let mut gin = vec![0.0f32; input_numel];
+        let mut gin = vec![0.0f32; n * c * h * w];
         for (o, &i) in indices.iter().enumerate() {
             gin[i] += g[o];
         }
-        Tensor::from_vec(gin, [n, c, oh * k, ow * k])
+        Tensor::from_vec(gin, [n, c, h, w])
     }
 }
 
@@ -639,6 +685,252 @@ fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::ops::testutil::{assert_bits_eq, specials};
+
+    /// `(c_in, h, w)` images and conv geometries the ConvNet never runs:
+    /// stride 2, padding 0 and 2 (also padding ≥ kernel, where whole rows
+    /// and columns are padding), kernels 1 and 5, H ≠ W and 1×1 images.
+    fn odd_geometries() -> Vec<((usize, usize, usize), Conv2dSpec)> {
+        let mut cases = Vec::new();
+        for (cin, h, w) in [(3, 16, 16), (2, 7, 5), (1, 1, 1), (2, 3, 8), (1, 2, 9)] {
+            for (k, s, p) in [
+                (3, 1, 1),
+                (3, 2, 1),
+                (3, 1, 0),
+                (3, 2, 2),
+                (1, 1, 0),
+                (1, 2, 2),
+                (1, 1, 3),
+                (5, 1, 2),
+                (5, 2, 2),
+                (5, 3, 4),
+                (2, 1, 2),
+                (2, 2, 0),
+            ] {
+                if h + 2 * p >= k && w + 2 * p >= k {
+                    cases.push(((cin, h, w), Conv2dSpec::new(k, s, p)));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn im2col_and_col2im_match_the_reference_loops_bitwise() {
+        let mut rng = crate::Rng::new(71);
+        for ((cin, h, w), spec) in odd_geometries() {
+            let (oh, ow) = (spec.out_side(h), spec.out_side(w));
+            let what = format!("{cin}x{h}x{w} {spec:?}");
+            let x = specials(&[cin, h, w], true, &mut rng);
+            let len = cin * spec.kernel * spec.kernel * oh * ow;
+            // The kernel must overwrite every element of a dirty buffer.
+            let (mut got, mut want) = (vec![f32::MAX; len], vec![0.0; len]);
+            im2col(&mut got, x.data(), (cin, h, w), (oh, ow), spec);
+            reference::im2col(&mut want, x.data(), (cin, h, w), (oh, ow), spec);
+            assert_bits_eq(&got, &want, &format!("im2col {what}"));
+
+            // A nonzero starting image checks the add order onto it too.
+            let cols = specials(&[len], true, &mut rng);
+            let start = specials(&[cin * h * w], false, &mut rng);
+            let (mut got, mut want) = (start.data().to_vec(), start.data().to_vec());
+            col2im_add(&mut got, cols.data(), (cin, h, w), (oh, ow), spec);
+            reference::col2im_add(&mut want, cols.data(), (cin, h, w), (oh, ow), spec);
+            assert_bits_eq(&got, &want, &format!("col2im_add {what}"));
+        }
+    }
+
+    #[test]
+    fn avg_pool_grad_matches_the_reference_loop_bitwise() {
+        let mut rng = crate::Rng::new(72);
+        for (n, c, oh, ow, k) in [
+            (2, 3, 8, 8, 2),
+            (1, 2, 3, 5, 3),
+            (3, 1, 1, 1, 3),
+            (1, 1, 4, 2, 1),
+            (2, 2, 1, 3, 5),
+        ] {
+            let what = format!("{n}x{c}x{oh}x{ow} k{k}");
+            let g = specials(&[n, c, oh, ow], true, &mut rng);
+            let (got, want) = (g.avg_pool2d_grad(k), reference::avg_pool2d_grad(&g, k));
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            assert_bits_eq(got.data(), want.data(), &format!("avg_pool2d_grad {what}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv stride must be at least 1")]
+    fn zero_stride_is_rejected() {
+        Conv2dSpec::new(3, 0, 1).out_side(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel side must be at least 1")]
+    fn zero_kernel_is_rejected() {
+        Conv2dSpec::new(0, 1, 1).out_side(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv stride must be at least 1")]
+    fn zero_stride_input_grad_is_rejected() {
+        let g = Tensor::zeros([1, 1, 2, 2]);
+        g.conv2d_input_grad(
+            &Tensor::zeros([1, 1, 1, 1]),
+            (2, 2),
+            Conv2dSpec::new(1, 0, 0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pool window must be at least 1")]
+    fn zero_avg_pool_window_is_rejected() {
+        Tensor::zeros([1, 1, 2, 2]).avg_pool2d(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool window must be at least 1")]
+    fn zero_avg_pool_grad_window_is_rejected() {
+        Tensor::zeros([1, 1, 2, 2]).avg_pool2d_grad(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool window must be at least 1")]
+    fn zero_max_pool_window_is_rejected() {
+        Tensor::zeros([1, 1, 2, 2]).max_pool2d(0);
+    }
+
+    #[test]
+    fn empty_batches_pass_through_every_kernel() {
+        let x = Tensor::zeros([0, 2, 4, 4]);
+        let w = Tensor::zeros([3, 2, 3, 3]);
+        let spec = Conv2dSpec::default();
+        let y = x.conv2d(&w, None, spec);
+        assert_eq!(y.shape().dims(), &[0, 3, 4, 4]);
+        assert_eq!(
+            y.conv2d_input_grad(&w, (4, 4), spec).shape().dims(),
+            &[0, 2, 4, 4]
+        );
+        assert_eq!(y.conv2d_weight_grad(&x, 3, spec).data(), &[0.0; 54]);
+        assert_eq!(x.avg_pool2d(2).shape().dims(), &[0, 2, 2, 2]);
+        assert_eq!(
+            x.avg_pool2d(2).avg_pool2d_grad(2).shape().dims(),
+            &[0, 2, 4, 4]
+        );
+        let (m, idx) = x.max_pool2d(2);
+        assert_eq!(m.max_pool2d_grad(&idx, 2).shape().dims(), &[0, 2, 4, 4]);
+        // The autograd max-pool backward of an empty batch.
+        let v = crate::Var::leaf(x.clone(), true);
+        v.max_pool2d(2).sum().backward();
+        assert_eq!(
+            v.grad().expect("leaf gradient").shape().dims(),
+            &[0, 2, 4, 4]
+        );
+    }
+
+    /// The loops the row-run kernels replaced, kept verbatim as the
+    /// references the rewritten kernels are held to bit for bit.
+    mod reference {
+        use super::super::{dims4, Conv2dSpec};
+        use crate::pool;
+        use crate::tensor::Tensor;
+
+        pub fn im2col(
+            cols: &mut [f32],
+            x_img: &[f32],
+            (cin, h, w): (usize, usize, usize),
+            (oh, ow): (usize, usize),
+            spec: Conv2dSpec,
+        ) {
+            let (s, p, k) = (spec.stride, spec.padding as isize, spec.kernel);
+            let ohw = oh * ow;
+            debug_assert_eq!(cols.len(), cin * k * k * ohw);
+            let mut row = 0usize;
+            for ci in 0..cin {
+                let x_base = ci * h * w;
+                for khi in 0..k {
+                    for kwi in 0..k {
+                        let dst = &mut cols[row * ohw..(row + 1) * ohw];
+                        row += 1;
+                        for ohi in 0..oh {
+                            let ih = (ohi * s) as isize + khi as isize - p;
+                            let drow = &mut dst[ohi * ow..(ohi + 1) * ow];
+                            if ih < 0 || ih >= h as isize {
+                                drow.fill(0.0);
+                                continue;
+                            }
+                            let x_row = x_base + (ih as usize) * w;
+                            for (owi, d) in drow.iter_mut().enumerate() {
+                                let iw = (owi * s) as isize + kwi as isize - p;
+                                *d = if iw < 0 || iw >= w as isize {
+                                    0.0
+                                } else {
+                                    x_img[x_row + iw as usize]
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn col2im_add(
+            gin_img: &mut [f32],
+            cols: &[f32],
+            (cin, h, w): (usize, usize, usize),
+            (oh, ow): (usize, usize),
+            spec: Conv2dSpec,
+        ) {
+            let (s, p, k) = (spec.stride, spec.padding as isize, spec.kernel);
+            let ohw = oh * ow;
+            let mut row = 0usize;
+            for ci in 0..cin {
+                let gi_base = ci * h * w;
+                for khi in 0..k {
+                    for kwi in 0..k {
+                        let src = &cols[row * ohw..(row + 1) * ohw];
+                        row += 1;
+                        for ohi in 0..oh {
+                            let ih = (ohi * s) as isize + khi as isize - p;
+                            if ih < 0 || ih >= h as isize {
+                                continue;
+                            }
+                            let gi_row = gi_base + (ih as usize) * w;
+                            for (owi, &v) in src[ohi * ow..(ohi + 1) * ow].iter().enumerate() {
+                                let iw = (owi * s) as isize + kwi as isize - p;
+                                if iw >= 0 && iw < w as isize {
+                                    gin_img[gi_row + iw as usize] += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn avg_pool2d_grad(t: &Tensor, k: usize) -> Tensor {
+            let (n, c, oh, ow) = dims4(t);
+            let (h, w) = (oh * k, ow * k);
+            let g = t.data();
+            let inv = 1.0 / (k * k) as f32;
+            let mut gin = pool::take(n * c * h * w);
+            for nc in 0..n * c {
+                let g_base = nc * oh * ow;
+                let gi_base = nc * h * w;
+                for ohi in 0..oh {
+                    for owi in 0..ow {
+                        let gv = g[g_base + ohi * ow + owi] * inv;
+                        for dy in 0..k {
+                            let row = gi_base + (ohi * k + dy) * w + owi * k;
+                            for dx in 0..k {
+                                gin[row + dx] += gv;
+                            }
+                        }
+                    }
+                }
+            }
+            Tensor::from_pool_buf(gin, [n, c, h, w])
+        }
+    }
 
     #[test]
     fn out_side_formula() {
@@ -788,7 +1080,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], [1, 1, 2, 2]);
         let (_, idx) = x.max_pool2d(2);
         let g = Tensor::from_vec(vec![7.0], [1, 1, 1, 1]);
-        let gin = g.max_pool2d_grad(&idx, 4);
+        let gin = g.max_pool2d_grad(&idx, 2);
         assert_eq!(gin.data(), &[0.0, 7.0, 0.0, 0.0]);
     }
 

@@ -1,8 +1,8 @@
 //! Multi-parent ops compute gradients only for parents that require
-//! one. Every live/constant combination of a convolution's and a
-//! matmul's parents must produce, for each gradient it still computes,
-//! the bits of the all-live graph — at 1 and 4 threads — and the conv
-//! kernels it skips must not run at all.
+//! one. Every live/constant combination of a convolution's, a matmul's
+//! and a fused group-norm's parents must produce, for each gradient it
+//! still computes, the bits of the all-live graph — at 1 and 4 threads —
+//! and the conv kernels it skips must not run at all.
 //!
 //! A process-isolated integration test because it reads the global
 //! telemetry counters.
@@ -133,4 +133,21 @@ fn matmul_computes_only_live_gradients() {
     let b = Tensor::randn([80, 72], &mut rng);
     let seed = Tensor::randn([96, 72], &mut rng);
     check_combinations(&[a, b], &seed, |v| v[0].matmul(&v[1]));
+}
+
+#[test]
+fn group_norm_relu_computes_only_live_gradients() {
+    let mut rng = Rng::new(23);
+    // The ConvNet's instance norm on deco_stream's layer-1 channels and
+    // image side, and a grouped norm (`c / groups > 1`) on H ≠ W.
+    for (shape, groups) in [([6, 8, 16, 16], 8), ([3, 6, 5, 3], 2)] {
+        let c = shape[1];
+        let x = Tensor::randn(shape, &mut rng);
+        let gamma = Tensor::randn([1, c, 1, 1], &mut rng);
+        let beta = Tensor::randn([1, c, 1, 1], &mut rng);
+        let seed = Tensor::randn(shape, &mut rng);
+        check_combinations(&[x, gamma, beta], &seed, |v| {
+            v[0].group_norm_relu(&v[1], &v[2], groups, 1e-5)
+        });
+    }
 }
