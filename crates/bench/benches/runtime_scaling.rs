@@ -1,47 +1,55 @@
-//! `runtime_scaling`: wall-clock scaling of the pool-parallel tensor
-//! kernels (matmul, conv2d forward) at 1 / 2 / 4 threads, using
-//! `deco_runtime::with_thread_count` so all three configurations run in
-//! one process. Prints a speedup table and writes the `intra_op` section
-//! of `BENCH_runtime.json` (schema v2) at the repository root — the
-//! `throughput` section written by the `throughput_scaling` bench is
-//! preserved on rewrite, and vice versa. EXPERIMENTS.md links the file.
+//! `runtime_scaling`: how the `deco-runtime` pool scales, with every
+//! thread count run in one process through
+//! `deco_runtime::with_thread_count`. Two kinds of rows:
+//!
+//! * intra-op, at 1 / 2 / 4 threads: one pool-parallel kernel (matmul,
+//!   the conv2d forward) split across the pool;
+//! * concurrent independent jobs, [`JOBS`] per round, at 1 / 2 / 4 / 8
+//!   threads:
+//!   - `match_jobs`: per-class match jobs (full `one_step_match` steps —
+//!     forward, backward, cosine gradient distance — each on its own
+//!     class batch), fanned out across the pool exactly like the
+//!     matcher's `match_classes_parallel` path;
+//!   - `serve_batches`: a [`JOBS`]-tenant `deco-serve` fleet drained
+//!     through the batch scheduler, one job per batch step event.
+//!
+//!   Their `mean_ms` is wall time per completed job; `p50_ms` and
+//!   `p99_ms` are per-job latencies.
+//!
+//! Writes `BENCH_runtime.json` at the repository root (linked from
+//! EXPERIMENTS.md) through `deco_bench::report`. `DECO_BENCH_ITERS` sets
+//! the intra-op timed calls and the `match_jobs` rounds (default 20);
+//! each `serve_batches` tenant serves `min(iters, 4)` segments. On a host
+//! with fewer cores than threads the job rows document scheduling
+//! overhead, not a speedup.
 //!
 //! ```bash
-//! cargo bench -p deco-bench --bench runtime_scaling
+//! cargo bench -p deco-bench --bench runtime_scaling            # regenerate
+//! DECO_BENCH_ITERS=1 cargo bench -p deco-bench --bench runtime_scaling -- --check
 //! ```
+//!
+//! `--check` gates single-thread `match_jobs` against the committed file.
 
+use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
-use deco_telemetry::json::Json;
+use deco_bench::report::{self, job_row, time_op, CountingAlloc, Report, Row};
+use deco_condense::{one_step_match, MatchBatch};
+use deco_datasets::{core50, SyntheticVision};
+use deco_nn::{ConvNet, ConvNetConfig};
+use deco_serve::{Server, ServerConfig, TenantSpec};
 use deco_tensor::{Conv2dSpec, Rng, Tensor};
 
-const THREADS: [usize; 3] = [1, 2, 4];
-const ITERS: usize = 20;
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Mean wall-clock seconds per call of `f` over `ITERS` calls (after one
-/// warm-up call).
-fn time_secs(mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        f();
-    }
-    start.elapsed().as_secs_f64() / ITERS as f64
-}
+const INTRA_OP_THREADS: [usize; 3] = [1, 2, 4];
+const JOB_THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Concurrent independent jobs per round (classes / tenants).
+const JOBS: usize = 8;
 
-struct OpResult {
-    name: &'static str,
-    /// Mean seconds per call, indexed like `THREADS`.
-    secs: Vec<f64>,
-}
-
-impl OpResult {
-    fn speedup(&self, idx: usize) -> f64 {
-        self.secs[0] / self.secs[idx]
-    }
-}
-
-fn bench_ops() -> Vec<OpResult> {
+fn bench_intra_op(iters: usize) -> Vec<Row> {
     let mut rng = Rng::new(42);
     // Sized well above the kernels' parallel thresholds.
     let a = Tensor::randn([128, 128], &mut rng);
@@ -49,106 +57,141 @@ fn bench_ops() -> Vec<OpResult> {
     let x = Tensor::randn([16, 3, 32, 32], &mut rng);
     let w = Tensor::randn([16, 3, 3, 3], &mut rng);
     let spec = Conv2dSpec::default();
-
-    let mut results = vec![
-        OpResult {
-            name: "matmul_128x128",
-            secs: Vec::new(),
-        },
-        OpResult {
-            name: "conv2d_fwd_16x3x32x32_w16",
-            secs: Vec::new(),
-        },
-    ];
-    for &threads in &THREADS {
-        eprintln!("[runtime_scaling] timing at {threads} thread(s)…");
-        let (ma, mb) = (a.clone(), b.clone());
-        let t_matmul = deco_runtime::with_thread_count(threads, move || {
-            time_secs(|| {
-                std::hint::black_box(ma.matmul(&mb));
-            })
-        });
-        results[0].secs.push(t_matmul);
-        let (cx, cw) = (x.clone(), w.clone());
-        let t_conv = deco_runtime::with_thread_count(threads, move || {
-            time_secs(|| {
-                std::hint::black_box(cx.conv2d(&cw, None, spec));
-            })
-        });
-        results[1].secs.push(t_conv);
+    let mut rows = Vec::new();
+    for threads in INTRA_OP_THREADS {
+        rows.push(time_op("matmul_128x128", threads, iters, || {
+            std::hint::black_box(a.matmul(&b));
+        }));
+        rows.push(time_op("conv2d_fwd_16x3x32x32_w16", threads, iters, || {
+            std::hint::black_box(x.conv2d(&w, None, spec));
+        }));
     }
-    results
+    rows
 }
 
-fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("[runtime_scaling] host reports {cores} available core(s)");
-    let results = bench_ops();
+/// One class's immutable match inputs, shared across rounds.
+struct ClassData {
+    config: ConvNetConfig,
+    params: Arc<Vec<Tensor>>,
+    syn: Tensor,
+    syn_labels: Vec<usize>,
+    real: Tensor,
+    real_labels: Vec<usize>,
+}
 
-    println!("\n## runtime_scaling — pool speedup over serial\n");
-    println!("| op | 1T (ms) | 2T (ms) | 4T (ms) | 2T speedup | 4T speedup |");
-    println!("|---|---|---|---|---|---|");
-    for r in &results {
-        println!(
-            "| {} | {:.3} | {:.3} | {:.3} | {:.2}x | {:.2}x |",
-            r.name,
-            r.secs[0] * 1e3,
-            r.secs[1] * 1e3,
-            r.secs[2] * 1e3,
-            r.speedup(1),
-            r.speedup(2),
-        );
-    }
-    println!("\n(host cores: {cores}; speedups are bounded by physical cores)");
-
-    let ops: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("op", Json::Str(r.name.to_string())),
-                (
-                    "mean_ms_per_threads",
-                    Json::Obj(
-                        THREADS
-                            .iter()
-                            .zip(&r.secs)
-                            .map(|(&t, &s)| (format!("{t}"), Json::Num(s * 1e3)))
-                            .collect(),
-                    ),
+fn build_classes() -> Arc<Vec<ClassData>> {
+    let mut rng = Rng::new(0x7410);
+    let (cin, side) = (3usize, 16usize);
+    let config = ConvNetConfig {
+        in_channels: cin,
+        image_side: side,
+        width: 8,
+        depth: 2,
+        num_classes: JOBS,
+        norm: true,
+    };
+    let params = Arc::new(ConvNet::new(config, &mut rng).get_params());
+    let classes = (0..JOBS)
+        .map(|class| {
+            let (ipc, n_real) = (2usize, 8usize);
+            let randn =
+                |n: usize, rng: &mut Rng| -> Vec<f32> { (0..n).map(|_| rng.normal()).collect() };
+            ClassData {
+                config,
+                params: Arc::clone(&params),
+                syn: Tensor::from_vec(
+                    randn(ipc * cin * side * side, &mut rng),
+                    [ipc, cin, side, side],
                 ),
-                ("speedup_2t", Json::Num(r.speedup(1))),
-                ("speedup_4t", Json::Num(r.speedup(2))),
-            ])
+                syn_labels: vec![class; ipc],
+                real: Tensor::from_vec(
+                    randn(n_real * cin * side * side, &mut rng),
+                    [n_real, cin, side, side],
+                ),
+                real_labels: vec![class; n_real],
+            }
         })
         .collect();
-    let intra_op = Json::obj([
-        ("iters_per_point", Json::Num(ITERS as f64)),
-        (
-            "threads",
-            Json::Arr(THREADS.iter().map(|&t| Json::Num(t as f64)).collect()),
-        ),
-        ("ops", Json::Arr(ops)),
-    ]);
+    Arc::new(classes)
+}
 
-    // Schema v2 read-modify-write: preserve the throughput section owned
-    // by the throughput_scaling bench.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
-    let throughput = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| Json::parse(&t).ok())
-        .and_then(|j| j.get("throughput").cloned());
-    let mut fields = vec![
-        ("bench", Json::Str("runtime_scaling".to_string())),
-        ("schema_version", Json::Num(2.0)),
-        ("available_parallelism", Json::Num(cores as f64)),
-        ("intra_op", intra_op),
-    ];
-    if let Some(tp) = throughput {
-        fields.push(("throughput", tp));
+/// [`JOBS`] parallel per-class match jobs per round: each worker
+/// rebuilds its net from the shared snapshot and runs a full
+/// `one_step_match`, timing itself.
+fn run_match_jobs(classes: &Arc<Vec<ClassData>>, threads: usize, rounds: usize) -> Row {
+    deco_runtime::with_thread_count(threads, || {
+        let round = |shared: Arc<Vec<ClassData>>| {
+            deco_runtime::parallel_map((0..JOBS).collect(), move |_, class| {
+                let t = Instant::now();
+                let d = &shared[class];
+                let net = ConvNet::from_params(d.config, &d.params);
+                let batch = MatchBatch {
+                    syn_images: &d.syn,
+                    syn_labels: &d.syn_labels,
+                    real_images: &d.real,
+                    real_labels: &d.real_labels,
+                    real_weights: None,
+                };
+                std::hint::black_box(one_step_match(&net, &batch, None, 0.01));
+                t.elapsed().as_secs_f64() * 1e3
+            })
+        };
+        // Warm-up round fills each worker's pools.
+        round(Arc::clone(classes));
+        let mut latencies_ms = Vec::with_capacity(rounds * JOBS);
+        let start = Instant::now();
+        for _ in 0..rounds {
+            latencies_ms.extend(round(Arc::clone(classes)));
+        }
+        job_row(
+            "match_jobs",
+            threads,
+            start.elapsed().as_secs_f64(),
+            latencies_ms,
+        )
+    })
+}
+
+/// [`JOBS`]-tenant serve fleet: one job per batch step event; event
+/// latencies come from the scheduler's own `batch_seconds`.
+fn run_serve_batches(data: &SyntheticVision, threads: usize, segments: usize) -> Row {
+    deco_runtime::with_thread_count(threads, || {
+        let spill = std::env::temp_dir().join(format!("deco-runtime-bench-{threads}t"));
+        let config = ServerConfig::new(spill).with_batch_tenants(JOBS);
+        let mut server = Server::new(data, config);
+        for id in 0..JOBS as u64 {
+            server.admit(TenantSpec::quick(
+                id,
+                0x7410_0000 ^ id,
+                data.spec(),
+                segments,
+            ));
+            server.submit(id, segments);
+        }
+        let start = Instant::now();
+        let events = server.run();
+        let wall_s = start.elapsed().as_secs_f64();
+        let latencies_ms = events.iter().map(|e| e.batch_seconds * 1e3).collect();
+        job_row("serve_batches", threads, wall_s, latencies_ms)
+    })
+}
+
+fn main() -> ExitCode {
+    let iters = report::iters(20);
+    let segments = iters.min(4);
+    let mut report = Report::new("runtime_scaling", iters)
+        .param("jobs_per_round", JOBS as f64)
+        .param("serve_segments_per_tenant", segments as f64);
+    report.rows = bench_intra_op(iters);
+    let classes = build_classes();
+    for threads in JOB_THREADS {
+        report.rows.push(run_match_jobs(&classes, threads, iters));
     }
-    let report = Json::obj(fields);
-    let mut text = report.to_string_pretty();
-    text.push('\n');
-    std::fs::write(path, text).expect("write BENCH_runtime.json");
-    eprintln!("[runtime_scaling] wrote {path}");
+    let data = SyntheticVision::new(core50());
+    for threads in JOB_THREADS {
+        report
+            .rows
+            .push(run_serve_batches(&data, threads, segments));
+    }
+    report::finish(&report, "BENCH_runtime.json", &[("match_jobs", 1)])
 }

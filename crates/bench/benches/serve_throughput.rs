@@ -6,66 +6,41 @@
 //! batch dispatch), not just the condensation math.
 //!
 //! Writes `BENCH_serve.json` at the repository root (linked from
-//! EXPERIMENTS.md): tenants/sec and events/sec per thread count, p50/p99
-//! batch step latency, the steady-state serialized bytes per tenant, and
-//! the host's honest `available_parallelism` — on a single-core runner
-//! the thread scaling is expected to be ≈1.0× and the table documents
-//! the scheduling overhead rather than a speedup.
+//! EXPERIMENTS.md) through `deco_bench::report`: one `fleet_events` row
+//! per thread count, whose `mean_ms` is wall time per event, with p50/p99
+//! batch step latency and the eviction and rehydration counts; the
+//! header's `params` hold the fleet shape, the memory budget and the
+//! steady-state serialized bytes per tenant. On a host with fewer cores
+//! than threads the rows document the scheduling overhead rather than a
+//! speedup. `DECO_BENCH_ITERS` sets the segments per tenant (default 4).
 //!
 //! ```bash
-//! cargo bench -p deco-bench --bench serve_throughput            # full run
+//! cargo bench -p deco-bench --bench serve_throughput            # regenerate
 //! DECO_BENCH_ITERS=2 cargo bench -p deco-bench --bench serve_throughput -- --check
 //! ```
 //!
-//! `--check` reads the committed `BENCH_serve.json` *before* overwriting
-//! it and fails (exit 1) if single-thread `events_per_sec` dropped below
-//! `committed / CHECK_FACTOR` — a generous gate for order-of-magnitude
-//! regressions on shared CI runners, not micro-noise.
+//! `--check` gates the single-thread `fleet_events` row against the
+//! committed file.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use deco_bench::report::{self, job_row, Report, Row};
 use deco_datasets::{core50, SyntheticVision};
 use deco_serve::{Server, ServerConfig, TenantSession, TenantSpec};
-use deco_telemetry::json::Json;
 
-/// Regression gate for `--check`: fail if single-thread events/sec falls
-/// below the committed value divided by this factor.
-const CHECK_FACTOR: f64 = 2.5;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const TENANTS: u64 = 12;
+const BATCH_TENANTS: usize = 8;
+/// The gated op.
+const FLEET_OP: &str = "fleet_events";
 
-/// Segments per tenant; `DECO_BENCH_ITERS` shrinks it for CI smoke runs.
-fn segments() -> usize {
-    std::env::var("DECO_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(4)
-}
-
-struct RunResult {
-    threads: usize,
-    wall_s: f64,
-    events: usize,
-    p50_ms: f64,
-    p99_ms: f64,
-    evictions: u64,
-    rehydrations: u64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-fn run_fleet(data: &SyntheticVision, threads: usize, segments: usize, budget: u64) -> RunResult {
+fn run_fleet(data: &SyntheticVision, threads: usize, segments: usize, budget: u64) -> Row {
     deco_runtime::with_thread_count(threads, || {
         let spill = std::env::temp_dir().join(format!("deco-serve-bench-{threads}t"));
         let config = ServerConfig::new(spill)
             .with_budget(Some(budget))
-            .with_batch_tenants(8);
+            .with_batch_tenants(BATCH_TENANTS);
         let mut server = Server::new(data, config);
         for id in 0..TENANTS {
             server.admit(TenantSpec::quick(
@@ -79,37 +54,15 @@ fn run_fleet(data: &SyntheticVision, threads: usize, segments: usize, budget: u6
         let start = Instant::now();
         let events = server.run();
         let wall_s = start.elapsed().as_secs_f64();
-        let mut latencies: Vec<f64> = events.iter().map(|e| e.batch_seconds * 1e3).collect();
-        latencies.sort_by(f64::total_cmp);
-        RunResult {
-            threads,
-            wall_s,
-            events: events.len(),
-            p50_ms: percentile(&latencies, 0.50),
-            p99_ms: percentile(&latencies, 0.99),
-            evictions: server.evictions(),
-            rehydrations: server.rehydrations(),
-        }
+        let latencies_ms = events.iter().map(|e| e.batch_seconds * 1e3).collect();
+        job_row(FLEET_OP, threads, wall_s, latencies_ms)
+            .with("evictions", server.evictions() as f64)
+            .with("rehydrations", server.rehydrations() as f64)
     })
 }
 
-fn baseline_events_per_sec(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let json = Json::parse(&text).ok()?;
-    json.get("threads")?
-        .as_array()?
-        .iter()
-        .find(|t| t.get("threads").and_then(Json::as_f64) == Some(1.0))?
-        .get("events_per_sec")?
-        .as_f64()
-}
-
-fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    let segments = segments();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let baseline = baseline_events_per_sec(path);
-
+fn main() -> ExitCode {
+    let segments = report::iters(4);
     let data = SyntheticVision::new(core50());
     // A budget of ~half the fleet forces steady evict/rehydrate churn.
     let probe_spec = TenantSpec::quick(u64::MAX, 0xBEEF, data.spec(), 1);
@@ -119,93 +72,14 @@ fn main() {
     let budget = per_tenant * (TENANTS / 2);
     drop(probe);
 
-    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    eprintln!(
-        "[serve_throughput] {TENANTS} tenants x {segments} segments, budget {budget} bytes, \
-         host parallelism {parallelism}"
-    );
-
-    let results: Vec<RunResult> = THREAD_COUNTS
+    let mut report = Report::new("serve_throughput", segments)
+        .param("tenants", TENANTS as f64)
+        .param("batch_tenants", BATCH_TENANTS as f64)
+        .param("mem_budget_bytes", budget as f64)
+        .param("steady_state_bytes_per_tenant", state_bytes as f64);
+    report.rows = THREAD_COUNTS
         .iter()
         .map(|&t| run_fleet(&data, t, segments, budget))
         .collect();
-
-    println!("\n## serve_throughput — {TENANTS} tenants x {segments} segments, eviction-forcing budget\n");
-    println!("| threads | events/s | tenants/s | p50 (ms) | p99 (ms) | evictions | rehydrations |");
-    println!("|---|---|---|---|---|---|---|");
-    for r in &results {
-        println!(
-            "| {} | {:.2} | {:.2} | {:.1} | {:.1} | {} | {} |",
-            r.threads,
-            r.events as f64 / r.wall_s,
-            TENANTS as f64 / r.wall_s,
-            r.p50_ms,
-            r.p99_ms,
-            r.evictions,
-            r.rehydrations
-        );
-    }
-    println!(
-        "\nsteady-state session file: {state_bytes} bytes/tenant (host parallelism {parallelism})"
-    );
-
-    let threads_json: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("threads", Json::Num(r.threads as f64)),
-                ("wall_s", Json::Num(r.wall_s)),
-                ("events", Json::Num(r.events as f64)),
-                ("events_per_sec", Json::Num(r.events as f64 / r.wall_s)),
-                ("tenants_per_sec", Json::Num(TENANTS as f64 / r.wall_s)),
-                ("p50_step_ms", Json::Num(r.p50_ms)),
-                ("p99_step_ms", Json::Num(r.p99_ms)),
-                ("evictions", Json::Num(r.evictions as f64)),
-                ("rehydrations", Json::Num(r.rehydrations as f64)),
-            ])
-        })
-        .collect();
-    let report = Json::obj([
-        ("bench", Json::Str("serve_throughput".to_string())),
-        ("tenants", Json::Num(TENANTS as f64)),
-        ("segments_per_tenant", Json::Num(segments as f64)),
-        ("batch_tenants", Json::Num(8.0)),
-        ("mem_budget_bytes", Json::Num(budget as f64)),
-        (
-            "steady_state_bytes_per_tenant",
-            Json::Num(state_bytes as f64),
-        ),
-        ("available_parallelism", Json::Num(parallelism as f64)),
-        ("threads", Json::Arr(threads_json)),
-    ]);
-    let mut text = report.to_string_pretty();
-    text.push('\n');
-    std::fs::write(path, text).expect("write BENCH_serve.json");
-    eprintln!("[serve_throughput] wrote {path}");
-
-    if check {
-        let current = results
-            .iter()
-            .find(|r| r.threads == 1)
-            .map(|r| r.events as f64 / r.wall_s)
-            .expect("single-thread run missing");
-        match baseline {
-            Some(base) if current < base / CHECK_FACTOR => {
-                eprintln!(
-                    "[serve_throughput] REGRESSION: 1T {current:.2} events/s < \
-                     committed {base:.2} / {CHECK_FACTOR}"
-                );
-                std::process::exit(1);
-            }
-            Some(base) => {
-                eprintln!(
-                    "[serve_throughput] check ok: 1T {current:.2} events/s vs \
-                     committed {base:.2} (limit /{CHECK_FACTOR})"
-                );
-            }
-            None => {
-                eprintln!("[serve_throughput] check skipped: no committed baseline");
-            }
-        }
-    }
+    report::finish(&report, "BENCH_serve.json", &[(FLEET_OP, 1)])
 }

@@ -1,7 +1,10 @@
 //! # deco-bench
 //!
 //! The benchmark harness of the DECO reproduction: one binary per paper
-//! table/figure (see `DESIGN.md` §3) plus Criterion micro-benchmarks.
+//! table/figure (see `DESIGN.md` §3), plus four `cargo bench` targets
+//! (`kernel_scaling`, `condense_step`, `runtime_scaling`,
+//! `serve_throughput`) that write the `BENCH_*.json` files through
+//! [`report`], the shared schema and `--check` gate.
 //!
 //! Every binary accepts:
 //!
@@ -18,6 +21,8 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+pub mod report;
 
 use std::path::PathBuf;
 

@@ -1,11 +1,11 @@
 //! Full-graph gradient audit.
 //!
 //! One [`AuditEntry`] per public op in `crates/tensor/src/ops/` and per
-//! layer in `crates/nn/src/layers.rs` (plus `Dropout` and the condense
-//! matcher). Each entry is either finite-difference gradient-checked,
-//! verified against an algebraic identity (adjoint pairs, involutions,
-//! naive recomputation), or exempted with an explicit reason (constructors
-//! and pure-geometry helpers).
+//! layer in `crates/nn/src/layers.rs` (plus the condense matcher). Each
+//! entry is either finite-difference
+//! gradient-checked, verified against an algebraic identity (adjoint
+//! pairs, involutions, naive recomputation), or exempted with an
+//! explicit reason (constructors and pure-geometry helpers).
 //!
 //! Coverage is *enforced*, not aspirational: [`parsed_op_surface`],
 //! [`parsed_layer_surface`] and [`parsed_dtype_surface`] extract the
@@ -24,8 +24,8 @@ use std::path::{Path, PathBuf};
 
 use deco_condense::{numeric_image_grad, one_step_match, MatchBatch};
 use deco_nn::{
-    cosine_distance, cosine_distance_grad, Conv2d, ConvNet, ConvNetConfig, Dropout, GradList,
-    GroupNorm, Linear,
+    cosine_distance, cosine_distance_grad, Conv2d, ConvNet, ConvNetConfig, GradList, GroupNorm,
+    Linear,
 };
 use deco_telemetry::Json;
 use deco_tensor::gradcheck::grad_report;
@@ -215,51 +215,10 @@ pub fn entries() -> Vec<AuditEntry> {
             1e-5,
             check_avg_pool_adjoint
         ),
-        entry!("conv::max_pool2d", Gradcheck, 2e-2, check_max_pool),
-        entry!(
-            "conv::max_pool2d_grad",
-            Algebraic,
-            0.0,
-            check_max_pool_routing
-        ),
         // --- crates/tensor/src/ops/reduce.rs ---
         entry!("reduce::sum_axes", Gradcheck, 2e-2, check_sum_axes),
         entry!("reduce::mean_axes", Gradcheck, 2e-2, check_mean_axes),
         entry!("reduce::argmax_rows", Algebraic, 0.0, check_argmax_rows),
-        entry!("reduce::max_rows", Algebraic, 0.0, check_max_rows),
-        // --- crates/tensor/src/ops/stats.rs ---
-        entry!("stats::var_axes", Algebraic, 1e-3, check_var_axes),
-        entry!("stats::std_axes", Algebraic, 1e-3, check_std_axes),
-        entry!("stats::standardized", Algebraic, 1e-3, check_standardized),
-        entry!("stats::clamp", Algebraic, 0.0, check_clamp),
-        entry!("stats::abs", Algebraic, 1e-3, check_abs),
-        entry!("stats::softmax_rows", Algebraic, 1e-4, check_softmax_rows),
-        entry!(
-            "stats::cosine_similarity",
-            Algebraic,
-            1e-4,
-            check_cosine_similarity
-        ),
-        entry!(
-            "stats::pairwise_sq_distances",
-            Algebraic,
-            1e-4,
-            check_pairwise
-        ),
-        entry!("stats::histogram", Algebraic, 0.0, check_histogram),
-        entry!("stats::mean_rows", Algebraic, 1e-4, check_mean_rows),
-        entry!(
-            "stats::new",
-            Exempt("default constructor, no arithmetic"),
-            0.0,
-            zero
-        ),
-        entry!("stats::push", Algebraic, 1e-3, check_running_stats),
-        entry!("stats::count", Algebraic, 0.0, check_running_stats_count),
-        entry!("stats::mean", Algebraic, 1e-3, check_running_stats),
-        entry!("stats::variance", Algebraic, 1e-3, check_running_stats),
-        entry!("stats::std", Algebraic, 1e-3, check_running_stats),
-        entry!("stats::expect_shape", Algebraic, 0.0, check_expect_shape),
         // --- crates/tensor/src/ops/transform.rs ---
         entry!("transform::select_rows", Gradcheck, 2e-2, check_select_rows),
         entry!(
@@ -311,11 +270,10 @@ pub fn entries() -> Vec<AuditEntry> {
             0.0,
             check_fused_softmax_ce_bwd
         ),
-        // --- crates/nn/src/layers.rs + dropout.rs ---
+        // --- crates/nn/src/layers.rs ---
         entry!("layers::Conv2d", Gradcheck, 3e-2, check_layer_conv2d),
         entry!("layers::Linear", Gradcheck, 3e-2, check_layer_linear),
         entry!("layers::GroupNorm", Gradcheck, 5e-2, check_layer_group_norm),
-        entry!("dropout::Dropout", Algebraic, 0.0, check_dropout_eval),
         // --- the autograd tape arena (crates/tensor/src/autograd.rs) ---
         entry!(
             "autograd::with_tape_arena",
@@ -501,7 +459,7 @@ fn parse_names(path: &Path, prefix: &str) -> Vec<String> {
 pub fn parsed_op_surface() -> Vec<String> {
     let ops = repo_crates_dir().join("tensor/src/ops");
     let mut out = Vec::new();
-    for module in ["conv", "fused", "linalg", "reduce", "stats", "transform"] {
+    for module in ["conv", "fused", "linalg", "reduce", "transform"] {
         for f in parse_pub_fns(&ops.join(format!("{module}.rs"))) {
             out.push(format!("{module}::{f}"));
         }
@@ -510,16 +468,14 @@ pub fn parsed_op_surface() -> Vec<String> {
     out
 }
 
-/// `module::Struct` names for every layer struct in
-/// `crates/nn/src/layers.rs` and `crates/nn/src/dropout.rs`.
+/// `layers::Struct` names for every layer struct in
+/// `crates/nn/src/layers.rs`.
 pub fn parsed_layer_surface() -> Vec<String> {
-    let nn = repo_crates_dir().join("nn/src");
-    let mut out = Vec::new();
-    for module in ["layers", "dropout"] {
-        for s in parse_pub_structs(&nn.join(format!("{module}.rs"))) {
-            out.push(format!("{module}::{s}"));
-        }
-    }
+    let path = repo_crates_dir().join("nn/src/layers.rs");
+    let mut out: Vec<String> = parse_pub_structs(&path)
+        .into_iter()
+        .map(|s| format!("layers::{s}"))
+        .collect();
     out.sort();
     out
 }
@@ -666,32 +622,6 @@ fn check_avg_pool_adjoint() -> f32 {
     rel(lhs, rhs)
 }
 
-fn check_max_pool() -> f32 {
-    // Distinct, well-separated values so finite differences never cross a
-    // max boundary (gaps of 0.1 >> 2·eps).
-    let vals: Vec<f32> = (0..16).map(|i| ((i * 7) % 16) as f32 * 0.1).collect();
-    let x = Tensor::from_vec(vals, [1, 1, 4, 4]);
-    grad_report(&[x], 1e-3, 1, |v| v[0].max_pool2d(2).square().sum()).max_rel_deviation
-}
-
-fn check_max_pool_routing() -> f32 {
-    // Gradients must land exactly on the argmax positions.
-    let mut rng = Rng::new(109);
-    let x = Tensor::randn([2, 2, 4, 4], &mut rng);
-    let (_, idx) = x.max_pool2d(2);
-    let g = Tensor::randn([2, 2, 2, 2], &mut rng);
-    let gin = g.max_pool2d_grad(&idx, 2);
-    let mut expected = vec![0.0f32; x.numel()];
-    for (o, &i) in idx.iter().enumerate() {
-        expected[i] += g.data()[o];
-    }
-    if gin.data() == expected.as_slice() {
-        0.0
-    } else {
-        1.0
-    }
-}
-
 fn check_sum_axes() -> f32 {
     let mut rng = Rng::new(110);
     let x = Tensor::randn([2, 3, 4], &mut rng);
@@ -773,231 +703,6 @@ fn check_argmax_rows() -> f32 {
         }
     }
     0.0
-}
-
-fn check_max_rows() -> f32 {
-    let mut rng = Rng::new(113);
-    let x = Tensor::randn([6, 5], &mut rng);
-    let got = x.max_rows();
-    let mut worst = 0.0f32;
-    for i in 0..6 {
-        let mut best = f64::NEG_INFINITY;
-        for j in 0..5 {
-            best = best.max(f64::from(x.at(&[i, j])));
-        }
-        worst = worst.max(rel(f64::from(got.at(&[i, 0])), best));
-    }
-    worst
-}
-
-fn naive_moments(x: &Tensor, row: usize) -> (f64, f64) {
-    let c = x.shape().dim(1);
-    let mut mean = 0.0f64;
-    for j in 0..c {
-        mean += f64::from(x.at(&[row, j]));
-    }
-    mean /= c as f64;
-    let mut var = 0.0f64;
-    for j in 0..c {
-        var += (f64::from(x.at(&[row, j])) - mean).powi(2);
-    }
-    (mean, var / c as f64)
-}
-
-fn check_var_axes() -> f32 {
-    let mut rng = Rng::new(114);
-    let x = Tensor::randn([4, 7], &mut rng);
-    let got = x.var_axes(&[1], false);
-    let mut worst = 0.0f32;
-    for i in 0..4 {
-        let (_, var) = naive_moments(&x, i);
-        worst = worst.max(rel(f64::from(got.at(&[i])), var));
-    }
-    worst
-}
-
-fn check_std_axes() -> f32 {
-    let mut rng = Rng::new(115);
-    let x = Tensor::randn([4, 7], &mut rng);
-    let got = x.std_axes(&[1], false);
-    let mut worst = 0.0f32;
-    for i in 0..4 {
-        let (_, var) = naive_moments(&x, i);
-        worst = worst.max(rel(f64::from(got.at(&[i])), var.sqrt()));
-    }
-    worst
-}
-
-fn check_standardized() -> f32 {
-    let mut rng = Rng::new(116);
-    let x = &Tensor::randn([30], &mut rng) * 2.5 + 4.0;
-    let z = x.standardized();
-    let flat = Tensor::from_vec(x.data().to_vec(), [1, 30]);
-    let (mean, var) = naive_moments(&flat, 0);
-    let std = (var + 1e-8).sqrt();
-    let mut worst = 0.0f32;
-    for i in 0..30 {
-        let expect = (f64::from(x.data()[i]) - mean) / std;
-        worst = worst.max(rel(f64::from(z.data()[i]), expect));
-    }
-    worst
-}
-
-fn check_clamp() -> f32 {
-    let x = Tensor::from_vec(vec![-5.0, -1.0, 0.0, 0.5, 1.0, 7.0], [6]);
-    let got = x.clamp(-1.0, 1.0);
-    let expect = [-1.0f32, -1.0, 0.0, 0.5, 1.0, 1.0];
-    if got.data() == expect {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_abs() -> f32 {
-    let mut rng = Rng::new(117);
-    let x = Tensor::randn([12], &mut rng);
-    let got = x.abs();
-    let ok = got.data().iter().zip(x.data()).all(|(&a, &v)| a == v.abs());
-    // Gradient away from the kink at zero (|x| ≥ ~0.02 for seed 117 data
-    // would be fragile; use a fixed well-separated input instead).
-    let y = Tensor::from_vec(vec![-2.0, -0.5, 0.5, 3.0], [4]);
-    let fd = grad_report(&[y], 1e-3, 1, |v| v[0].abs().sum()).max_rel_deviation;
-    if ok {
-        fd
-    } else {
-        1.0
-    }
-}
-
-fn check_softmax_rows() -> f32 {
-    let mut rng = Rng::new(118);
-    let x = Tensor::randn([3, 6], &mut rng);
-    let got = x.softmax_rows();
-    let mut worst = 0.0f32;
-    for i in 0..3 {
-        let mut denom = 0.0f64;
-        for j in 0..6 {
-            denom += f64::from(x.at(&[i, j])).exp();
-        }
-        for j in 0..6 {
-            let expect = f64::from(x.at(&[i, j])).exp() / denom;
-            worst = worst.max(rel(f64::from(got.at(&[i, j])), expect));
-        }
-    }
-    worst
-}
-
-fn check_cosine_similarity() -> f32 {
-    let mut rng = Rng::new(119);
-    let a = Tensor::randn([10], &mut rng);
-    let b = Tensor::randn([10], &mut rng);
-    let mut dot = 0.0f64;
-    let mut na = 0.0f64;
-    let mut nb = 0.0f64;
-    for i in 0..10 {
-        let (x, y) = (f64::from(a.data()[i]), f64::from(b.data()[i]));
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    let expect = dot / (na.sqrt() * nb.sqrt());
-    let mut worst = rel(f64::from(a.cosine_similarity(&b)), expect);
-    if a.cosine_similarity(&Tensor::zeros([10])) != 0.0 {
-        worst = 1.0;
-    }
-    worst
-}
-
-fn check_pairwise() -> f32 {
-    let mut rng = Rng::new(120);
-    let a = Tensor::randn([3, 4], &mut rng);
-    let b = Tensor::randn([2, 4], &mut rng);
-    let got = a.pairwise_sq_distances(&b);
-    let mut worst = 0.0f32;
-    for i in 0..3 {
-        for j in 0..2 {
-            let mut acc = 0.0f64;
-            for d in 0..4 {
-                let diff = f64::from(a.at(&[i, d])) - f64::from(b.at(&[j, d]));
-                acc += diff * diff;
-            }
-            worst = worst.max(rel(f64::from(got.at(&[i, j])), acc));
-        }
-    }
-    worst
-}
-
-fn check_histogram() -> f32 {
-    let x = Tensor::from_vec(vec![-3.0, 0.05, 0.15, 0.5, 0.95, 42.0], [6]);
-    let got = x.histogram(0.0, 1.0, 4);
-    // Naive: clamp into edge buckets.
-    let mut expect = vec![0usize; 4];
-    for &v in x.data() {
-        let idx = (((v * 4.0) as isize).clamp(0, 3)) as usize;
-        expect[idx] += 1;
-    }
-    if got == expect {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_mean_rows() -> f32 {
-    let mut rng = Rng::new(121);
-    let x = Tensor::randn([5, 3], &mut rng);
-    let got = x.mean_rows();
-    let mut worst = 0.0f32;
-    for j in 0..3 {
-        let mut acc = 0.0f64;
-        for i in 0..5 {
-            acc += f64::from(x.at(&[i, j]));
-        }
-        worst = worst.max(rel(f64::from(got.at(&[j])), acc / 5.0));
-    }
-    worst
-}
-
-fn check_running_stats() -> f32 {
-    let mut rng = Rng::new(122);
-    let values: Vec<f32> = (0..200).map(|_| rng.normal_with(3.0, 2.0)).collect();
-    let mut rs = deco_tensor::RunningStats::new();
-    for &v in &values {
-        rs.push(v);
-    }
-    let mean: f64 = values.iter().map(|&v| f64::from(v)).sum::<f64>() / 200.0;
-    let var: f64 = values
-        .iter()
-        .map(|&v| (f64::from(v) - mean).powi(2))
-        .sum::<f64>()
-        / 200.0;
-    rel(f64::from(rs.mean()), mean)
-        .max(rel(f64::from(rs.variance()), var))
-        .max(rel(f64::from(rs.std()), var.sqrt()))
-}
-
-fn check_running_stats_count() -> f32 {
-    let mut rs = deco_tensor::RunningStats::new();
-    for i in 0..17 {
-        rs.push(i as f32);
-    }
-    if rs.count() == 17 {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_expect_shape() -> f32 {
-    let s = deco_tensor::Shape::new(vec![2, 3]);
-    let ok = deco_tensor::ops::stats::expect_shape(&s, &[2, 3]).is_ok()
-        && deco_tensor::ops::stats::expect_shape(&s, &[3, 2]).is_err();
-    if ok {
-        0.0
-    } else {
-        1.0
-    }
 }
 
 fn check_select_rows() -> f32 {
@@ -1238,25 +943,6 @@ fn check_layer_group_norm() -> f32 {
     worst
 }
 
-fn check_dropout_eval() -> f32 {
-    let mut rng = Rng::new(131);
-    let d = Dropout::new(0.5);
-    let x = Tensor::randn([3, 4], &mut rng);
-    // Eval mode is the identity: value bitwise-equal, gradient all-ones.
-    let leaf = Var::leaf(x.clone(), true);
-    let y = d.forward(&leaf, false, &mut rng);
-    if y.value() != &x {
-        return 1.0;
-    }
-    y.sum().backward();
-    let g = leaf.grad().expect("dropout passes gradients in eval mode");
-    if g.data().iter().all(|&v| v == 1.0) {
-        0.0
-    } else {
-        1.0
-    }
-}
-
 fn check_cosine_grad_fd() -> f32 {
     // ∇_g D of the matching distance vs central finite differences.
     let mut rng = Rng::new(132);
@@ -1368,8 +1054,25 @@ fn check_eq7_matcher() -> f32 {
         .copied()
         .collect();
     let b: Vec<f32> = numeric.data().iter().step_by(2).copied().collect();
-    let cos = Tensor::from_vec(a, [64]).cosine_similarity(&Tensor::from_vec(b, [64]));
-    (1.0 - cos).max(0.0)
+    cosine_deviation(&a, &b)
+}
+
+/// `1 − cosine` between two gradient fields, or 1.0 when either field is
+/// all zeros or the cosine is not finite: a matcher that returns a zero
+/// image gradient must fail the check, not read as a perfect match.
+fn cosine_deviation(a: &[f32], b: &[f32]) -> f32 {
+    let (mut dot, mut na, mut nb) = (0.0f64, 0.0f64, 0.0f64);
+    for (&x, &y) in a.iter().zip(b) {
+        let (x, y) = (f64::from(x), f64::from(y));
+        dot += x * y;
+        na += x * x;
+        nb += y * y;
+    }
+    let cos = dot / (na.sqrt() * nb.sqrt());
+    if na == 0.0 || nb == 0.0 || !cos.is_finite() {
+        return 1.0;
+    }
+    (1.0 - cos).max(0.0) as f32
 }
 
 fn check_tape_arena_transparent() -> f32 {
@@ -1687,9 +1390,24 @@ mod tests {
             layers.contains(&"layers::GroupNorm".to_string()),
             "{layers:?}"
         );
-        assert!(layers.contains(&"dropout::Dropout".to_string()));
+        assert!(layers.contains(&"layers::Linear".to_string()));
         let dtype = parsed_dtype_surface();
         assert!(dtype.contains(&"dtype::encode".to_string()), "{dtype:?}");
+    }
+
+    #[test]
+    fn a_zero_or_non_finite_gradient_field_fails_the_matcher_check() {
+        let tol = entries()
+            .iter()
+            .find(|e| e.name == "matcher::eq7_one_step_match")
+            .expect("matcher entry")
+            .tolerance;
+        let g = [0.5f32, -1.0, 2.0, 0.25];
+        assert!(cosine_deviation(&g, &g) < 1e-6);
+        assert!(cosine_deviation(&[0.0; 4], &g) > tol);
+        assert!(cosine_deviation(&g, &[0.0; 4]) > tol);
+        assert!(cosine_deviation(&[f32::NAN, 0.0, 1.0, 0.0], &g) > tol);
+        assert!(cosine_deviation(&[f32::INFINITY, 0.0, 1.0, 0.0], &g) > tol);
     }
 
     #[test]

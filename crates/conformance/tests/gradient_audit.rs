@@ -56,10 +56,8 @@ fn no_stale_audit_entries() {
         "fused",
         "linalg",
         "reduce",
-        "stats",
         "transform",
         "layers",
-        "dropout",
         "dtype",
     ];
     let mut stale = Vec::new();

@@ -3,7 +3,7 @@
 //! The neural-network substrate of the DECO reproduction: layers, the
 //! DC-standard [`ConvNet`] backbone, the paper's loss functions
 //! (confidence-weighted cross-entropy, feature discrimination), gradient
-//! lists with the cosine matching distance, and the SGD/Adam optimizers.
+//! lists with the cosine matching distance, and the SGD optimizer.
 //!
 //! ```
 //! use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig, Sgd};
@@ -25,7 +25,6 @@
 #![deny(unsafe_code)]
 
 mod convnet;
-mod dropout;
 mod grad;
 mod init;
 mod layers;
@@ -33,15 +32,12 @@ mod loss;
 mod mlp;
 mod optim;
 mod param;
-mod schedule;
 
 pub use convnet::{ConvNet, ConvNetConfig, Prediction};
-pub use dropout::Dropout;
 pub use grad::{cosine_distance, cosine_distance_grad, GradList};
 pub use init::{kaiming_conv, kaiming_linear};
 pub use layers::{Conv2d, GroupNorm, Linear};
 pub use loss::{feature_discrimination_loss, weighted_cross_entropy, DiscriminationSpec};
 pub use mlp::{Mlp, MlpConfig};
-pub use optim::{Adam, Sgd};
+pub use optim::Sgd;
 pub use param::Param;
-pub use schedule::LrSchedule;

@@ -1,12 +1,13 @@
-//! Optimizers: SGD with momentum (the on-device model optimizer `opt_θ`)
-//! and Adam (the synthetic-data optimizer `opt_S`).
+//! The optimizer: SGD with momentum, used both for the on-device model
+//! (`opt_θ`) and, as in DC, for the synthetic images (`opt_S`, momentum
+//! 0.5).
 //!
-//! Both expose two levels:
-//! * [`Sgd::step`] / [`Adam::step`] update a model's [`Param`]s from their
-//!   recorded autograd gradients;
-//! * [`Sgd::step_slot`] / [`Adam::step_slot`] update a raw tensor from an
-//!   explicitly supplied gradient — which is how the condensers apply the
-//!   finite-difference image gradients that never pass through autograd.
+//! It exposes two levels:
+//! * [`Sgd::step`] updates a model's [`Param`]s from their recorded
+//!   autograd gradients;
+//! * [`Sgd::step_slot`] updates a raw tensor from an explicitly supplied
+//!   gradient — which is how the condensers apply the finite-difference
+//!   image gradients that never pass through autograd.
 
 use deco_tensor::Tensor;
 
@@ -128,103 +129,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u32,
-    m: Vec<Option<Tensor>>,
-    v: Vec<Option<Tensor>>,
-}
-
-impl Adam {
-    /// Adam with default betas (0.9, 0.999).
-    ///
-    /// # Panics
-    /// Panics unless `lr > 0`.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// The configured learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Advances the shared timestep. Call once per optimization step,
-    /// before the `step_slot` calls of that step.
-    pub fn tick(&mut self) {
-        self.t += 1;
-    }
-
-    /// Updates `value` in place from `grad` with per-`slot` moment state.
-    /// [`Adam::tick`] must have been called at least once.
-    ///
-    /// # Panics
-    /// Panics if shapes differ or `tick` was never called.
-    pub fn step_slot(&mut self, slot: usize, value: &mut Tensor, grad: &Tensor) {
-        assert_eq!(value.shape(), grad.shape(), "grad shape mismatch");
-        assert!(self.t > 0, "call Adam::tick before step_slot");
-        if self.m.len() <= slot {
-            self.m.resize(slot + 1, None);
-            self.v.resize(slot + 1, None);
-        }
-        let m = self.m[slot].get_or_insert_with(|| Tensor::zeros(value.shape().dims().to_vec()));
-        m.scale_mut(self.beta1);
-        m.add_scaled(grad, 1.0 - self.beta1);
-        let v = self.v[slot].get_or_insert_with(|| Tensor::zeros(value.shape().dims().to_vec()));
-        v.scale_mut(self.beta2);
-        let g2 = grad * grad;
-        v.add_scaled(&g2, 1.0 - self.beta2);
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let eps = self.eps;
-        let update = m.zip_broadcast(v, |mi, vi| (mi / bc1) / ((vi / bc2).sqrt() + eps));
-        value.add_scaled(&update, -self.lr);
-    }
-
-    /// Ticks once and updates every parameter from its recorded gradient.
-    pub fn step(&mut self, params: &[&Param]) {
-        self.tick();
-        for (i, p) in params.iter().enumerate() {
-            if let Some(g) = p.grad() {
-                let mut v = p.tensor();
-                self.step_slot(i, &mut v, &g);
-                p.set(v);
-            }
-        }
-    }
-
-    /// Forgets all moment state and resets the timestep.
-    pub fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
-    }
-
-    /// Heap bytes held by the first- and second-moment buffers.
-    pub fn state_bytes(&self) -> u64 {
-        self.m
-            .iter()
-            .chain(self.v.iter())
-            .flatten()
-            .map(Tensor::heap_bytes)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,26 +199,6 @@ mod tests {
             opt.step_slot(0, &mut x, &g);
         }
         assert!((x.item() - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn adam_quadratic_converges() {
-        let mut opt = Adam::new(0.2);
-        let mut x = Tensor::from_vec(vec![10.0], [1]);
-        for _ in 0..300 {
-            opt.tick();
-            let g = Tensor::from_vec(vec![2.0 * (x.item() - 3.0)], [1]);
-            opt.step_slot(0, &mut x, &g);
-        }
-        assert!((x.item() - 3.0).abs() < 0.05, "x = {}", x.item());
-    }
-
-    #[test]
-    #[should_panic(expected = "call Adam::tick")]
-    fn adam_requires_tick() {
-        let mut opt = Adam::new(0.1);
-        let mut x = Tensor::zeros([1]);
-        opt.step_slot(0, &mut x, &Tensor::ones([1]));
     }
 
     #[test]

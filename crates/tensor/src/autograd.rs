@@ -677,20 +677,6 @@ impl Var {
         )
     }
 
-    /// Subtracts a scalar.
-    pub fn sub_scalar(&self, c: f32) -> Var {
-        self.add_scalar(-c)
-    }
-
-    /// Divides by a scalar.
-    ///
-    /// # Panics
-    /// Panics if `c == 0`.
-    pub fn div_scalar(&self, c: f32) -> Var {
-        assert!(c != 0.0, "division by zero scalar");
-        self.mul_scalar(1.0 / c)
-    }
-
     /// Elementwise integer power (composed from repeated squaring of the
     /// graph for small `n`; use `square` for `n = 2`).
     ///
@@ -703,47 +689,6 @@ impl Var {
             acc = acc.mul(self);
         }
         acc
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Var {
-        let value = self.value().map(f32::tanh);
-        let out = value.clone();
-        Var::from_op(
-            value,
-            &[self],
-            Box::new(move |g| grads![Some(g * &out.map(|y| 1.0 - y * y))]),
-        )
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Var {
-        let value = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        let out = value.clone();
-        Var::from_op(
-            value,
-            &[self],
-            Box::new(move |g| grads![Some(g * &out.map(|y| y * (1.0 - y)))]),
-        )
-    }
-
-    /// Leaky rectified linear unit with negative slope `slope`.
-    pub fn leaky_relu(&self, slope: f32) -> Var {
-        let v = self.value().clone();
-        let value = self.value().map(|x| if x > 0.0 { x } else { slope * x });
-        Var::from_op(
-            value,
-            &[self],
-            Box::new(move |g| {
-                grads![Some(g.zip_broadcast(&v, |gi, xi| {
-                    if xi > 0.0 {
-                        gi
-                    } else {
-                        slope * gi
-                    }
-                }))]
-            }),
-        )
     }
 
     /// Elementwise absolute value (subgradient 0 at the origin).
@@ -923,17 +868,6 @@ impl Var {
             value,
             &[self],
             Box::new(move |g| grads![Some(g.avg_pool2d_grad(k))]),
-        )
-    }
-
-    /// Non-overlapping max pooling; the gradient routes to the winning
-    /// input positions.
-    pub fn max_pool2d(&self, k: usize) -> Var {
-        let (value, indices) = self.value().max_pool2d(k);
-        Var::from_op(
-            value,
-            &[self],
-            Box::new(move |g| grads![Some(g.max_pool2d_grad(&indices, k))]),
         )
     }
 
@@ -1145,7 +1079,7 @@ impl Var {
     /// Panics unless `self` is `[n, c, h, w]` with `c % groups == 0` and
     /// `gamma`/`beta` have `c` elements.
     pub fn group_norm_relu(&self, gamma: &Var, beta: &Var, groups: usize, eps: f32) -> Var {
-        crate::fusion::count_group_norm_relu();
+        deco_telemetry::counter!("tensor.fusion.group_norm_relu");
         let (out, mean, std) = crate::ops::fused::group_norm_relu_fwd(
             self.value(),
             gamma.value(),
@@ -1166,7 +1100,7 @@ impl Var {
             out,
             &[self, gamma, beta],
             Box::new(move |g| {
-                crate::fusion::count_fused_backward();
+                deco_telemetry::counter!("tensor.fusion.backward");
                 let [gx, ggamma, gbeta] = crate::ops::fused::group_norm_relu_bwd(
                     g, &x, &saved_out, &mean, &std, &gam, groups, live,
                 );
@@ -1185,14 +1119,14 @@ impl Var {
     /// intermediate is never materialized and the backward collapses the
     /// pool-scatter and relu-mask passes into one kernel.
     pub fn relu_avg_pool2d(&self, k: usize) -> Var {
-        crate::fusion::count_relu_avg_pool2d();
+        deco_telemetry::counter!("tensor.fusion.relu_avg_pool2d");
         let value = crate::ops::fused::relu_avg_pool2d_fwd(self.value(), k);
         let x = self.value().clone();
         Var::from_op(
             value,
             &[self],
             Box::new(move |g| {
-                crate::fusion::count_fused_backward();
+                deco_telemetry::counter!("tensor.fusion.backward");
                 grads![Some(crate::ops::fused::relu_avg_pool2d_bwd(g, &x, k))]
             }),
         )
@@ -1214,7 +1148,7 @@ impl Var {
         weights: Option<&[f32]>,
         reduction: Reduction,
     ) -> Var {
-        crate::fusion::count_log_softmax_ce();
+        deco_telemetry::counter!("tensor.fusion.log_softmax_ce");
         assert_eq!(self.shape().rank(), 2, "cross-entropy needs [n, classes]");
         let n = self.shape().dim(0);
         let scale = match reduction {
@@ -1230,7 +1164,7 @@ impl Var {
             value,
             &[self],
             Box::new(move |g| {
-                crate::fusion::count_fused_backward();
+                deco_telemetry::counter!("tensor.fusion.backward");
                 grads![Some(crate::ops::fused::log_softmax_ce_bwd(
                     g,
                     &logits,
@@ -1684,33 +1618,6 @@ mod tests {
     }
 
     #[test]
-    fn tanh_gradient_is_one_minus_square() {
-        let x = Var::leaf(Tensor::from_vec(vec![0.5, -1.0], [2]), true);
-        x.tanh().sum().backward();
-        let g = x.grad().unwrap();
-        for (i, &xi) in [0.5f32, -1.0].iter().enumerate() {
-            let t = xi.tanh();
-            assert!((g.data()[i] - (1.0 - t * t)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sigmoid_gradient_peaks_at_zero() {
-        let x = Var::leaf(Tensor::from_vec(vec![0.0, 4.0], [2]), true);
-        x.sigmoid().sum().backward();
-        let g = x.grad().unwrap();
-        assert!((g.data()[0] - 0.25).abs() < 1e-6);
-        assert!(g.data()[1] < 0.05);
-    }
-
-    #[test]
-    fn leaky_relu_scales_negative_side() {
-        let x = Var::leaf(Tensor::from_vec(vec![-2.0, 3.0], [2]), true);
-        x.leaky_relu(0.1).sum().backward();
-        assert_eq!(x.grad().unwrap().data(), &[0.1, 1.0]);
-    }
-
-    #[test]
     fn abs_gradient_is_sign() {
         let x = Var::leaf(Tensor::from_vec(vec![-2.0, 0.0, 3.0], [3]), true);
         x.abs().sum().backward();
@@ -1723,15 +1630,6 @@ mod tests {
         x.powi(3).sum().backward();
         // d(x³)/dx = 3x² = 12
         assert!((x.grad().unwrap().item() - 12.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn scalar_helpers_compose() {
-        let x = Var::leaf(Tensor::from_vec(vec![6.0], [1]), true);
-        let y = x.sub_scalar(2.0).div_scalar(2.0); // (x-2)/2 = 2
-        assert_eq!(y.value().item(), 2.0);
-        y.backward();
-        assert_eq!(x.grad().unwrap().item(), 0.5);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 mod autograd;
 pub mod dtype;
-pub mod fusion;
 pub mod gradcheck;
 pub mod ops;
 #[doc(hidden)]
@@ -55,7 +54,6 @@ pub use autograd::{
 };
 pub use dtype::{ScalarType, StorageDtype, StoredTensor};
 pub use ops::conv::Conv2dSpec;
-pub use ops::stats::RunningStats;
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;

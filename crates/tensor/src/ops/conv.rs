@@ -361,7 +361,7 @@ pub(crate) fn conv2d_impl(
             b.numel(),
             cout
         );
-        crate::fusion::count_conv_bias_epilogue();
+        deco_telemetry::counter!("tensor.fusion.conv_bias_epilogue");
     }
     let (oh, ow) = (spec.out_side(h), spec.out_side(w));
     deco_telemetry::counter!("tensor.ops.conv2d");
@@ -610,68 +610,6 @@ pub(crate) fn check_pool_window(k: usize, h: usize, w: usize) {
     );
 }
 
-impl Tensor {
-    /// Non-overlapping max pooling with a square `k × k` window, returning
-    /// the pooled values and the flat input index of each selected maximum
-    /// (for the backward pass).
-    ///
-    /// # Panics
-    /// Panics unless the input is rank 4, `k ≥ 1` and H, W are divisible
-    /// by `k`.
-    pub fn max_pool2d(&self, k: usize) -> (Tensor, Vec<usize>) {
-        assert_eq!(self.rank(), 4, "max_pool2d input must be NCHW");
-        let (n, c, h, w) = dims4(self);
-        check_pool_window(k, h, w);
-        let (oh, ow) = (h / k, w / k);
-        let x = self.data();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut idx = vec![0usize; n * c * oh * ow];
-        for nc in 0..n * c {
-            let x_base = nc * h * w;
-            let o_base = nc * oh * ow;
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = 0usize;
-                    for dy in 0..k {
-                        let row = x_base + (ohi * k + dy) * w + owi * k;
-                        for dx in 0..k {
-                            let v = x[row + dx];
-                            if v > best {
-                                best = v;
-                                best_i = row + dx;
-                            }
-                        }
-                    }
-                    out[o_base + ohi * ow + owi] = best;
-                    idx[o_base + ohi * ow + owi] = best_i;
-                }
-            }
-        }
-        (Tensor::from_vec(out, [n, c, oh, ow]), idx)
-    }
-
-    /// Gradient of [`Tensor::max_pool2d`] with window `k`: routes each
-    /// output gradient to the input position that won the max. `self` is
-    /// the output gradient; `indices` comes from the forward pass.
-    ///
-    /// # Panics
-    /// Panics if `k` is 0 or `indices` length differs from this tensor's
-    /// element count.
-    pub fn max_pool2d_grad(&self, indices: &[usize], k: usize) -> Tensor {
-        assert_eq!(indices.len(), self.numel(), "index count mismatch");
-        assert!(k >= 1, "pool window must be at least 1");
-        let (n, c, oh, ow) = dims4(self);
-        let (h, w) = (oh * k, ow * k);
-        let g = self.data();
-        let mut gin = vec![0.0f32; n * c * h * w];
-        for (o, &i) in indices.iter().enumerate() {
-            gin[i] += g[o];
-        }
-        Tensor::from_vec(gin, [n, c, h, w])
-    }
-}
-
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
     assert_eq!(t.rank(), 4, "expected rank-4 tensor, got {}", t.shape());
     (
@@ -794,12 +732,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pool window must be at least 1")]
-    fn zero_max_pool_window_is_rejected() {
-        Tensor::zeros([1, 1, 2, 2]).max_pool2d(0);
-    }
-
-    #[test]
     fn empty_batches_pass_through_every_kernel() {
         let x = Tensor::zeros([0, 2, 4, 4]);
         let w = Tensor::zeros([3, 2, 3, 3]);
@@ -814,15 +746,6 @@ mod tests {
         assert_eq!(x.avg_pool2d(2).shape().dims(), &[0, 2, 2, 2]);
         assert_eq!(
             x.avg_pool2d(2).avg_pool2d_grad(2).shape().dims(),
-            &[0, 2, 4, 4]
-        );
-        let (m, idx) = x.max_pool2d(2);
-        assert_eq!(m.max_pool2d_grad(&idx, 2).shape().dims(), &[0, 2, 4, 4]);
-        // The autograd max-pool backward of an empty batch.
-        let v = crate::Var::leaf(x.clone(), true);
-        v.max_pool2d(2).sum().backward();
-        assert_eq!(
-            v.grad().expect("leaf gradient").shape().dims(),
             &[0, 2, 4, 4]
         );
     }
@@ -1065,34 +988,6 @@ mod tests {
         let g = Tensor::from_vec(vec![4.0], [1, 1, 1, 1]);
         let gin = g.avg_pool2d_grad(2);
         assert_eq!(gin.data(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn max_pool_selects_maxima() {
-        let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], [1, 1, 2, 2]);
-        let (y, idx) = x.max_pool2d(2);
-        assert_eq!(y.item(), 5.0);
-        assert_eq!(idx, vec![1]);
-    }
-
-    #[test]
-    fn max_pool_grad_routes_to_winner() {
-        let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], [1, 1, 2, 2]);
-        let (_, idx) = x.max_pool2d(2);
-        let g = Tensor::from_vec(vec![7.0], [1, 1, 1, 1]);
-        let gin = g.max_pool2d_grad(&idx, 2);
-        assert_eq!(gin.data(), &[0.0, 7.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn max_pool_ge_avg_pool() {
-        let mut rng = crate::Rng::new(6);
-        let x = Tensor::randn([2, 3, 4, 4], &mut rng);
-        let (mx, _) = x.max_pool2d(2);
-        let av = x.avg_pool2d(2);
-        for (m, a) in mx.data().iter().zip(av.data()) {
-            assert!(m >= a);
-        }
     }
 
     #[test]

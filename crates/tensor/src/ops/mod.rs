@@ -7,7 +7,6 @@ pub mod linalg;
 pub mod reduce;
 #[doc(hidden)]
 pub mod simd;
-pub mod stats;
 pub mod transform;
 
 /// Shared helpers for the kernels' bitwise reference tests.

@@ -77,30 +77,6 @@ impl Tensor {
             })
             .collect()
     }
-
-    /// Per-row maximum of a rank-2 tensor, as an `[n, 1]` tensor.
-    ///
-    /// # Panics
-    /// Panics unless the tensor is rank 2 with at least one column.
-    pub fn max_rows(&self) -> Tensor {
-        assert_eq!(
-            self.rank(),
-            2,
-            "max_rows needs rank 2, got {}",
-            self.shape()
-        );
-        let (n, c) = (self.shape().dim(0), self.shape().dim(1));
-        assert!(c > 0, "max_rows needs at least one column");
-        let data = self.data();
-        let mut out = crate::pool::take_scratch(n);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = data[i * c..(i + 1) * c]
-                .iter()
-                .cloned()
-                .fold(f32::NEG_INFINITY, f32::max);
-        }
-        Tensor::from_pool_buf(out, [n, 1])
-    }
 }
 
 #[cfg(test)]
@@ -153,14 +129,6 @@ mod tests {
     fn argmax_rows_basic() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.5, 0.2, 0.3], [2, 3]);
         assert_eq!(t.argmax_rows(), vec![1, 0]);
-    }
-
-    #[test]
-    fn max_rows_shape_and_values() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, -1.0, 2.0], [2, 2]);
-        let m = t.max_rows();
-        assert_eq!(m.shape().dims(), &[2, 1]);
-        assert_eq!(m.data(), &[5.0, 2.0]);
     }
 
     /// Per-element coordinate unravel: the reduction `sum_axes` must
