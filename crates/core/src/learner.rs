@@ -342,9 +342,10 @@ impl OnDeviceLearner {
         }
     }
 
-    /// Re-measures every memory component into the private tracker and
-    /// mirrors the values into the global tracker. No-op while telemetry
-    /// is disabled.
+    /// Re-measures every memory component into the private tracker,
+    /// mirrors the values into the global tracker and sets the
+    /// `tensor.pool.held_bytes` gauge to every thread's parked pool
+    /// bytes. No-op while telemetry is disabled.
     fn account_memory(&self) {
         if !deco_telemetry::is_enabled() {
             return;
@@ -383,6 +384,11 @@ impl OnDeviceLearner {
             self.tracker.set(component, bytes);
             deco_telemetry::track_set(component, bytes);
         }
+        let pool_bytes = deco_tensor::pool::process_held_bytes();
+        deco_telemetry::gauge_set!(
+            "tensor.pool.held_bytes",
+            i64::try_from(pool_bytes).unwrap_or(i64::MAX)
+        );
     }
 
     /// Processes one stream segment: pseudo-label, vote, update the buffer,

@@ -332,6 +332,13 @@ impl<'a> Server<'a> {
         self.enforce_budget(&HashSet::new());
         self.batches += 1;
         deco_telemetry::counter!("serve.batches");
+        // The budget counts session bytes only; the pools' parked bytes
+        // sit beside them so one snapshot shows both.
+        deco_telemetry::gauge_set!("serve.resident_bytes", gauge_value(self.resident_bytes()));
+        deco_telemetry::gauge_set!(
+            "tensor.pool.held_bytes",
+            gauge_value(deco_tensor::pool::process_held_bytes())
+        );
         out
     }
 
@@ -469,4 +476,8 @@ impl<'a> Server<'a> {
     pub fn events(&self) -> u64 {
         self.events
     }
+}
+
+fn gauge_value(bytes: u64) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
 }

@@ -20,21 +20,51 @@
 //! the free lists without any manual recycle calls.
 //!
 //! The pool is strictly thread-local (no locks, no cross-thread
-//! contention); each runtime worker warms its own free lists. Held
-//! bytes are capped at 256 MiB per thread; a `give` that would exceed
-//! the cap frees the buffer instead and counts an eviction.
+//! contention); each runtime worker warms its own free lists.
+//!
+//! ## What a thread keeps
+//!
+//! A buffer is often dropped on another thread than the one that took
+//! it: intra-op chunks are taken on a worker and dropped on the
+//! submitter, match results the other way round. A thread parks only
+//! what it will take back itself. Each bucket counts
+//!
+//! * `out`: this thread's takes minus its gives, saturating at 0;
+//! * `high`: the largest `out` seen so far, the bucket's peak demand.
+//!
+//! [`give`] first decrements `out`, then parks the buffer only while
+//! `parked + out < high`; otherwise it frees the buffer and counts an
+//! eviction. A take moves one buffer from `parked` to `out` (a hit) or
+//! raises `out` alone (a miss), so `parked + out ≤ high` holds at every
+//! step, and a bucket never parks more buffers than this thread once had
+//! outstanding. On a thread whose buffers all come back to it,
+//! `parked + out == high` throughout, so it parks every buffer it gives
+//! back; a thread that never takes from a bucket parks nothing there,
+//! however many foreign buffers it drops.
+//!
+//! *Known limit.* `out` cannot tell this thread's own buffers from
+//! foreign ones. A thread that first takes a long one-sided stream whose
+//! buffers leave it (raising `high`) and later receives a long one-sided
+//! stream in the same bucket parks up to that old `high`. The 256 MiB
+//! per-thread byte cap stays the bound for that case: a `give` that
+//! would exceed it frees the buffer and counts an eviction too.
 //!
 //! ## Telemetry
 //!
 //! Thread-local [`stats`] counters (hits / misses / evictions /
 //! held and reused bytes) are always maintained — they are how the
-//! zero-allocation steady-state test observes the kernels. When
-//! telemetry collection is enabled, the same events also feed the
-//! global `tensor.pool.hit` / `tensor.pool.miss` /
-//! `tensor.pool.evict` / `tensor.pool.reused_bytes` counters and the
-//! `tensor.pool.held_bytes` gauge.
+//! zero-allocation steady-state test observes the kernels. Each thread
+//! also publishes its held bytes in an atomic only it writes, summed
+//! over live threads by [`process_held_bytes`]. When telemetry
+//! collection is enabled, the same events also feed the global
+//! `tensor.pool.hit` / `tensor.pool.miss` / `tensor.pool.evict` /
+//! `tensor.pool.give` / `tensor.pool.reused_bytes` counters; callers
+//! set the `tensor.pool.held_bytes` gauge from [`process_held_bytes`]
+//! once per unit of work.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Buckets cover capacities `2^0 ..= 2^MAX_BUCKET_LOG2`; anything larger
 /// bypasses the pool entirely (a single such buffer would dominate the
@@ -52,7 +82,9 @@ pub struct PoolStats {
     pub hits: u64,
     /// `take` calls that had to heap-allocate.
     pub misses: u64,
-    /// `give` calls dropped because the byte cap was reached.
+    /// `give` calls that freed their buffer instead of parking it: the
+    /// bucket already held this thread's peak demand, or the byte cap
+    /// was reached.
     pub evictions: u64,
     /// Bytes currently parked in this thread's free lists.
     pub held_bytes: u64,
@@ -60,18 +92,55 @@ pub struct PoolStats {
     pub reused_bytes: u64,
 }
 
+/// The free list of one capacity, with this thread's demand on it.
+#[derive(Default)]
+struct Bucket {
+    free: Vec<Vec<f32>>,
+    /// This thread's takes minus its gives, saturating at 0.
+    out: usize,
+    /// The largest `out` seen so far.
+    high: usize,
+}
+
 struct PoolState {
     /// `buckets[i]` holds buffers of capacity exactly `2^i`.
-    buckets: Vec<Vec<Vec<f32>>>,
+    buckets: Vec<Bucket>,
     stats: PoolStats,
+    /// `stats.held_bytes` as other threads see it; only this thread
+    /// writes it.
+    published: Arc<AtomicU64>,
+}
+
+/// The published held bytes of every thread whose pool is live.
+static PUBLISHED: Mutex<Vec<Arc<AtomicU64>>> = Mutex::new(Vec::new());
+
+fn published_list() -> MutexGuard<'static, Vec<Arc<AtomicU64>>> {
+    // Each update is one push or one retain, so the list is whole even
+    // if a holder panicked.
+    PUBLISHED.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl PoolState {
     fn new() -> Self {
+        let published = Arc::new(AtomicU64::new(0));
+        published_list().push(Arc::clone(&published));
         PoolState {
-            buckets: (0..=MAX_BUCKET_LOG2).map(|_| Vec::new()).collect(),
+            buckets: (0..=MAX_BUCKET_LOG2).map(|_| Bucket::default()).collect(),
             stats: PoolStats::default(),
+            published,
         }
+    }
+
+    fn set_held(&mut self, bytes: u64) {
+        self.stats.held_bytes = bytes;
+        self.published.store(bytes, Ordering::Relaxed);
+    }
+}
+
+impl Drop for PoolState {
+    fn drop(&mut self) {
+        let me = &self.published;
+        published_list().retain(|p| !Arc::ptr_eq(p, me));
     }
 }
 
@@ -107,11 +176,15 @@ fn take_with(len: usize, zero: bool) -> Vec<f32> {
     let reused = if bucket <= MAX_BUCKET_LOG2 {
         POOL.try_with(|p| {
             let mut p = p.borrow_mut();
-            match p.buckets[bucket].pop() {
+            let b = &mut p.buckets[bucket];
+            b.out += 1;
+            b.high = b.high.max(b.out);
+            match b.free.pop() {
                 Some(buf) => {
                     p.stats.hits += 1;
-                    p.stats.held_bytes -= bytes_of(cap);
                     p.stats.reused_bytes += bytes_of(cap);
+                    let held = p.stats.held_bytes - bytes_of(cap);
+                    p.set_held(held);
                     Some(buf)
                 }
                 None => {
@@ -147,9 +220,10 @@ fn take_with(len: usize, zero: bool) -> Vec<f32> {
 }
 
 /// Offers a buffer back to the pool. Accepted only if its capacity is a
-/// power of two within the bucket range and the byte cap allows it;
-/// otherwise the buffer is freed normally (counted as an eviction only
-/// when the cap was the reason).
+/// power of two within the bucket range, its bucket is below this
+/// thread's own peak demand (see the module docs), and the byte cap
+/// allows it; otherwise the buffer is freed normally (counted as an
+/// eviction unless its capacity was the reason).
 pub fn give(buf: Vec<f32>) {
     let cap = buf.capacity();
     if cap == 0 || !cap.is_power_of_two() {
@@ -162,22 +236,23 @@ pub fn give(buf: Vec<f32>) {
     let evicted = POOL
         .try_with(|p| {
             let mut p = p.borrow_mut();
-            if p.stats.held_bytes + bytes_of(cap) > CAP_BYTES {
+            let held = p.stats.held_bytes + bytes_of(cap);
+            let b = &mut p.buckets[bucket];
+            b.out = b.out.saturating_sub(1);
+            if b.free.len() + b.out >= b.high || held > CAP_BYTES {
                 p.stats.evictions += 1;
                 true
             } else {
-                p.stats.held_bytes += bytes_of(cap);
-                p.buckets[bucket].push(buf);
+                b.free.push(buf);
+                p.set_held(held);
                 false
             }
         })
         .unwrap_or(true);
     if evicted {
         deco_telemetry::counter!("tensor.pool.evict");
-    } else if deco_telemetry::is_enabled() {
+    } else {
         deco_telemetry::counter!("tensor.pool.give");
-        let held = POOL.try_with(|p| p.borrow().stats.held_bytes).unwrap_or(0);
-        deco_telemetry::gauge_set!("tensor.pool.held_bytes", held.min(i64::MAX as u64) as i64);
     }
 }
 
@@ -186,8 +261,17 @@ pub fn stats() -> PoolStats {
     POOL.try_with(|p| p.borrow().stats).unwrap_or_default()
 }
 
-/// Zeroes this thread's cumulative counters (held bytes are recomputed
-/// from the live free lists, not cleared). Intended for tests.
+/// Bytes parked in the free lists of every live thread: the sum of what
+/// each thread last published, read without stopping any of them.
+pub fn process_held_bytes() -> u64 {
+    published_list()
+        .iter()
+        .map(|p| p.load(Ordering::Relaxed))
+        .sum()
+}
+
+/// Zeroes this thread's cumulative counters; held bytes describe the
+/// live free lists, so they are kept. Intended for tests.
 pub fn reset_stats() {
     POOL.try_with(|p| {
         let mut p = p.borrow_mut();
@@ -206,9 +290,9 @@ pub fn clear() {
     POOL.try_with(|p| {
         let mut p = p.borrow_mut();
         for b in &mut p.buckets {
-            b.clear();
+            b.free.clear();
         }
-        p.stats.held_bytes = 0;
+        p.set_held(0);
     })
     .ok();
 }
@@ -216,6 +300,8 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
 
     #[test]
     fn take_rounds_capacity_to_power_of_two() {
@@ -255,15 +341,17 @@ mod tests {
     fn byte_cap_evicts() {
         clear();
         reset_stats();
-        // Fill one bucket beyond the cap with many gives.
         let evictions_before = stats().evictions;
-        // 1 MiB buffers: 256 fit under the 256 MiB cap; give 300.
-        for _ in 0..300 {
-            give(Vec::with_capacity(1 << 18));
+        // 1 MiB buffers: 256 fit under the 256 MiB cap. Take 300 first so
+        // this thread's own demand would park all of them; the cap alone
+        // turns the last 44 away.
+        let bufs: Vec<Vec<f32>> = (0..300).map(|_| take(1 << 18)).collect();
+        for b in bufs {
+            give(b);
         }
         let s = stats();
-        assert!(s.held_bytes <= CAP_BYTES);
-        assert!(s.evictions > evictions_before);
+        assert_eq!(s.held_bytes, CAP_BYTES);
+        assert_eq!(s.evictions, evictions_before + 44);
         clear();
     }
 
@@ -271,8 +359,87 @@ mod tests {
     fn stats_track_reuse_bytes() {
         clear();
         reset_stats();
-        give(Vec::with_capacity(64));
+        give(take(64));
         let _ = take(64);
         assert_eq!(stats().reused_bytes, 64 * 4);
+    }
+
+    /// Sends `n` buffers of `len` taken on one thread to a fresh thread,
+    /// which first runs `own` (its own pool traffic) and then drops
+    /// every received buffer; returns the receiver's final stats.
+    fn receive_foreign(n: usize, len: usize, own: impl FnOnce() + Send) -> PoolStats {
+        let (tx, rx) = mpsc::channel();
+        thread::scope(|s| {
+            s.spawn(move || {
+                for _ in 0..n {
+                    tx.send(take(len)).expect("receiver alive");
+                }
+            });
+            s.spawn(move || {
+                own();
+                for buf in rx {
+                    give(buf);
+                }
+                stats()
+            })
+            .join()
+            .expect("receiver thread")
+        })
+    }
+
+    #[test]
+    fn a_thread_that_never_takes_parks_nothing() {
+        let s = receive_foreign(1000, 256, || {});
+        assert_eq!(s.held_bytes, 0, "{s:?}");
+        assert_eq!(s.evictions, 1000, "{s:?}");
+    }
+
+    #[test]
+    fn foreign_buffers_fill_a_bucket_only_to_its_own_peak() {
+        const K: usize = 4;
+        let s = receive_foreign(500, 256, || {
+            let mine: Vec<Vec<f32>> = (0..K).map(|_| take(256)).collect();
+            for b in mine {
+                give(b);
+            }
+        });
+        assert_eq!(s.held_bytes, K as u64 * bytes_of(256), "{s:?}");
+        assert_eq!(s.evictions, 500, "{s:?}");
+    }
+
+    #[test]
+    fn one_way_ping_pong_keeps_both_pools_within_one_round() {
+        // Each thread takes from its own bucket and drops the other's
+        // buffers, the way intra-op chunks and match results cross
+        // between a worker and its submitter.
+        const ROUNDS: usize = 10_000;
+        const LEN_A: usize = 1 << 13;
+        const LEN_B: usize = 1 << 14;
+        let round_bytes = bytes_of(LEN_A) + bytes_of(LEN_B);
+        let (to_b, from_a) = mpsc::channel::<Vec<f32>>();
+        let (to_a, from_b) = mpsc::channel::<Vec<f32>>();
+        let (a, b) = thread::scope(|s| {
+            let a = s.spawn(move || {
+                let mut peak = 0;
+                for _ in 0..ROUNDS {
+                    to_b.send(take(LEN_A)).expect("b alive");
+                    give(from_b.recv().expect("b sends every round"));
+                    peak = peak.max(stats().held_bytes);
+                }
+                peak
+            });
+            let b = s.spawn(move || {
+                let mut peak = 0;
+                for _ in 0..ROUNDS {
+                    give(from_a.recv().expect("a sends every round"));
+                    to_a.send(take(LEN_B)).expect("a alive");
+                    peak = peak.max(stats().held_bytes);
+                }
+                peak
+            });
+            (a.join().expect("thread a"), b.join().expect("thread b"))
+        });
+        assert!(a <= round_bytes, "thread a held {a} bytes");
+        assert!(b <= round_bytes, "thread b held {b} bytes");
     }
 }
