@@ -11,14 +11,16 @@
 //! working mirror makes the compute identical — the delta is the
 //! per-segment `commit_storage` snap), with the `commit_storage` cost
 //! and the resulting at-rest buffer bytes. Restrict the sweep with
-//! `--storage-dtype f32,i8`.
+//! `--storage-dtype f32,i8` (not under `--check`: a restricted sweep
+//! lacks committed rows, which fails the row-set check).
 //!
 //! ```bash
 //! cargo bench -p deco-bench --bench condense_step            # regenerate
 //! DECO_BENCH_ITERS=5 cargo bench -p deco-bench --bench condense_step -- --check
 //! ```
 //!
-//! `--check` gates `one_step_match` against the committed file.
+//! `--check` gates `one_step_match` against the committed file and
+//! requires the committed file's row set.
 
 use std::process::ExitCode;
 use std::time::Instant;

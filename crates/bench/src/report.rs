@@ -11,7 +11,9 @@
 //! repository root. `--check` leaves that file alone: it writes the fresh
 //! report under `target/bench/` and fails unless every gated row is
 //! present and finite on both sides and its fresh `mean_ms` is at most
-//! [`CHECK_FACTOR`] × the committed one.
+//! [`CHECK_FACTOR`] × the committed one, and unless both sides hold the
+//! same set of `(op, threads)` rows, so a row the bench stops producing
+//! cannot linger in the committed file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -351,6 +353,23 @@ fn check(committed: &Means, fresh: &Means, gates: &[Gate]) -> Vec<Result<String,
         .collect()
 }
 
+/// Compares the `(op, threads)` row sets of `committed` and `fresh`:
+/// one `Err` per row only one side has, or one `Ok` when they match.
+fn check_row_set(committed: &Means, fresh: &Means) -> Vec<Result<String, String>> {
+    let only_in = |side: &Means, other: &Means, what: &str| {
+        side.keys()
+            .filter(|key| !other.contains_key(*key))
+            .map(|(op, threads)| Err(format!("{op} @{threads}T: {what}")))
+            .collect::<Vec<_>>()
+    };
+    let mut results = only_in(committed, fresh, "stale committed row, not produced");
+    results.extend(only_in(fresh, committed, "fresh row, not committed"));
+    if results.is_empty() {
+        results.push(Ok(format!("row set matches ({} rows)", fresh.len())));
+    }
+    results
+}
+
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -377,8 +396,13 @@ pub fn finish(report: &Report, file: &str, gates: &[Gate]) -> ExitCode {
     if !checking {
         return ExitCode::SUCCESS;
     }
+    let fresh = report.means();
     let results = match read_means(&committed) {
-        Ok(base) => check(&base, &report.means(), gates),
+        Ok(base) => {
+            let mut results = check(&base, &fresh, gates);
+            results.extend(check_row_set(&base, &fresh));
+            results
+        }
         Err(e) => vec![Err(e)],
     };
     for r in &results {
@@ -445,6 +469,34 @@ mod tests {
             assert_eq!(results.len(), 1);
             assert!(results[0].is_err());
         }
+    }
+
+    #[test]
+    fn a_stale_committed_row_fails_the_row_set() {
+        // The committed file keeps a row the bench no longer produces.
+        let committed = report(vec![Row::new("op", 1, 1.0), Row::new("gone", 1, 1.0)]).means();
+        let fresh = report(vec![Row::new("op", 1, 1.0)]).means();
+        assert!(check_row_set(&fresh, &fresh).iter().all(Result::is_ok));
+        let errs: Vec<_> = check_row_set(&committed, &fresh)
+            .into_iter()
+            .filter_map(Result::err)
+            .collect();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("gone @1T"), "{}", errs[0]);
+    }
+
+    #[test]
+    fn a_row_missing_from_the_committed_file_fails_the_row_set() {
+        // The fresh report has a row (here: a new pool width) the
+        // committed file lacks.
+        let committed = report(vec![Row::new("op", 1, 1.0)]).means();
+        let fresh = report(vec![Row::new("op", 1, 1.0), Row::new("op", 2, 1.0)]).means();
+        let errs: Vec<_> = check_row_set(&committed, &fresh)
+            .into_iter()
+            .filter_map(Result::err)
+            .collect();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("op @2T"), "{}", errs[0]);
     }
 
     #[test]

@@ -952,6 +952,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "buffer IpC mismatch")]
+    fn restore_rejects_wrong_geometry() {
+        // A snapshot of an IpC-1 learner must not load into an IpC-2 one.
+        let mut rng = Rng::new(4);
+        let (learner, data) = make_learner("deco", &mut rng);
+        let snap = learner.snapshot();
+        let policy = BufferPolicy::Condensed {
+            condenser: Box::new(DecoCondenser::new(DecoConfig::default())),
+            buffer: SyntheticBuffer::from_labeled(&data.pretrain_set(4), 2, 10, &mut rng),
+        };
+        let mut other = OnDeviceLearner::new(
+            ConvNet::new(small_cfg(10), &mut rng),
+            ConvNet::new(small_cfg(10), &mut rng),
+            policy,
+            LearnerConfig::default(),
+            rng.fork(1),
+        );
+        other.restore(&snap);
+    }
+
+    #[test]
     fn learning_from_stream_beats_forgetting_baseline() {
         // Sanity: after processing a stream with model updates, accuracy
         // should not collapse to zero.

@@ -59,7 +59,6 @@
 mod condenser;
 mod config;
 mod learner;
-mod persist;
 mod self_training;
 mod train;
 mod voting;
@@ -70,7 +69,6 @@ pub use learner::{
     BufferPolicy, DecoIterationJobs, DecoPhase, LearnerConfig, LearnerSnapshot, OnDeviceLearner,
     PreparedSegment, SegmentReport,
 };
-pub use persist::Checkpoint;
 pub use self_training::{SelfTrainer, SelfTrainingConfig, SelfTrainingReport};
 pub use train::{accuracy, confusion_matrix, pretrain, train_classifier, WEIGHT_DECAY};
 pub use voting::{assign_pseudo_labels, kept_label_accuracy, majority_vote, VoteOutcome};

@@ -2,6 +2,7 @@
 //! on-device learning loop over a stream, and aggregates trials over seeds
 //! (in parallel — one thread per seed).
 
+use std::borrow::Borrow;
 use std::time::{Duration, Instant};
 
 use deco::{
@@ -14,6 +15,7 @@ use deco_replay::{BaselineKind, BufferItem, ReplayBuffer, SelectionContext};
 use deco_telemetry::{impl_to_json, Json, ToJson};
 use deco_tensor::{Rng, StorageDtype};
 
+use crate::forgetting::{per_class_accuracy, ForgettingTracker};
 use crate::scale::{DatasetId, ScaleParams};
 use crate::stats::MeanStd;
 
@@ -281,71 +283,13 @@ fn build_policy(
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     let data = spec.dataset.build();
     let params = &spec.params;
-    let mut rng = Rng::new(0xDEC0 ^ spec.seed.wrapping_mul(0x9E37_79B9));
-
-    let net_cfg = convnet_config(spec.dataset, params);
-    let model = ConvNet::new(net_cfg, &mut rng);
-    let pretrain_set = data.pretrain_set(params.pretrain_per_class);
-    pretrain(
-        &model,
-        &pretrain_set,
-        params.pretrain_steps,
-        params.pretrain_lr,
-    );
-    let scratch = ConvNet::new(net_cfg, &mut rng);
-    let test_set = data.test_set(params.test_per_class);
-
-    let policy = build_policy(spec, &data, &pretrain_set, &model, &mut rng);
-    let learner_cfg = LearnerConfig {
-        vote_threshold: spec.vote_threshold_override.unwrap_or(0.4),
-        beta: params.beta,
-        model_lr: params.model_lr,
-        model_epochs: params.model_epochs,
-    };
-    let mut learner = OnDeviceLearner::new(model, scratch, policy, learner_cfg, rng.fork(1));
-
     let stream_cfg = StreamConfig {
         stc: params.stc,
         segment_size: params.segment_size,
         num_segments: params.num_segments,
         seed: spec.seed,
     };
-    let mut curve = Vec::new();
-    let mut processing_time = Duration::ZERO;
-    let mut segment_wall_time_ms = Vec::new();
-    for (i, segment) in Stream::new(&data, stream_cfg).enumerate() {
-        let start = Instant::now();
-        learner.process_segment(&segment);
-        let elapsed = start.elapsed();
-        processing_time += elapsed;
-        segment_wall_time_ms.push(elapsed.as_secs_f64() * 1e3);
-        if spec.eval_every > 0 && (i + 1) % spec.eval_every == 0 {
-            curve.push(CurvePoint {
-                items: learner.items_seen(),
-                accuracy: learner.evaluate(&test_set),
-            });
-        }
-    }
-    // Final model update if the stream length is not a multiple of β.
-    if !params.num_segments.is_multiple_of(params.beta) {
-        learner.train_model_now();
-    }
-    let (retention, pseudo_accuracy) = learner.pseudo_label_stats();
-    // Storage peak only: the paper's Table 2 compares what the device
-    // must keep resident between segments; the transient autograd-tape
-    // peak stays visible in the report's per-component `usage` section.
-    let peak_memory_bytes =
-        deco_telemetry::is_enabled().then(|| learner.memory_tracker().storage_peak());
-    TrialResult {
-        final_accuracy: learner.evaluate(&test_set),
-        curve,
-        retention,
-        pseudo_accuracy,
-        processing_time,
-        segment_wall_time_ms,
-        peak_memory_bytes,
-        buffer_memory_bytes: learner.buffer_bytes(),
-    }
+    trial_body(spec, &data, Stream::new(&data, stream_cfg), 0).0
 }
 
 /// Runs one trial over *caller-provided* segments instead of the spec's
@@ -366,8 +310,21 @@ pub fn run_trial_on_segments(
     spec: &TrialSpec,
     segments: &[Segment],
     forgetting_every: usize,
-) -> (TrialResult, crate::ForgettingTracker) {
+) -> (TrialResult, ForgettingTracker) {
     let data = spec.dataset.build();
+    trial_body(spec, &data, segments.iter(), forgetting_every)
+}
+
+/// The one trial body behind [`run_trial`] and [`run_trial_on_segments`]:
+/// pre-train, deploy, feed `segments` one at a time (so a [`Stream`] is
+/// never held in memory whole), retrain on a trailing partial β window,
+/// and evaluate.
+fn trial_body<S: Borrow<Segment>>(
+    spec: &TrialSpec,
+    data: &SyntheticVision,
+    segments: impl ExactSizeIterator<Item = S>,
+    forgetting_every: usize,
+) -> (TrialResult, ForgettingTracker) {
     let params = &spec.params;
     let mut rng = Rng::new(0xDEC0 ^ spec.seed.wrapping_mul(0x9E37_79B9));
 
@@ -384,7 +341,7 @@ pub fn run_trial_on_segments(
     let test_set = data.test_set(params.test_per_class);
     let classes = data.num_classes();
 
-    let policy = build_policy(spec, &data, &pretrain_set, &model, &mut rng);
+    let policy = build_policy(spec, data, &pretrain_set, &model, &mut rng);
     let learner_cfg = LearnerConfig {
         vote_threshold: spec.vote_threshold_override.unwrap_or(0.4),
         beta: params.beta,
@@ -393,18 +350,15 @@ pub fn run_trial_on_segments(
     };
     let mut learner = OnDeviceLearner::new(model, scratch, policy, learner_cfg, rng.fork(1));
 
-    let mut tracker = crate::ForgettingTracker::new();
-    tracker.record(crate::per_class_accuracy(
-        learner.model(),
-        &test_set,
-        classes,
-    ));
+    let mut tracker = ForgettingTracker::new();
+    tracker.record(per_class_accuracy(learner.model(), &test_set, classes));
     let mut curve = Vec::new();
     let mut processing_time = Duration::ZERO;
     let mut segment_wall_time_ms = Vec::new();
-    for (i, segment) in segments.iter().enumerate() {
+    let num_segments = segments.len();
+    for (i, segment) in segments.enumerate() {
         let start = Instant::now();
-        learner.process_segment(segment);
+        learner.process_segment(segment.borrow());
         let elapsed = start.elapsed();
         processing_time += elapsed;
         segment_wall_time_ms.push(elapsed.as_secs_f64() * 1e3);
@@ -414,24 +368,20 @@ pub fn run_trial_on_segments(
                 accuracy: learner.evaluate(&test_set),
             });
         }
-        let last = i + 1 == segments.len();
+        let last = i + 1 == num_segments;
         if forgetting_every > 0 && (i + 1) % forgetting_every == 0 && !last {
-            tracker.record(crate::per_class_accuracy(
-                learner.model(),
-                &test_set,
-                classes,
-            ));
+            tracker.record(per_class_accuracy(learner.model(), &test_set, classes));
         }
     }
-    if !segments.len().is_multiple_of(params.beta) {
+    // Final model update if the stream length is not a multiple of β.
+    if !num_segments.is_multiple_of(params.beta) {
         learner.train_model_now();
     }
-    tracker.record(crate::per_class_accuracy(
-        learner.model(),
-        &test_set,
-        classes,
-    ));
+    tracker.record(per_class_accuracy(learner.model(), &test_set, classes));
     let (retention, pseudo_accuracy) = learner.pseudo_label_stats();
+    // Storage peak only: the paper's Table 2 compares what the device
+    // must keep resident between segments; the transient autograd-tape
+    // peak stays visible in the report's per-component `usage` section.
     let peak_memory_bytes =
         deco_telemetry::is_enabled().then(|| learner.memory_tracker().storage_peak());
     let result = TrialResult {
@@ -458,19 +408,24 @@ pub struct TrialFailure {
 
 impl_to_json!(TrialFailure { seed, message });
 
-impl std::fmt::Display for TrialFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "seed {} panicked: {}", self.seed, self.message)
+impl TrialFailure {
+    /// Records the panic of `seed`'s trial, stringifying its payload
+    /// when it is a string.
+    pub fn from_panic(seed: u64, payload: &(dyn std::any::Any + Send)) -> TrialFailure {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        TrialFailure { seed, message }
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+impl std::fmt::Display for TrialFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "seed {} panicked: {}", self.seed, self.message)
     }
 }
 
@@ -523,12 +478,8 @@ pub fn run_cell(base: &TrialSpec) -> CellResult {
         })
         .collect();
     let outcomes = deco_runtime::parallel_map(specs, |_, spec| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_trial(&spec))).map_err(
-            |payload| TrialFailure {
-                seed: spec.seed,
-                message: panic_message(payload.as_ref()),
-            },
-        )
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_trial(&spec)))
+            .map_err(|payload| TrialFailure::from_panic(spec.seed, payload.as_ref()))
     });
     let mut trials = Vec::new();
     let mut failures = Vec::new();

@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 
-use deco_tensor::{StorageDtype, StoredTensor, Tensor, Var};
+use deco_tensor::{Tensor, Var};
 
 /// A learnable tensor.
 ///
@@ -86,23 +86,6 @@ impl Param {
     pub fn numel(&self) -> usize {
         self.value.borrow().numel()
     }
-
-    /// Encodes the current value at a storage dtype — the checkpoint /
-    /// at-rest form. `F32` is a zero-copy wrap; sub-f32 dtypes convert
-    /// every element (compute always stays f32, see
-    /// `deco_tensor::dtype`).
-    pub fn to_stored(&self, dtype: StorageDtype) -> StoredTensor {
-        StoredTensor::encode(&self.value.borrow(), dtype)
-    }
-
-    /// Replaces the value from a stored payload, widening sub-f32
-    /// elements back to f32. `F32` payloads load bitwise-exactly.
-    ///
-    /// # Panics
-    /// Panics if the stored shape differs from the current one.
-    pub fn load_stored(&self, stored: &StoredTensor) {
-        self.set(stored.decode());
-    }
 }
 
 #[cfg(test)]
@@ -149,26 +132,6 @@ mod tests {
     fn set_rejects_shape_change() {
         let p = Param::new(Tensor::zeros([2]));
         p.set(Tensor::zeros([3]));
-    }
-
-    #[test]
-    fn stored_roundtrip_f32_is_bitwise_and_sub_f32_snaps() {
-        let mut rng = Rng::new(3);
-        let p = Param::new(Tensor::randn([4, 4], &mut rng));
-        let original = p.tensor();
-        let exact = p.to_stored(StorageDtype::F32);
-        p.load_stored(&exact);
-        assert_eq!(p.tensor().data(), original.data());
-        for dtype in [StorageDtype::Bf16, StorageDtype::F16, StorageDtype::I8] {
-            let q = Param::new(original.clone());
-            let stored = q.to_stored(dtype);
-            q.load_stored(&stored);
-            // Widened values land on the dtype lattice and are stable
-            // under a second round-trip.
-            let once = q.tensor();
-            q.load_stored(&q.to_stored(dtype));
-            assert_eq!(q.tensor().data(), once.data(), "{dtype}");
-        }
     }
 
     #[test]

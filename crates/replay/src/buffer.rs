@@ -28,8 +28,8 @@ pub struct ReplayBuffer {
     seen: usize,
     /// Storage precision items are held at. Incoming images are snapped
     /// onto this dtype's representable lattice on entry, so every pixel
-    /// the buffer holds (and replays, and serializes) is exactly a
-    /// stored-precision value; compute on batches stays f32.
+    /// the buffer holds (and replays) is exactly a stored-precision
+    /// value; compute on batches stays f32.
     dtype: StorageDtype,
 }
 
@@ -59,41 +59,6 @@ impl ReplayBuffer {
     /// The storage precision item images are held at.
     pub fn storage_dtype(&self) -> StorageDtype {
         self.dtype
-    }
-
-    /// Re-applies a storage dtype after [`ReplayBuffer::from_parts`]
-    /// (restore path): sets the dtype and snaps every held image onto
-    /// its lattice. A no-op for images already on the lattice — which
-    /// restored v2 payloads always are — so rehydration is byte-stable.
-    pub fn set_storage_dtype(&mut self, dtype: StorageDtype) {
-        self.dtype = dtype;
-        if dtype != StorageDtype::F32 {
-            for item in &mut self.items {
-                item.image = snap_to_dtype(&item.image, dtype);
-            }
-        }
-    }
-
-    /// Rebuilds a buffer from persisted parts: capacity, stored items, and
-    /// the offered-item counter. The restored buffer is indistinguishable
-    /// from the captured one for every strategy (reservoir sampling reads
-    /// `seen`, so it must survive the round trip).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero or `items` exceeds it.
-    pub fn from_parts(capacity: usize, items: Vec<BufferItem>, seen: usize) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        assert!(
-            items.len() <= capacity,
-            "restored {} items into capacity {capacity}",
-            items.len()
-        );
-        ReplayBuffer {
-            capacity,
-            items,
-            seen,
-            dtype: StorageDtype::F32,
-        }
     }
 
     /// Maximum number of stored items.
@@ -197,10 +162,10 @@ impl ReplayBuffer {
     /// slots (`capacity × size_of::<BufferItem>()`) plus, per stored
     /// image, its pixel buffer *at the storage dtype's width* and
     /// allocation overhead. This is the raw-replay cost the paper's
-    /// Table 2 compares against condensed buffers; under bf16/f16/i8
+    /// Table 2 compares against condensed buffers; under bf16/i8
     /// storage the pixel term reflects the 2-byte/1-byte at-rest
-    /// encoding the buffer serializes to (the in-process f32 mirror is
-    /// transient compute state, already on the dtype's lattice).
+    /// encoding (the in-process f32 mirror is transient compute state,
+    /// already on the dtype's lattice).
     pub fn approx_bytes(&self) -> u64 {
         let slots = self.capacity.max(self.items.capacity()) * std::mem::size_of::<BufferItem>();
         let per_item = (self.items.len() * Self::PER_ITEM_HEAP_OVERHEAD) as u64;

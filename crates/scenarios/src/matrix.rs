@@ -308,16 +308,6 @@ fn bits(xs: &[f32]) -> Json {
     )
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs one cell: collect the scenario's segments per seed, run the trial
 /// on them, catch per-seed panics as [`TrialFailure`] records.
 fn run_cell(cell: &CellSpec, seeds: usize) -> CellOutcome {
@@ -362,10 +352,7 @@ fn run_cell(cell: &CellSpec, seeds: usize) -> CellOutcome {
                     out.processing_ms += result.processing_time.as_secs_f64() * 1e3;
                 }
                 Err(payload) => {
-                    let failure = TrialFailure {
-                        seed,
-                        message: panic_message(payload.as_ref()),
-                    };
+                    let failure = TrialFailure::from_panic(seed, payload.as_ref());
                     eprintln!("warning: cell {} {failure}", cell.key());
                     out.failures.push(failure);
                 }

@@ -54,4 +54,4 @@ pub use deco_scenarios::ScenarioConfig;
 pub use scheduler::{EventResult, Server, ServerConfig, MEM_BUDGET_ENV};
 pub use session::SessionState;
 pub use tenant::{TenantSession, TenantSpec};
-pub use wire::{WireError, FORMAT_VERSION, MIN_FORMAT_VERSION};
+pub use wire::{WireError, FORMAT_VERSION};

@@ -51,10 +51,13 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A config spilling to `spill_dir`, with the budget taken from
     /// `DECO_SERVE_MEM_BYTES` (unset = unlimited) and a batch width of 8.
+    ///
+    /// # Panics
+    /// Panics, naming the variable and its value, when
+    /// `DECO_SERVE_MEM_BYTES` is set but is not a whole number of bytes.
     pub fn new(spill_dir: PathBuf) -> ServerConfig {
-        let mem_budget_bytes = std::env::var(MEM_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok());
+        let value = std::env::var_os(MEM_BUDGET_ENV).map(|v| v.to_string_lossy().into_owned());
+        let mem_budget_bytes = parse_mem_budget(value.as_deref()).unwrap_or_else(|e| panic!("{e}"));
         ServerConfig {
             mem_budget_bytes,
             batch_tenants: 8,
@@ -79,6 +82,19 @@ impl ServerConfig {
         self.batch_tenants = n;
         self
     }
+}
+
+/// Parses a `DECO_SERVE_MEM_BYTES` value: unset means no budget, and
+/// anything but a whole number of bytes is an error, so a typo such as
+/// `64MiB` cannot silently turn the budget off.
+fn parse_mem_budget(value: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(v) = value else {
+        return Ok(None);
+    };
+    v.trim()
+        .parse::<u64>()
+        .map(Some)
+        .map_err(|_| format!("{MEM_BUDGET_ENV} must be a whole number of bytes, got {v:?}"))
 }
 
 /// One processed segment event.
@@ -480,4 +496,22 @@ impl<'a> Server<'a> {
 
 fn gauge_value(bytes: u64) -> i64 {
     i64::try_from(bytes).unwrap_or(i64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mem_budget_must_be_a_whole_number_of_bytes() {
+        assert_eq!(parse_mem_budget(None), Ok(None));
+        assert_eq!(parse_mem_budget(Some("4096")), Ok(Some(4096)));
+        for bad in ["64MiB", ""] {
+            let err = parse_mem_budget(Some(bad)).expect_err(bad);
+            assert!(
+                err.contains(MEM_BUDGET_ENV) && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
+    }
 }

@@ -3,16 +3,16 @@
 //! **bit-for-bit** — the learner snapshot (model, optimizer momenta,
 //! synthetic buffer, RNG) plus the tenant's position in its input stream.
 //!
-//! This generalizes the JSON `deco::Checkpoint` of the single-learner CLI:
-//! the binary [`crate::wire`] layer preserves exact `f32`/`u64` bit
-//! patterns the JSON codec cannot, and the stream cursor makes the *input*
-//! side of the computation resumable, not just the model side.
+//! This is the one at-rest format for learner state: the binary
+//! [`crate::wire`] layer preserves exact `f32`/`u64` bit patterns a JSON
+//! codec cannot, and the stream cursor makes the *input* side of the
+//! computation resumable, not just the model side.
 
 use std::path::Path;
 
 use deco::{LearnerSnapshot, OnDeviceLearner};
 use deco_datasets::{RunState, StreamCursor};
-use deco_tensor::{ScalarType, StoredTensor};
+use deco_tensor::StoredTensor;
 
 use crate::wire::{read_file, write_file, Reader, WireError, Writer};
 
@@ -50,10 +50,10 @@ impl SessionState {
         learner.restore(&self.snapshot);
     }
 
-    /// Serializes to the current (version-2) binary session format: the
-    /// synthetic buffer travels as a dtype-tagged stored-tensor record
-    /// encoded at the snapshot's committed scalar type, so a bf16 buffer
-    /// costs half — and an i8 buffer a quarter — of the v1 payload.
+    /// Serializes to the version-2 binary session format: the synthetic
+    /// buffer travels as a dtype-tagged stored-tensor record encoded at
+    /// the snapshot's committed scalar type, so a bf16 buffer costs half
+    /// — and an i8 buffer a quarter — of its f32 payload.
     /// Model parameters and optimizer momenta stay raw f32: they are
     /// live compute state, and evict/rehydrate must reproduce them
     /// bit-for-bit.
@@ -68,29 +68,6 @@ impl SessionState {
             &s.buffer_images,
             s.buffer_scalar,
         ));
-        w.put_usize(s.buffer_ipc);
-        w.put_usize(s.buffer_classes);
-        w.put_u64(s.rng_state);
-        w.put_opt_f32(s.rng_spare);
-        w.put_usize(s.segments_seen);
-        w.put_usize(s.items_seen);
-        Self::put_cursor(&mut w, &self.cursor);
-        w.seal()
-    }
-
-    /// Serializes to the **legacy version-1** layout (all tensors as raw
-    /// f32 bits, no dtype records). Kept for the version-skew tests and
-    /// for handing sessions to older hosts; lossless only for an
-    /// f32-storage buffer — sub-f32 scalar types cannot be represented
-    /// in v1 and widen to their lattice values.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut w = Writer::with_header_version(1);
-        w.put_u64(self.tenant_id);
-        let s = &self.snapshot;
-        w.put_tensor_vec(&s.model_params);
-        w.put_opt_tensor_vec(&s.opt_model_velocity);
-        w.put_opt_tensor_vec(&s.condenser_velocity);
-        w.put_tensor(&s.buffer_images);
         w.put_usize(s.buffer_ipc);
         w.put_usize(s.buffer_classes);
         w.put_u64(s.rng_state);
@@ -119,25 +96,20 @@ impl SessionState {
         w.put_usize(c.emitted);
     }
 
-    /// Deserializes a session written by [`SessionState::to_bytes`] — or
-    /// by a version-1 writer: v1 payloads carry a plain f32 buffer
-    /// tensor and rehydrate with [`ScalarType::F32`] storage.
+    /// Deserializes a session written by [`SessionState::to_bytes`].
     ///
     /// # Errors
-    /// Returns a typed [`WireError`] for any defect — wrong magic, future
-    /// version, corruption, truncation, or trailing bytes.
+    /// Returns a typed [`WireError`] for any defect — wrong magic, any
+    /// version but [`crate::FORMAT_VERSION`], corruption, truncation, or
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<SessionState, WireError> {
         let mut r = Reader::open(bytes)?;
         let tenant_id = r.get_u64()?;
         let model_params = r.get_tensor_vec()?;
         let opt_model_velocity = r.get_opt_tensor_vec()?;
         let condenser_velocity = r.get_opt_tensor_vec()?;
-        let (buffer_images, buffer_scalar) = if r.version() >= 2 {
-            let stored = r.get_stored_tensor()?;
-            (stored.decode(), stored.scalar_type())
-        } else {
-            (r.get_tensor()?, ScalarType::F32)
-        };
+        let stored = r.get_stored_tensor()?;
+        let (buffer_images, buffer_scalar) = (stored.decode(), stored.scalar_type());
         let buffer_ipc = r.get_usize()?;
         let buffer_classes = r.get_usize()?;
         let rng_state = r.get_u64()?;

@@ -13,27 +13,27 @@
 
 use std::path::Path;
 
-use deco_replay::{BufferItem, ReplayBuffer};
 use deco_tensor::{StorageDtype, StoredTensor, Tensor};
 
 /// File magic of the session format (`DSRV`).
 pub const MAGIC: [u8; 4] = *b"DSRV";
 
-/// Current format version. Bump on any layout change; readers reject
-/// versions they do not understand with
+/// The format version, and the only one a reader accepts. Bump on any
+/// layout change; readers reject every other version with
 /// [`WireError::UnsupportedVersion`] instead of misparsing.
 ///
 /// Version history:
-/// - **1** — all tensors stored as raw `f32` bits.
+/// - **1** — all tensors stored as raw `f32` bits. No longer read.
 /// - **2** — the synthetic buffer travels as a dtype-tagged
-///   [`StoredTensor`] record (bf16/f16 halve, i8 quarters its payload;
+///   [`StoredTensor`] record (bf16 halves, i8 quarters its payload;
 ///   i8 carries its affine parameters so re-serialization is
-///   byte-identical), and replay buffers carry their storage dtype.
-///   Readers still accept version-1 payloads.
+///   byte-identical). Tags: f32 = 0, bf16 = 1, i8 = 3.
+///
+///   Tag 2 (f16) is retired and now reads as an unknown tag. The
+///   version stays 2 anyway: no writer in this tree ever emits tag 2,
+///   every other byte is unchanged, and spill files do not outlive the
+///   process that wrote them.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version this reader still understands.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Upper bound on a single tensor's element count accepted by the reader —
 /// a corrupt length field must fail cleanly, not attempt a huge allocation.
@@ -46,7 +46,7 @@ pub enum WireError {
     Io(std::io::Error),
     /// The file does not start with the session magic.
     BadMagic,
-    /// The file's format version is newer than this reader understands.
+    /// The file's format version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u32),
     /// The payload ended before a field was complete.
     Truncated {
@@ -68,7 +68,7 @@ impl std::fmt::Display for WireError {
             WireError::Io(e) => write!(f, "session i/o error: {e}"),
             WireError::BadMagic => write!(f, "not a session file (bad magic)"),
             WireError::UnsupportedVersion(v) => {
-                write!(f, "unsupported session format version {v} (reader understands {MIN_FORMAT_VERSION}..={FORMAT_VERSION})")
+                write!(f, "unsupported session format version {v} (reader understands {FORMAT_VERSION})")
             }
             WireError::Truncated {
                 offset,
@@ -117,18 +117,12 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// A writer pre-loaded with the magic and the current format version.
+    /// A writer pre-loaded with the magic and the format version.
     pub fn with_header() -> Writer {
-        Writer::with_header_version(FORMAT_VERSION)
-    }
-
-    /// A writer pre-loaded with the magic and an explicit format version —
-    /// for emitting payloads older readers understand (and for the
-    /// version-skew tests that prove newer readers still accept them).
-    pub fn with_header_version(version: u32) -> Writer {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&MAGIC);
-        w.put_u32(version);
+        let mut w = Writer {
+            buf: MAGIC.to_vec(),
+        };
+        w.put_u32(FORMAT_VERSION);
         w
     }
 
@@ -215,7 +209,7 @@ impl Writer {
     }
 
     /// Appends a dtype-tagged stored tensor: tag, rank, dims, then the
-    /// payload at its native width (`u16` bits for bf16/f16; the affine
+    /// payload at its native width (`u16` bits for bf16; the affine
     /// parameters followed by the quantized bytes for i8). Carrying the
     /// i8 parameters — rather than re-deriving them on read — is what
     /// makes a decode/re-encode cycle byte-identical.
@@ -232,8 +226,8 @@ impl Writer {
                     self.put_f32(v);
                 }
             }
-            StorageDtype::Bf16 | StorageDtype::F16 => {
-                for &bits in t.raw_u16().expect("16-bit stored tensor") {
+            StorageDtype::Bf16 => {
+                for &bits in t.raw_u16().expect("bf16 stored tensor") {
                     self.put_u16(bits);
                 }
             }
@@ -247,22 +241,6 @@ impl Writer {
             }
         }
     }
-
-    /// Appends a replay buffer: capacity, offered-item counter, storage
-    /// dtype tag, items (images as raw `f32` bits — items are snapped
-    /// onto the dtype's lattice on entry, so the bits *are*
-    /// stored-precision values).
-    pub fn put_replay_buffer(&mut self, buf: &ReplayBuffer) {
-        self.put_usize(buf.capacity());
-        self.put_usize(buf.seen());
-        self.put_u8(buf.storage_dtype().tag_byte());
-        self.put_u32(buf.items().len() as u32);
-        for item in buf.items() {
-            self.put_tensor(&item.image);
-            self.put_usize(item.label);
-            self.put_f32(item.confidence);
-        }
-    }
 }
 
 /// Bounds-checked reader over a sealed session payload.
@@ -270,7 +248,6 @@ impl Writer {
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> Reader<'a> {
@@ -292,7 +269,7 @@ impl<'a> Reader<'a> {
             return Err(WireError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
         let body_end = bytes.len() - 8;
@@ -306,13 +283,7 @@ impl<'a> Reader<'a> {
         Ok(Reader {
             bytes: &bytes[..body_end],
             pos: 8,
-            version,
         })
-    }
-
-    /// The payload's format version (validated by [`Reader::open`]).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Bytes left before the checksum.
@@ -424,17 +395,13 @@ impl<'a> Reader<'a> {
                     StorageDtype::F32,
                 ))
             }
-            StorageDtype::Bf16 | StorageDtype::F16 => {
+            StorageDtype::Bf16 => {
                 self.ensure_payload(numel, 2)?;
                 let mut bits = Vec::with_capacity(numel);
                 for _ in 0..numel {
                     bits.push(self.get_u16()?);
                 }
-                Ok(if dtype == StorageDtype::Bf16 {
-                    StoredTensor::from_raw_bf16(dims, bits)
-                } else {
-                    StoredTensor::from_raw_f16(dims, bits)
-                })
+                Ok(StoredTensor::from_raw_bf16(dims, bits))
             }
             StorageDtype::I8 => {
                 let scale = self.get_f32()?;
@@ -514,38 +481,6 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
-
-    /// Reads a replay buffer written by [`Writer::put_replay_buffer`].
-    /// Item images are already lattice points of the recorded dtype, so
-    /// re-applying it restores the accounting width without changing a
-    /// pixel.
-    pub fn get_replay_buffer(&mut self) -> Result<ReplayBuffer, WireError> {
-        let capacity = self.get_usize()?;
-        let seen = self.get_usize()?;
-        let tag = self.get_u8()?;
-        let dtype = StorageDtype::from_tag_byte(tag)
-            .ok_or_else(|| WireError::Corrupt(format!("unknown storage dtype tag {tag}")))?;
-        let n = self.get_u32()? as usize;
-        if capacity == 0 || n > capacity {
-            return Err(WireError::Corrupt(format!(
-                "replay buffer holds {n} items with capacity {capacity}"
-            )));
-        }
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let image = self.get_tensor()?;
-            let label = self.get_usize()?;
-            let confidence = self.get_f32()?;
-            items.push(BufferItem {
-                image,
-                label,
-                confidence,
-            });
-        }
-        let mut buf = ReplayBuffer::from_parts(capacity, items, seen);
-        buf.set_storage_dtype(dtype);
-        Ok(buf)
-    }
 }
 
 /// Writes sealed bytes to `path` atomically enough for a single host: a
@@ -572,6 +507,17 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, WireError> {
 mod tests {
     use super::*;
     use deco_tensor::Rng;
+
+    impl Writer {
+        /// A writer whose header claims `version`, for the rejection tests.
+        fn with_header_version(version: u32) -> Writer {
+            let mut w = Writer {
+                buf: MAGIC.to_vec(),
+            };
+            w.put_u32(version);
+            w
+        }
+    }
 
     #[test]
     fn primitives_roundtrip_exactly() {
@@ -619,10 +565,7 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&MAGIC);
-        w.put_u32(FORMAT_VERSION + 1);
-        let bytes = w.seal();
+        let bytes = Writer::with_header_version(FORMAT_VERSION + 1).seal();
         assert!(matches!(
             Reader::open(&bytes),
             Err(WireError::UnsupportedVersion(v)) if v == FORMAT_VERSION + 1
@@ -707,23 +650,25 @@ mod tests {
         let overhead = 16 + 1 + 4 + 2 * 8;
         assert_eq!(size(StorageDtype::F32) - overhead, 256);
         assert_eq!(size(StorageDtype::Bf16) - overhead, 128);
-        assert_eq!(size(StorageDtype::F16) - overhead, 128);
         assert_eq!(size(StorageDtype::I8) - overhead, 64 + 5);
     }
 
     #[test]
     fn unknown_dtype_tag_is_corrupt_not_a_panic() {
-        let mut w = Writer::with_header();
-        w.put_u8(9); // no such dtype tag
-        w.put_u32(1);
-        w.put_u64(1);
-        w.put_f32(0.0);
-        let bytes = w.seal();
-        let mut r = Reader::open(&bytes).unwrap();
-        assert!(matches!(
-            r.get_stored_tensor(),
-            Err(WireError::Corrupt(msg)) if msg.contains("dtype tag 9")
-        ));
+        // Tag 2 is the retired f16 tag; 9 was never assigned.
+        for tag in [2u8, 9] {
+            let mut w = Writer::with_header();
+            w.put_u8(tag);
+            w.put_u32(1);
+            w.put_u64(1);
+            w.put_f32(0.0);
+            let bytes = w.seal();
+            let mut r = Reader::open(&bytes).unwrap();
+            assert!(matches!(
+                r.get_stored_tensor(),
+                Err(WireError::Corrupt(msg)) if msg.contains(&format!("dtype tag {tag}"))
+            ));
+        }
     }
 
     #[test]
@@ -746,46 +691,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_are_still_accepted() {
-        let mut w = Writer::with_header_version(1);
-        w.put_u64(77);
-        let bytes = w.seal();
-        let mut r = Reader::open(&bytes).unwrap();
-        assert_eq!(r.version(), 1);
-        assert_eq!(r.get_u64().unwrap(), 77);
-        r.finish().unwrap();
-    }
-
-    #[test]
     fn version_zero_is_rejected() {
-        let bytes = Writer::with_header_version(0).seal();
-        assert!(matches!(
-            Reader::open(&bytes),
-            Err(WireError::UnsupportedVersion(0))
-        ));
-    }
-
-    #[test]
-    fn replay_buffer_roundtrips_with_seen_counter() {
-        let mut rng = Rng::new(7);
-        let mut buf = ReplayBuffer::new(4);
-        for i in 0..3 {
-            buf.record_seen();
-            buf.push(BufferItem {
-                image: Tensor::randn([1, 4, 4], &mut rng),
-                label: i,
-                confidence: 0.5 + i as f32 * 0.1,
-            });
+        // Version 1 (all-f32 tensors) is no longer read either.
+        for version in [0u32, 1] {
+            let bytes = Writer::with_header_version(version).seal();
+            assert!(matches!(
+                Reader::open(&bytes),
+                Err(WireError::UnsupportedVersion(v)) if v == version
+            ));
         }
-        buf.record_seen(); // an offered-but-rejected item
-        let mut w = Writer::with_header();
-        w.put_replay_buffer(&buf);
-        let bytes = w.seal();
-        let mut r = Reader::open(&bytes).unwrap();
-        let back = r.get_replay_buffer().unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.capacity(), 4);
-        assert_eq!(back.seen(), 4);
-        assert_eq!(back.items(), buf.items());
     }
 }

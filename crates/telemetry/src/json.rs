@@ -1,11 +1,13 @@
 //! A dependency-free JSON codec.
 //!
 //! The reproduction runs in fully offline environments where `serde` /
-//! `serde_json` cannot be fetched, so every report, checkpoint and
+//! `serde_json` cannot be fetched, so every report, golden trace and
 //! telemetry snapshot goes through this module instead: a [`Json`] value
 //! type, a recursive-descent parser, a pretty printer, and the
-//! [`ToJson`] / [`FromJson`] conversion traits with an impl macro for
-//! plain structs.
+//! [`ToJson`] conversion trait with an impl macro for plain structs.
+//! Readers walk a parsed [`Json`] with its accessors. Learner state never
+//! travels as JSON: numbers print through `f64`, so `-0.0`, NaN and ±inf
+//! do not survive (sessions use `deco-serve`'s binary wire format).
 //!
 //! ```
 //! use deco_telemetry::json::{Json, ToJson};
@@ -429,37 +431,15 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Conversion from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Reads `Self` back out of a JSON value.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on shape or type mismatches.
-    fn from_json(json: &Json) -> Result<Self, JsonError>;
-}
-
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
 }
 
-impl FromJson for Json {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(json.clone())
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_bool()
-            .ok_or_else(|| JsonError::new("expected bool"))
     }
 }
 
@@ -481,27 +461,12 @@ impl ToJson for &str {
     }
 }
 
-impl FromJson for String {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::new("expected string"))
-    }
-}
-
 macro_rules! impl_json_num {
     ($($ty:ty),*) => {
         $(
             impl ToJson for $ty {
                 fn to_json(&self) -> Json {
                     Json::Num(*self as f64)
-                }
-            }
-
-            impl FromJson for $ty {
-                fn from_json(json: &Json) -> Result<Self, JsonError> {
-                    let n = json.as_f64().ok_or_else(|| JsonError::new("expected number"))?;
-                    Ok(n as $ty)
                 }
             }
         )*
@@ -515,15 +480,6 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
         }
     }
 }
@@ -543,16 +499,6 @@ impl<T: ToJson> ToJson for [T] {
 impl<T: ToJson> ToJson for &[T] {
     fn to_json(&self) -> Json {
         (**self).to_json()
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_array()
-            .ok_or_else(|| JsonError::new("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
     }
 }
 
@@ -589,35 +535,6 @@ macro_rules! impl_to_json {
                 ])
             }
         }
-    };
-}
-
-/// Implements [`FromJson`](crate::json::FromJson) for a struct with named
-/// fields; every listed field must itself implement `FromJson`.
-#[macro_export]
-macro_rules! impl_from_json {
-    ($name:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::json::FromJson for $name {
-            fn from_json(json: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                Ok($name {
-                    $($field: $crate::json::FromJson::from_json(
-                        json.get(stringify!($field)).unwrap_or(&$crate::json::Json::Null),
-                    ).map_err(|e| $crate::json::JsonError(format!(
-                        concat!(stringify!($name), ".", stringify!($field), ": {}"), e.0
-                    )))?,)*
-                })
-            }
-        }
-    };
-}
-
-/// Implements both [`ToJson`](crate::json::ToJson) and
-/// [`FromJson`](crate::json::FromJson) for a struct with named fields.
-#[macro_export]
-macro_rules! impl_json {
-    ($name:ident { $($field:ident),* $(,)? }) => {
-        $crate::impl_to_json!($name { $($field),* });
-        $crate::impl_from_json!($name { $($field),* });
     };
 }
 
@@ -671,31 +588,6 @@ mod tests {
     fn non_finite_numbers_serialize_as_null() {
         assert_eq!(f32::NAN.to_json().to_string_compact(), "null");
         assert_eq!(f64::INFINITY.to_json().to_string_compact(), "null");
-    }
-
-    #[test]
-    fn struct_macro_roundtrip() {
-        #[derive(Debug, PartialEq)]
-        struct Demo {
-            name: String,
-            score: f32,
-            tags: Vec<u64>,
-            note: Option<String>,
-        }
-        impl_json!(Demo {
-            name,
-            score,
-            tags,
-            note
-        });
-        let d = Demo {
-            name: "x".into(),
-            score: 1.5,
-            tags: vec![4, 5],
-            note: None,
-        };
-        let back = Demo::from_json(&Json::parse(&d.to_json().to_string_pretty()).unwrap()).unwrap();
-        assert_eq!(back, d);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError, ToJson};
 pub use memory::{
     global_tracker, track_alloc, track_free, track_set, MemoryComponent, MemoryTracker,
 };

@@ -1,5 +1,5 @@
-//! Sub-f32 *storage* precision: bf16 / f16 / i8 representations for
-//! tensors held at rest, with all compute staying in f32.
+//! Sub-f32 *storage* precision: bf16 / i8 representations for tensors
+//! held at rest, with all compute staying in f32.
 //!
 //! The paper's pitch is on-device **memory**: what the device must keep
 //! resident between stream segments (the condensed synthetic set, the
@@ -7,27 +7,30 @@
 //! the storage side of that split:
 //!
 //! * [`StorageDtype`] — the parameter-free dtype axis (`f32`, `bf16`,
-//!   `f16`, `i8`) used for CLI flags and the wire format's dtype tag;
+//!   `i8`) used for CLI flags and the wire format's dtype tag;
 //! * [`ScalarType`] — the fully-parameterized element type, carrying the
 //!   affine quantization parameters for `I8`;
 //! * [`StoredTensor`] — a tensor encoded at a storage dtype. The `F32`
 //!   variant wraps the [`Tensor`] itself (encode/decode are O(1) `Arc`
 //!   clones — the default path is bitwise untouched), the sub-f32
 //!   variants own compact element buffers;
-//! * the conversion primitives (`f32_to_bf16`, `f32_to_f16`, the i8
-//!   affine quantizer) with IEEE round-to-nearest-even semantics and
-//!   pinned NaN/±inf/subnormal behavior.
+//! * the conversion primitives (`f32_to_bf16`, the i8 affine quantizer)
+//!   with IEEE round-to-nearest-even semantics and pinned
+//!   NaN/±inf/subnormal behavior.
 //!
 //! ## Storage-vs-compute contract
 //!
 //! Conversion happens only at load/store boundaries. Every kernel,
 //! every autograd node, and every accumulation runs in f32 on *decoded*
-//! values; decode∘encode is idempotent (widening sub-f32 to f32 is
-//! exact, and re-encoding a widened value reproduces the same bits), so
-//! a value committed to storage round-trips bit-stably forever after.
-//! Results therefore stay bitwise identical at any `DECO_THREADS`
-//! setting for every dtype — the precision loss is a deterministic
-//! function of the stored values, never of the schedule.
+//! values. Widening to f32 is exact, and a committed value round-trips
+//! bit-stably forever after: for bf16 re-encoding a widened value
+//! reproduces the same bits, so decode∘encode is idempotent. For i8 it
+//! is not — [`StoredTensor::encode`] re-derives the affine parameters,
+//! and on lattice data they need not come back — so byte-stability goes
+//! through [`StoredTensor::encode_with`] and the committed
+//! [`ScalarType`]. Results therefore stay bitwise identical at any
+//! `DECO_THREADS` setting for every dtype — the precision loss is a
+//! deterministic function of the stored values, never of the schedule.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -44,38 +47,29 @@ pub enum StorageDtype {
     F32,
     /// bfloat16: f32's exponent range, 8-bit significand.
     Bf16,
-    /// IEEE 754 binary16: 5-bit exponent, 11-bit significand.
-    F16,
     /// Affine-quantized 8-bit integers with per-tensor `scale`/`zero`.
     I8,
 }
 
 impl StorageDtype {
     /// Every supported dtype, in wire-tag order.
-    pub const ALL: [StorageDtype; 4] = [
-        StorageDtype::F32,
-        StorageDtype::Bf16,
-        StorageDtype::F16,
-        StorageDtype::I8,
-    ];
+    pub const ALL: [StorageDtype; 3] = [StorageDtype::F32, StorageDtype::Bf16, StorageDtype::I8];
 
-    /// Parses `"f32"` / `"bf16"` / `"f16"` / `"i8"` (CLI axis).
+    /// Parses `"f32"` / `"bf16"` / `"i8"` (CLI axis).
     pub fn parse(s: &str) -> Option<StorageDtype> {
         match s.to_ascii_lowercase().as_str() {
             "f32" => Some(StorageDtype::F32),
             "bf16" => Some(StorageDtype::Bf16),
-            "f16" => Some(StorageDtype::F16),
             "i8" => Some(StorageDtype::I8),
             _ => None,
         }
     }
 
-    /// Display/key name (`"f32"`, `"bf16"`, `"f16"`, `"i8"`).
+    /// Display/key name (`"f32"`, `"bf16"`, `"i8"`).
     pub fn label(self) -> &'static str {
         match self {
             StorageDtype::F32 => "f32",
             StorageDtype::Bf16 => "bf16",
-            StorageDtype::F16 => "f16",
             StorageDtype::I8 => "i8",
         }
     }
@@ -84,25 +78,30 @@ impl StorageDtype {
     pub fn bytes_per_element(self) -> usize {
         match self {
             StorageDtype::F32 => 4,
-            StorageDtype::Bf16 | StorageDtype::F16 => 2,
+            StorageDtype::Bf16 => 2,
             StorageDtype::I8 => 1,
         }
     }
 
-    /// The stable wire tag (`0..=3`, [`StorageDtype::ALL`] order).
+    /// The stable wire tag. Tag 2 belonged to the retired f16 dtype and
+    /// is never reissued.
     pub fn tag_byte(self) -> u8 {
         match self {
             StorageDtype::F32 => 0,
             StorageDtype::Bf16 => 1,
-            StorageDtype::F16 => 2,
             StorageDtype::I8 => 3,
         }
     }
 
     /// Inverse of [`StorageDtype::tag_byte`]; `None` for unknown tags
-    /// (hostile or future payloads).
+    /// (hostile or future payloads, and the retired tag 2).
     pub fn from_tag_byte(tag: u8) -> Option<StorageDtype> {
-        StorageDtype::ALL.get(tag as usize).copied()
+        match tag {
+            0 => Some(StorageDtype::F32),
+            1 => Some(StorageDtype::Bf16),
+            3 => Some(StorageDtype::I8),
+            _ => None,
+        }
     }
 }
 
@@ -121,8 +120,6 @@ pub enum ScalarType {
     F32,
     /// bfloat16.
     Bf16,
-    /// IEEE 754 binary16.
-    F16,
     /// Affine-quantized i8.
     I8 {
         /// Step between adjacent lattice points.
@@ -138,7 +135,6 @@ impl ScalarType {
         match self {
             ScalarType::F32 => StorageDtype::F32,
             ScalarType::Bf16 => StorageDtype::Bf16,
-            ScalarType::F16 => StorageDtype::F16,
             ScalarType::I8 { .. } => StorageDtype::I8,
         }
     }
@@ -150,7 +146,6 @@ impl ScalarType {
         match dtype {
             StorageDtype::F32 => ScalarType::F32,
             StorageDtype::Bf16 => ScalarType::Bf16,
-            StorageDtype::F16 => ScalarType::F16,
             StorageDtype::I8 => ScalarType::I8 {
                 scale: 1.0,
                 zero: 0,
@@ -181,81 +176,6 @@ pub fn f32_to_bf16(x: f32) -> u16 {
 /// bf16 → f32: exact (bf16 values are a subset of f32).
 pub fn bf16_to_f32(bits: u16) -> f32 {
     f32::from_bits(u32::from(bits) << 16)
-}
-
-/// f32 → IEEE binary16 with round-to-nearest-even: overflow saturates
-/// to ±inf, the subnormal range rounds correctly (including the
-/// tie-to-even at the underflow boundary), NaNs stay NaN with their
-/// sign and a quiet bit set.
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp32 = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-    if exp32 == 0xFF {
-        if man == 0 {
-            return sign | 0x7C00; // ±inf
-        }
-        // NaN: keep the top payload bits, force the quiet bit.
-        return sign | 0x7C00 | 0x0200 | ((man >> 13) as u16 & 0x03FF);
-    }
-    let exp = exp32 - 127 + 15;
-    if exp >= 0x1F {
-        return sign | 0x7C00; // overflow → ±inf
-    }
-    if exp <= 0 {
-        if exp < -10 {
-            return sign; // underflows past the smallest subnormal → ±0
-        }
-        // Subnormal result: shift the 24-bit significand (implicit bit
-        // restored) into the 10-bit field, rounding to nearest even.
-        let m = man | 0x0080_0000;
-        let shift = (14 - exp) as u32;
-        let half = m >> shift;
-        let rem = m & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let mut h = half as u16;
-        if rem > halfway || (rem == halfway && (h & 1) == 1) {
-            h += 1;
-        }
-        return sign | h;
-    }
-    // Normal result: drop 13 mantissa bits with round-to-nearest-even;
-    // a rounding carry correctly propagates into the exponent (up to
-    // ±inf at the very top).
-    let mut h = ((exp as u16) << 10) | ((man >> 13) as u16);
-    let rem = man & 0x1FFF;
-    if rem > 0x1000 || (rem == 0x1000 && (h & 1) == 1) {
-        h = h.wrapping_add(1);
-    }
-    sign | h
-}
-
-/// IEEE binary16 → f32: exact (every f16 value, subnormals included, is
-/// representable in f32).
-pub fn f16_to_f32(bits: u16) -> f32 {
-    let sign = (u32::from(bits) >> 15) << 31;
-    let exp = (u32::from(bits) >> 10) & 0x1F;
-    let man = u32::from(bits) & 0x03FF;
-    let out = if exp == 0 {
-        if man == 0 {
-            sign // ±0
-        } else {
-            // Subnormal: normalize into an f32 with the implicit bit.
-            let mut e = 113u32; // 127 - 15 + 1
-            let mut m = man;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | (e << 23) | ((m & 0x03FF) << 13)
-        }
-    } else if exp == 0x1F {
-        sign | 0x7F80_0000 | (man << 13) // ±inf / NaN
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (man << 13)
-    };
-    f32::from_bits(out)
 }
 
 /// Derives per-tensor affine i8 parameters from the finite value range:
@@ -305,8 +225,6 @@ enum Repr {
     F32(Tensor),
     /// bf16 element bits.
     Bf16(Vec<u16>),
-    /// IEEE binary16 element bits.
-    F16(Vec<u16>),
     /// Affine-quantized codes plus the per-tensor parameters.
     I8 { data: Vec<i8>, scale: f32, zero: i8 },
 }
@@ -318,7 +236,7 @@ enum Repr {
 /// default precision path is bitwise identical to not using
 /// `StoredTensor` at all. Sub-f32 encodings own compact buffers;
 /// [`StoredTensor::decode`] widens back to f32 (exactly — see the
-/// module docs for the idempotence contract).
+/// module docs for the byte-stability contract).
 #[derive(Debug, Clone)]
 pub struct StoredTensor {
     dims: Vec<usize>,
@@ -339,7 +257,6 @@ impl StoredTensor {
                 }
             }
             StorageDtype::Bf16 => Repr::Bf16(t.data().iter().map(|&x| f32_to_bf16(x)).collect()),
-            StorageDtype::F16 => Repr::F16(t.data().iter().map(|&x| f32_to_f16(x)).collect()),
             StorageDtype::I8 => {
                 let (scale, zero) = i8_affine_params(t.data());
                 Repr::I8 {
@@ -414,11 +331,6 @@ impl StoredTensor {
                     *o = bf16_to_f32(b);
                 }
             }
-            Repr::F16(v) => {
-                for (o, &b) in out.iter_mut().zip(v) {
-                    *o = f16_to_f32(b);
-                }
-            }
             Repr::I8 { data, scale, zero } => {
                 for (o, &q) in out.iter_mut().zip(data) {
                     *o = dequantize_i8(q, *scale, *zero);
@@ -432,7 +344,6 @@ impl StoredTensor {
         match &self.repr {
             Repr::F32(_) => StorageDtype::F32,
             Repr::Bf16(_) => StorageDtype::Bf16,
-            Repr::F16(_) => StorageDtype::F16,
             Repr::I8 { .. } => StorageDtype::I8,
         }
     }
@@ -442,7 +353,6 @@ impl StoredTensor {
         match &self.repr {
             Repr::F32(_) => ScalarType::F32,
             Repr::Bf16(_) => ScalarType::Bf16,
-            Repr::F16(_) => ScalarType::F16,
             Repr::I8 { scale, zero, .. } => ScalarType::I8 {
                 scale: *scale,
                 zero: *zero,
@@ -466,7 +376,7 @@ impl StoredTensor {
     pub fn heap_bytes(&self) -> u64 {
         match &self.repr {
             Repr::F32(t) => t.heap_bytes(),
-            Repr::Bf16(v) | Repr::F16(v) => (v.len() * 2) as u64,
+            Repr::Bf16(v) => (v.len() * 2) as u64,
             Repr::I8 { data, .. } => data.len() as u64 + 5,
         }
     }
@@ -479,10 +389,10 @@ impl StoredTensor {
         }
     }
 
-    /// The raw 16-bit element payload for `Bf16`/`F16` (wire format).
+    /// The raw 16-bit element payload for `Bf16` (wire format).
     pub fn raw_u16(&self) -> Option<&[u16]> {
         match &self.repr {
-            Repr::Bf16(v) | Repr::F16(v) => Some(v),
+            Repr::Bf16(v) => Some(v),
             _ => None,
         }
     }
@@ -504,18 +414,6 @@ impl StoredTensor {
         StoredTensor {
             dims,
             repr: Repr::Bf16(data),
-        }
-    }
-
-    /// Rebuilds an `F16` payload from wire bytes.
-    ///
-    /// # Panics
-    /// Panics on an element-count mismatch.
-    pub fn from_raw_f16(dims: Vec<usize>, data: Vec<u16>) -> StoredTensor {
-        assert_eq!(dims.iter().product::<usize>(), data.len());
-        StoredTensor {
-            dims,
-            repr: Repr::F16(data),
         }
     }
 
@@ -555,7 +453,6 @@ pub fn snap_to_scalar(t: &Tensor, scalar: ScalarType) -> Tensor {
     match scalar {
         ScalarType::F32 => t.clone(),
         ScalarType::Bf16 => t.map(|x| bf16_to_f32(f32_to_bf16(x))),
-        ScalarType::F16 => t.map(|x| f16_to_f32(f32_to_f16(x))),
         ScalarType::I8 { scale, zero } => {
             t.map(|x| dequantize_i8(quantize_i8(x, scale, zero), scale, zero))
         }
@@ -575,27 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn f16_roundtrip_is_exact_on_f16_values() {
-        // Every finite f16 bit pattern round-trips through f32.
-        for bits in 0u16..=0xFFFF {
-            let exp = (bits >> 10) & 0x1F;
-            if exp == 0x1F {
-                continue; // inf/NaN handled separately
-            }
-            assert_eq!(f32_to_f16(f16_to_f32(bits)), bits, "bits {bits:#06x}");
-        }
-    }
-
-    #[test]
     fn specials_are_pinned() {
         assert_eq!(f32_to_bf16(f32::INFINITY), 0x7F80);
         assert_eq!(f32_to_bf16(f32::NEG_INFINITY), 0xFF80);
         assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
-        assert_eq!(f32_to_f16(f32::INFINITY), 0x7C00);
-        assert_eq!(f32_to_f16(f32::NEG_INFINITY), 0xFC00);
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        assert_eq!(f32_to_f16(65520.0), 0x7C00, "overflow saturates to inf");
-        assert_eq!(f32_to_f16(-0.0).to_be_bytes()[0] & 0x80, 0x80, "-0 sign");
         assert_eq!(quantize_i8(f32::NAN, 0.1, 3), 0);
         assert_eq!(quantize_i8(f32::INFINITY, 0.1, 3), 127);
         assert_eq!(quantize_i8(f32::NEG_INFINITY, 0.1, 3), -128);
@@ -626,7 +506,7 @@ mod tests {
     fn sub_f32_shrinks_and_reencodes_stably() {
         let mut rng = Rng::new(2);
         let t = Tensor::randn([4, 8], &mut rng);
-        for dtype in [StorageDtype::Bf16, StorageDtype::F16, StorageDtype::I8] {
+        for dtype in [StorageDtype::Bf16, StorageDtype::I8] {
             let s = StoredTensor::encode(&t, dtype);
             assert!(
                 s.heap_bytes() <= t.heap_bytes() / 2 + 8,
@@ -634,11 +514,14 @@ mod tests {
                 s.heap_bytes(),
                 t.heap_bytes()
             );
-            // decode∘encode idempotence: re-encoding the decoded tensor
-            // reproduces the identical payload.
             let once = s.decode();
-            let twice = StoredTensor::encode(&once, dtype).decode();
-            assert_eq!(once.data(), twice.data(), "{dtype}");
+            // bf16 decode∘encode is idempotent; i8 re-derives its affine
+            // parameters, so its stability goes through `encode_with`
+            // (next test).
+            if dtype == StorageDtype::Bf16 {
+                let twice = StoredTensor::encode(&once, dtype).decode();
+                assert_eq!(once.data(), twice.data(), "{dtype}");
+            }
             // snap_to_dtype is decode∘encode in one pass.
             let snapped = snap_to_dtype(&t, dtype);
             assert_eq!(snapped.data(), once.data(), "{dtype}");
@@ -681,7 +564,10 @@ mod tests {
             assert_eq!(StorageDtype::from_tag_byte(d.tag_byte()), Some(d));
             assert_eq!(StorageDtype::parse(d.label()), Some(d));
         }
+        // Tag 2 (the retired f16) stays unassigned.
+        assert_eq!(StorageDtype::from_tag_byte(2), None);
         assert_eq!(StorageDtype::from_tag_byte(9), None);
         assert_eq!(StorageDtype::parse("f64"), None);
+        assert_eq!(StorageDtype::parse("f16"), None);
     }
 }

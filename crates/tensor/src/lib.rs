@@ -42,7 +42,6 @@ pub mod ops;
 pub mod plancache;
 pub mod pool;
 mod rng;
-mod serialize;
 mod shape;
 mod tensor;
 #[doc(hidden)]

@@ -4,8 +4,8 @@
 //! byte-stability of `StoredTensor` across decode/encode cycles.
 
 use deco_tensor::dtype::{
-    bf16_to_f32, dequantize_i8, f16_to_f32, f32_to_bf16, f32_to_f16, i8_affine_params, quantize_i8,
-    snap_to_dtype, snap_to_scalar,
+    bf16_to_f32, dequantize_i8, f32_to_bf16, i8_affine_params, quantize_i8, snap_to_dtype,
+    snap_to_scalar,
 };
 use deco_tensor::{Rng, ScalarType, StorageDtype, StoredTensor, Tensor};
 use proptest::prelude::*;
@@ -13,14 +13,9 @@ use proptest::prelude::*;
 /// bf16 keeps 8 significand bits: round-to-nearest is within half an
 /// ulp, 2⁻⁹ relative. The band allows 2× headroom.
 const BF16_BAND: f32 = 1.0 / 256.0;
-/// f16 keeps 11 significand bits: half-ulp is 2⁻¹¹; band is 2⁻¹⁰.
-const F16_BAND: f32 = 1.0 / 1024.0;
-/// Smallest f16 normal (2⁻¹⁴): below it the error is measured against
-/// this magnitude, since subnormal steps are absolute, not relative.
-const F16_MIN_NORMAL: f32 = 6.1035156e-5;
 
 fn sub_f32(idx: usize) -> StorageDtype {
-    [StorageDtype::Bf16, StorageDtype::F16, StorageDtype::I8][idx % 3]
+    [StorageDtype::Bf16, StorageDtype::I8][idx]
 }
 
 proptest! {
@@ -38,16 +33,6 @@ proptest! {
     }
 
     #[test]
-    fn f16_roundtrip_error_is_within_the_band(seed in 0u64..2000, exp in -4i32..3) {
-        let mut rng = Rng::new(seed);
-        let x = rng.normal() * 10f32.powi(exp);
-        let y = f16_to_f32(f32_to_f16(x));
-        let err = (y - x).abs() / x.abs().max(F16_MIN_NORMAL);
-        prop_assert!(err <= F16_BAND, "x={x:e} y={y:e} err={err:e}");
-        prop_assert_eq!(f32_to_f16(y), f32_to_f16(x));
-    }
-
-    #[test]
     fn bf16_bit_patterns_are_fixed_points(bits in 0u16..=0xFFFF) {
         // Every non-NaN bf16 value widens exactly and narrows back to
         // the identical bits; NaNs stay NaN (payload may quieten).
@@ -56,17 +41,6 @@ proptest! {
             prop_assert!(bf16_to_f32(f32_to_bf16(x)).is_nan());
         } else {
             prop_assert_eq!(f32_to_bf16(x), bits, "bits {bits:#06x}");
-        }
-    }
-
-    #[test]
-    fn f16_bit_patterns_are_fixed_points(bits in 0u16..=0xFFFF) {
-        let exp = (bits >> 10) & 0x1F;
-        let x = f16_to_f32(bits);
-        if exp == 0x1F && bits & 0x03FF != 0 {
-            prop_assert!(f32_to_f16(x) & 0x7C00 == 0x7C00 && f32_to_f16(x) & 0x03FF != 0);
-        } else {
-            prop_assert_eq!(f32_to_f16(x), bits, "bits {bits:#06x}");
         }
     }
 
@@ -106,15 +80,21 @@ proptest! {
     fn decode_encode_is_idempotent(
         dims in prop::collection::vec(1usize..=5, 1..=3),
         seed in 0u64..1000,
-        which in 0usize..3,
+        which in 0usize..2,
     ) {
         let mut rng = Rng::new(seed);
         let t = Tensor::randn(dims, &mut rng);
         let dtype = sub_f32(which);
         let once = StoredTensor::encode(&t, dtype).decode();
-        let twice = StoredTensor::encode(&once, dtype).decode();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&twice), bits(&once), "{}", dtype);
+        // Re-encoding is idempotent for bf16 only: i8's `encode`
+        // re-derives the affine parameters, and on lattice data they
+        // need not come back (a value can move by one ulp). i8
+        // byte-stability goes through `encode_with`, asserted below.
+        if dtype == StorageDtype::Bf16 {
+            let twice = StoredTensor::encode(&once, dtype).decode();
+            prop_assert_eq!(bits(&twice), bits(&once), "{}", dtype);
+        }
         // snap_to_dtype is decode∘encode in one pass, bitwise.
         prop_assert_eq!(bits(&snap_to_dtype(&t, dtype)), bits(&once), "{}", dtype);
     }
@@ -123,7 +103,7 @@ proptest! {
     fn encode_with_is_byte_stable_over_cycles(
         dims in prop::collection::vec(1usize..=5, 1..=3),
         seed in 0u64..1000,
-        which in 0usize..4,
+        which in 0usize..3,
     ) {
         let mut rng = Rng::new(seed);
         let t = Tensor::randn(dims, &mut rng);
@@ -182,27 +162,6 @@ fn bf16_specials_are_pinned_bit_exactly() {
     let sub = f32::from_bits(0x0000_0001); // smallest positive subnormal
     let narrowed = bf16_to_f32(f32_to_bf16(sub));
     assert!(narrowed == 0.0 || narrowed.is_sign_positive() && narrowed < 1e-37);
-}
-
-#[test]
-fn f16_specials_are_pinned_bit_exactly() {
-    assert_eq!(f32_to_f16(0.0), 0x0000);
-    assert_eq!(f32_to_f16(-0.0), 0x8000);
-    assert_eq!(f32_to_f16(f32::INFINITY), 0x7C00);
-    assert_eq!(f32_to_f16(f32::NEG_INFINITY), 0xFC00);
-    assert_eq!(f32_to_f16(65520.0), 0x7C00, "overflow saturates to +inf");
-    assert_eq!(f32_to_f16(-65520.0), 0xFC00, "overflow saturates to -inf");
-    let nan = f32_to_f16(f32::NAN);
-    assert_eq!(nan & 0x7C00, 0x7C00);
-    assert_ne!(nan & 0x03FF, 0, "quiet bit keeps NaN a NaN");
-    // The f16 subnormal range narrows with correct rounding: the
-    // smallest subnormal (2⁻²⁴) is representable exactly…
-    assert_eq!(f32_to_f16(5.9604645e-8), 0x0001);
-    // …half of it ties to even (±0)…
-    assert_eq!(f32_to_f16(2.9802322e-8), 0x0000);
-    // …and anything below a quarter of it underflows to signed zero.
-    assert_eq!(f32_to_f16(1e-9), 0x0000);
-    assert_eq!(f32_to_f16(-1e-9), 0x8000);
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! that never restarted, and this example asserts it.
 //!
 //! Persistence uses `deco_serve::SessionState`, the versioned binary
-//! session format of the serving layer: unlike the older JSON
-//! `Checkpoint` (model + buffer only), it round-trips exact `f32`/`u64`
-//! bit patterns and resumes *mid-stream* via the stream cursor.
+//! session format of the serving layer and the one at-rest format for
+//! learner state: it round-trips exact `f32`/`u64` bit patterns and
+//! resumes *mid-stream* via the stream cursor.
 //!
 //! ```bash
 //! cargo run --release --example checkpoint_resume

@@ -1,9 +1,8 @@
 //! Cross-crate substrate integration: tensor ↔ nn ↔ condense numerics that
 //! only surface when the pieces compose (training through augmentations,
-//! checkpointing through the learner, MLP-on-synthetic-data, drift streams).
+//! MLP-on-synthetic-data, drift streams).
 
 use deco_repro::condense::{Augmentation, SyntheticBuffer};
-use deco_repro::core::Checkpoint;
 use deco_repro::datasets::DriftStream;
 use deco_repro::nn::{weighted_cross_entropy, Mlp, MlpConfig};
 use deco_repro::prelude::*;
@@ -71,55 +70,6 @@ fn mlp_trains_on_a_condensed_buffer() {
         .count() as f32
         / test.len() as f32;
     assert!(acc > 0.15, "MLP accuracy {acc} at chance");
-}
-
-#[test]
-fn checkpoint_roundtrips_through_a_live_learner() {
-    let mut rng = Rng::new(3);
-    let data = SyntheticVision::new(core50());
-    let cfg = ConvNetConfig {
-        width: 8,
-        ..ConvNetConfig::small(10)
-    };
-    let model = ConvNet::new(cfg, &mut rng);
-    pretrain(&model, &data.pretrain_set(3), 20, 0.02);
-    let scratch = ConvNet::new(cfg, &mut rng);
-    let policy = BufferPolicy::Condensed {
-        condenser: Box::new(DecoCondenser::new(DecoConfig::default().with_iterations(2))),
-        buffer: SyntheticBuffer::from_labeled(&data.pretrain_set(3), 1, 10, &mut rng),
-    };
-    let lc = LearnerConfig {
-        vote_threshold: 0.4,
-        beta: 2,
-        model_lr: 5e-3,
-        model_epochs: 4,
-    };
-    let mut learner = OnDeviceLearner::new(model, scratch, policy, lc, rng.fork(4));
-    let scfg = StreamConfig {
-        stc: 32,
-        segment_size: 16,
-        num_segments: 3,
-        seed: 5,
-    };
-    for segment in Stream::new(&data, scfg) {
-        learner.process_segment(&segment);
-    }
-    let test = data.test_set(3);
-    let acc_before = learner.evaluate(&test);
-    let ckpt = match learner.policy() {
-        BufferPolicy::Condensed { buffer, .. } => {
-            Checkpoint::capture(learner.model(), buffer, learner.items_seen())
-        }
-        _ => unreachable!(),
-    };
-    let bytes = ckpt.to_json().unwrap();
-    let restored = Checkpoint::from_json(&bytes).unwrap();
-    // Restore into freshly built objects.
-    let model2 = ConvNet::new(cfg, &mut Rng::new(404));
-    let mut buffer2 = SyntheticBuffer::new_random(1, 10, [3, 16, 16], &mut Rng::new(405));
-    restored.restore(&model2, &mut buffer2);
-    assert_eq!(accuracy(&model2, &test), acc_before);
-    assert_eq!(restored.items_seen, 48);
 }
 
 #[test]
