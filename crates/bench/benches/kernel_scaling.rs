@@ -149,7 +149,9 @@ fn bench_deco_passes(iters: usize) -> Vec<Row> {
 
 /// The first ConvNet block's kernels, one by one, at `deco_stream`'s
 /// layer-1 shape: 100 images of 3×16×16 through a width-8 3×3 conv,
-/// instance GroupNorm + ReLU and a 2×2 average pool.
+/// instance GroupNorm + ReLU and a 2×2 average pool. The conv forward
+/// also runs at the layer-2 and layer-3 shapes (8×8×8 and 8×4×4), so
+/// every conv forward a `deco_stream` pass runs has a row.
 fn bench_deco_block(iters: usize) -> Vec<Row> {
     use deco_tensor::ops::fused;
 
@@ -162,15 +164,28 @@ fn bench_deco_block(iters: usize) -> Vec<Row> {
     let g_pooled = Tensor::randn([100, 8, 8, 8], &mut rng);
     let gamma = Tensor::randn([1, 8, 1, 1], &mut rng);
     let beta = Tensor::randn([1, 8, 1, 1], &mut rng);
+    let x2 = Tensor::randn([100, 8, 8, 8], &mut rng);
+    let x3 = Tensor::randn([100, 8, 4, 4], &mut rng);
+    let w23 = Tensor::randn([8, 8, 3, 3], &mut rng);
     let spec = Conv2dSpec::default();
     let (out, mean, std) = fused::group_norm_relu_fwd(&h, &gamma, &beta, 8, 1e-5);
     vec![
-        // `Tensor::conv2d` lowers each image into im2col scratch.
+        // The forward and the weight gradient are implicit GEMMs that
+        // read each image from a zero-padded plane.
         time_op("conv2d_fwd_100x3x16x16_w8", 1, iters, || {
             std::hint::black_box(x.conv2d(&w, Some(&b), spec));
         }),
+        time_op("conv2d_fwd_100x8x8x8_w8", 1, iters, || {
+            std::hint::black_box(x2.conv2d(&w23, Some(&b), spec));
+        }),
+        time_op("conv2d_fwd_100x8x4x4_w8", 1, iters, || {
+            std::hint::black_box(x3.conv2d(&w23, Some(&b), spec));
+        }),
         time_op("conv2d_input_grad_100x8x16x16_w8", 1, iters, || {
             std::hint::black_box(g.conv2d_input_grad(&w, (16, 16), spec));
+        }),
+        time_op("conv2d_weight_grad_100x8x16x16_w8", 1, iters, || {
+            std::hint::black_box(g.conv2d_weight_grad(&x, 3, spec));
         }),
         time_op("group_norm_relu_fwd_100x8x16x16", 1, iters, || {
             std::hint::black_box(fused::group_norm_relu_fwd(&h, &gamma, &beta, 8, 1e-5));

@@ -4,7 +4,7 @@
 //! ConvNet block. After warm-up, its heap traffic must stay bounded:
 //! every f32 buffer comes from the thread-local pool, tape nodes and
 //! gradient vectors recycle through the autograd arena free lists, and
-//! im2col slabs live on the tape in pooled buffers. What remains per step is
+//! the convolutions' padded image planes are pooled scratch. What remains per step is
 //! a small fixed overhead (one boxed backward closure per tape node
 //! plus a handful of collection buffers) — far below one allocation
 //! per tensor op, and >10× below the pre-fusion baseline of ~2,000.

@@ -335,9 +335,9 @@ fn fuzz_conv_input_grad(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
-/// Conv weight gradient by both routes: the public per-image kernel
-/// (held to the `f64` reference) and the autograd tape's slab route
-/// (held to the per-image kernel bitwise), each at both thread counts.
+/// Conv weight gradient by both routes: the public kernel (held to the
+/// `f64` reference) and the autograd tape's backward (held to the public
+/// kernel bitwise), each at both thread counts.
 fn fuzz_conv_weight_grad(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("conv2d_weight_grad");
@@ -352,9 +352,9 @@ fn fuzz_conv_weight_grad(cases: usize, seed: u64) -> KernelReport {
             || gt.conv2d_weight_grad(&xt, spec.kernel, spec),
             |t| t.data().to_vec(),
         );
-        // The tape route: `Var::conv2d` keeps its forward's im2col slab
-        // and feeds it to the weight gradient, which must equal the
-        // per-image recompute above bit for bit.
+        // The tape route: `Var::conv2d` keeps only its input and runs
+        // the same implicit GEMM from it in the backward, which must
+        // equal the public kernel above bit for bit.
         let (tape, tape_ok) = run_both(
             || {
                 let wl = Var::leaf(Tensor::zeros([cout, cin, spec.kernel, spec.kernel]), true);

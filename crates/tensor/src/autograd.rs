@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use crate::ops::conv::{self, Conv2dSpec};
+use crate::ops::conv::Conv2dSpec;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -817,38 +817,32 @@ impl Var {
     /// one: a constant input skips the input-gradient kernel, a frozen
     /// weight the weight-gradient GEMM, a frozen bias its reduction.
     ///
-    /// When the weight needs a gradient, the forward lowers the whole
-    /// input batch into one im2col slab that the node keeps: the weight
-    /// gradient multiplies against it instead of lowering the input a
-    /// second time, and it is freed with the tape. Every other
-    /// convolution lowers image by image into scratch, exactly like
-    /// [`Tensor::conv2d`]; both routes produce identical bits.
+    /// The node keeps only the operands those gradients read: the weight
+    /// for the input gradient, the input for the weight gradient, which
+    /// reads its column matrices straight from the input again
+    /// ([`Tensor::conv2d_weight_grad`] is an implicit GEMM), so no
+    /// lowered copy of the batch lives on the tape.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, spec: Conv2dSpec) -> Var {
         let need_gx = self.requires_grad();
         let need_gw = weight.requires_grad();
         let need_gb = bias.is_some_and(Var::requires_grad);
-        let b = bias.map(Var::value);
+        let value = self
+            .value()
+            .conv2d(weight.value(), bias.map(Var::value), spec);
         if !(need_gx || need_gw || need_gb) {
-            let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, None);
             return match bias {
                 Some(b) => Var::alloc_node(value, false, &[self, weight, b], None),
                 None => Var::alloc_node(value, false, &[self, weight], None),
             };
         }
-        // The weight gradient reads the input (through its slab); the
-        // input gradient reads the weight.
-        let for_gw = need_gw.then(|| (self.value().clone(), conv::im2col_slab(self.value(), spec)));
-        let slab = for_gw.as_ref().map(|(_, slab)| slab);
-        let value = conv::conv2d_impl(self.value(), weight.value(), b, spec, slab);
         let w = need_gx.then(|| weight.value().clone());
+        let x = need_gw.then(|| self.value().clone());
         let hw = (self.shape().dim(2), self.shape().dim(3));
         let kernel = spec.kernel;
         let has_bias = bias.is_some();
         let backward: BackwardFn = Box::new(move |g| {
             let gx = w.as_ref().map(|w| g.conv2d_input_grad(w, hw, spec));
-            let gw = for_gw
-                .as_ref()
-                .map(|(x, slab)| conv::conv2d_weight_grad_impl(g, x, kernel, spec, Some(slab)));
+            let gw = x.as_ref().map(|x| g.conv2d_weight_grad(x, kernel, spec));
             let mut out = grads![gx, gw];
             if has_bias {
                 out.push(need_gb.then(|| g.conv2d_bias_grad()));

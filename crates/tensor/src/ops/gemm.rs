@@ -1,7 +1,7 @@
 //! Cache-blocked, panel-packed f32 matrix multiply.
 //!
 //! This is the single GEMM core underneath [`Tensor::matmul`] and the
-//! im2col convolution kernels in [`super::conv`]. It follows the
+//! implicit-GEMM convolution kernels in [`super::conv`]. It follows the
 //! classic BLIS/GotoBLAS decomposition in safe Rust:
 //!
 //! * the `k` dimension is split into `KC`-deep slabs, each packed once;
@@ -23,6 +23,17 @@
 //! `DECO_THREADS` (see [`Tensor::matmul`]). Zero-padded panel lanes
 //! contribute exactly `+0.0` per step, which cannot change any partial
 //! sum.
+//!
+//! Two drivers run the microkernel. [`gemm_rows_packed`] packs all of
+//! `B` up front and `A` per row block, so [`Tensor::matmul`] can fan row
+//! ranges out over one shared packed `B`. [`PreparedA`] packs `A` once
+//! for many products and packs each `B` one panel at a time from any
+//! [`PanelSource`], which is how the convolutions read their column
+//! matrices straight from a padded image, image after image against one
+//! packed weight (measured against running them through the first
+//! driver in EXPERIMENTS.md, "Implicit-GEMM convolution"). Both
+//! accumulate every element in the same order, so they agree bit for
+//! bit.
 //!
 //! All scratch (packed panels) comes from the thread-local
 //! [`crate::pool`], so steady-state calls allocate nothing.
@@ -49,8 +60,7 @@ pub(crate) const PACKED_MIN_FLOPS: usize = 1 << 13;
 /// A rank-2 operand view: `data` interpreted as row-major
 /// `rows × cols`, or its transpose when `trans` is set (so the logical
 /// matrix is `cols × rows` read column-major). Lets the convolution
-/// kernels multiply by `Wᵀ` and `colsᵀ` without materializing
-/// transposes.
+/// input gradient multiply by `Wᵀ` without materializing it.
 #[derive(Clone, Copy)]
 pub(crate) struct MatRef<'a> {
     data: &'a [f32],
@@ -139,29 +149,49 @@ fn pack_a(apack: &mut [f32], a: &MatRef<'_>, rows: std::ops::Range<usize>, k0: u
     }
 }
 
-/// Packs `B[k0..k0+kc, 0..n]` into `NR`-column panels: panel `q` holds
-/// columns `q·NR ..`, stored row-major within the panel
-/// (`bpack[panel][depth][lane]`), zero-padded to a full `NR` lanes.
-fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
-    let panels = n.div_ceil(NR);
-    debug_assert!(bpack.len() >= panels * kc * NR);
-    for panel in 0..panels {
-        let base = panel * kc * NR;
-        let c0 = panel * NR;
-        let lanes = NR.min(n - c0);
-        let dst = &mut bpack[base..base + kc * NR];
-        if !b.trans && lanes == NR {
+/// The right operand `B` (`k × n`) of a product `C += A · B`, as the two
+/// kernels read it: one `NR`-column panel at a time (the packed kernel)
+/// or one row at a time (the naive loop). A [`MatRef`] reads stored
+/// values; the convolutions read their column matrices from a padded
+/// image, so no column matrix is ever materialized.
+pub(crate) trait PanelSource {
+    /// Logical row count `k`.
+    fn rows(&self) -> usize;
+    /// Logical column count `n`.
+    fn cols(&self) -> usize;
+    /// Writes `B[k0..k0+kc, c0..c0+NR]` into `dst` (`kc · NR` floats,
+    /// row-major: `dst[depth][lane]`), with `0.0` in the lanes past
+    /// `cols()`.
+    fn pack_panel(&self, dst: &mut [f32], k0: usize, kc: usize, c0: usize);
+    /// `c_row[j] += a · B[p, j]` for every column `j`: one step of the
+    /// naive loop.
+    fn axpy_row(&self, c_row: &mut [f32], a: f32, p: usize);
+}
+
+impl PanelSource for MatRef<'_> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn pack_panel(&self, dst: &mut [f32], k0: usize, kc: usize, c0: usize) {
+        let lanes = NR.min(self.cols - c0);
+        let dst = &mut dst[..kc * NR];
+        if !self.trans && lanes == NR {
             // Row-major storage keeps a panel's `NR` lanes contiguous
             // per depth step: straight `NR`-wide copies.
             for (p, chunk) in dst.chunks_exact_mut(NR).enumerate() {
-                let src = (k0 + p) * b.cols + c0;
-                chunk.copy_from_slice(&b.data[src..src + NR]);
+                let src = (k0 + p) * self.cols + c0;
+                chunk.copy_from_slice(&self.data[src..src + NR]);
             }
-        } else if b.trans && lanes == NR {
+        } else if self.trans && lanes == NR {
             // Transposed storage: each lane's depth run is contiguous;
             // read columns sequentially, scatter into the panel stride.
             for lane in 0..NR {
-                let src = &b.data[(c0 + lane) * b.rows + k0..][..kc];
+                let src = &self.data[(c0 + lane) * self.rows + k0..][..kc];
                 for (chunk, &v) in dst.chunks_exact_mut(NR).zip(src) {
                     chunk[lane] = v;
                 }
@@ -171,13 +201,37 @@ fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
                 let dst = &mut dst[p * NR..p * NR + NR];
                 for (lane, d) in dst.iter_mut().enumerate() {
                     *d = if lane < lanes {
-                        b.at(k0 + p, c0 + lane)
+                        self.at(k0 + p, c0 + lane)
                     } else {
                         0.0
                     };
                 }
             }
         }
+    }
+
+    fn axpy_row(&self, c_row: &mut [f32], a: f32, p: usize) {
+        if !self.trans {
+            let b_row = &self.data[p * self.cols..(p + 1) * self.cols];
+            for (slot, &bv) in c_row.iter_mut().zip(b_row) {
+                *slot += a * bv;
+            }
+        } else {
+            for (j, slot) in c_row.iter_mut().enumerate() {
+                *slot += a * self.at(p, j);
+            }
+        }
+    }
+}
+
+/// Packs `B[k0..k0+kc, 0..n]` into `NR`-column panels: panel `q` holds
+/// columns `q·NR ..`, stored row-major within the panel
+/// (`bpack[panel][depth][lane]`), zero-padded to a full `NR` lanes.
+fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
+    let panels = n.div_ceil(NR);
+    debug_assert!(bpack.len() >= panels * kc * NR);
+    for panel in 0..panels {
+        b.pack_panel(&mut bpack[panel * kc * NR..], k0, kc, panel * NR);
     }
 }
 
@@ -194,11 +248,14 @@ fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
 /// every committed f32 golden is pinned to it.
 ///
 /// Both panels are sliced to exactly `kc` depth steps so the zipped
-/// loop has a single exit. Once inlined into [`gemm_rows_packed_epi`],
-/// the loop must keep the `acc` tile in registers with no per-step
-/// copies: check the disassembly after changing this loop or its caller
-/// (EXPERIMENTS.md, "One GEMM kernel").
-#[inline]
+/// loop has a single exit. It is forced inline: with two callers LLVM
+/// otherwise emits it out of line and re-zeroes `acc` through the stack
+/// on every call. Inlined into [`gemm_rows_packed`] and
+/// [`PreparedA::gemm_epi`], the loop must keep the `acc` tile in
+/// registers with no per-step copies: check the disassembly after
+/// changing this loop or its callers (EXPERIMENTS.md, "One GEMM kernel"
+/// and "Implicit-GEMM convolution").
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn microkernel(
     apanel: &[f32],
@@ -231,11 +288,22 @@ fn microkernel(
     }
 }
 
+/// Number of `KC`-deep slabs of a depth-`k` product (one when `k = 0`).
+fn slabs(k: usize) -> usize {
+    k.div_ceil(KC).max(1)
+}
+
+/// Start of slab `s` in a packed operand whose panels span `width`
+/// lanes in all (`panels · MR` or `panels · NR`). Every slab before the
+/// last has full `KC` depth, so the offset is closed-form — no per-call
+/// offset table, which keeps steady-state packing allocation-free.
+fn slab_offset(width: usize, s: usize) -> usize {
+    width * KC * s
+}
+
 /// A `k × n` operand packed into `KC`-deep slabs of `NR`-column panels,
-/// reusable across row-panel tasks. Every slab before the last has full
-/// `KC` depth, so slab `s` starts at the closed-form offset
-/// `panels_n · NR · KC · s` — no per-call offset table, which keeps
-/// steady-state packing allocation-free.
+/// reusable across row-panel tasks; slab `s` starts at
+/// [`slab_offset`]`(panels_n · NR, s)`.
 pub(crate) struct PackedB {
     buf: Vec<f32>,
     k: usize,
@@ -248,26 +316,13 @@ impl PackedB {
     pub(crate) fn pack(b: &MatRef<'_>) -> PackedB {
         let (k, n) = (b.rows, b.cols);
         let panels_n = n.div_ceil(NR);
-        let slabs = k.div_ceil(KC).max(1);
-        let last_kc = k - (slabs - 1) * KC;
-        let total = panels_n * NR * ((slabs - 1) * KC + last_kc);
-        // Scratch: pack_b overwrites every element below `total`.
-        let mut buf = pool::take_scratch(total);
-        for s in 0..slabs {
+        // Scratch: pack_b overwrites every element.
+        let mut buf = pool::take_scratch(panels_n * NR * k);
+        for s in 0..slabs(k) {
             let kc = KC.min(k - s * KC);
-            pack_b(&mut buf[Self::offset_for(panels_n, s)..], b, s * KC, kc, n);
+            pack_b(&mut buf[slab_offset(panels_n * NR, s)..], b, s * KC, kc, n);
         }
         PackedB { buf, k, n }
-    }
-
-    /// Number of `KC`-deep slabs.
-    fn slabs(&self) -> usize {
-        self.k.div_ceil(KC).max(1)
-    }
-
-    /// Start of slab `s` in `buf`.
-    fn offset_for(panels_n: usize, s: usize) -> usize {
-        panels_n * NR * KC * s
     }
 
     /// Returns the scratch buffer to the pool.
@@ -284,14 +339,14 @@ impl PackedB {
 ///
 /// The bias replicates the exact per-element operation order of the
 /// historical separate pass over the finished GEMM output: it is
-/// indexed by **absolute output row** and added with the same
+/// indexed by output row and added with the same
 /// `if bv != 0.0 { c += bv }` skip the unfused conv bias pass uses (the
 /// skip is itself bitwise-relevant: `0.0 + (-0.0)` would canonicalize
 /// `-0.0` outputs).
 ///
 /// A tile's epilogue only runs once every one of its `k`-slabs has
 /// accumulated, so per-element results are identical to running the
-/// full GEMM first and the bias pass second, at any row-range split.
+/// full GEMM first and the bias pass second.
 #[derive(Clone, Copy)]
 pub(crate) enum Epilogue<'a> {
     /// Plain accumulate — the historical behavior.
@@ -301,14 +356,10 @@ pub(crate) enum Epilogue<'a> {
 }
 
 /// Applies `epi` to the finalized `mr × cols` tile at
-/// (`c_row0`, `c_col0`) of the rows-relative output slice `c`.
-/// `rows_start` maps tile rows back to absolute output rows for the
-/// bias lookup.
-#[allow(clippy::too_many_arguments)]
+/// (`c_row0`, `c_col0`) of the `n`-column output `c`.
 fn apply_epilogue(
     epi: Epilogue<'_>,
     c: &mut [f32],
-    rows_start: usize,
     c_row0: usize,
     c_col0: usize,
     n: usize,
@@ -319,7 +370,7 @@ fn apply_epilogue(
         return;
     };
     for i in 0..mr {
-        let bv = bias[rows_start + c_row0 + i];
+        let bv = bias[c_row0 + i];
         if bv != 0.0 {
             let row = &mut c[(c_row0 + i) * n + c_col0..(c_row0 + i) * n + c_col0 + cols];
             for slot in row.iter_mut() {
@@ -341,24 +392,10 @@ pub(crate) fn gemm_rows_packed(
     bp: &PackedB,
     rows: std::ops::Range<usize>,
 ) {
-    gemm_rows_packed_epi(c, a, bp, rows, Epilogue::None)
-}
-
-/// [`gemm_rows_packed`] plus a fused writeback [`Epilogue`]: each tile
-/// gets its bias applied right after its last `k`-slab (see the
-/// [`Epilogue`] bitwise contract).
-pub(crate) fn gemm_rows_packed_epi(
-    c: &mut [f32],
-    a: &MatRef<'_>,
-    bp: &PackedB,
-    rows: std::ops::Range<usize>,
-    epi: Epilogue<'_>,
-) {
     let (k, n) = (bp.k, bp.n);
     debug_assert_eq!(a.cols, k);
     debug_assert_eq!(c.len(), rows.len() * n);
     let panels_n = n.div_ceil(NR);
-    let last_slab = bp.slabs() - 1;
     // Scratch: every microkernel read is preceded by a pack_a write of
     // the same region (panels × kc × MR), so skip the zero-fill.
     let mut apack = pool::take_scratch(MC.div_ceil(MR) * MR * KC);
@@ -366,8 +403,8 @@ pub(crate) fn gemm_rows_packed_epi(
     while r0 < rows.end {
         let mc = MC.min(rows.end - r0);
         let panels_m = mc.div_ceil(MR);
-        for s in 0..bp.slabs() {
-            let slab_off = PackedB::offset_for(panels_n, s);
+        for s in 0..slabs(k) {
+            let slab_off = slab_offset(panels_n * NR, s);
             let k0 = s * KC;
             let kc = KC.min(k - k0);
             pack_a(&mut apack, a, r0..r0 + mc, k0, kc);
@@ -380,9 +417,6 @@ pub(crate) fn gemm_rows_packed_epi(
                     let off = slab_off + pn * kc * NR;
                     let bpanel = &bp.buf[off..off + kc * NR];
                     microkernel(apanel, bpanel, kc, c, c_row0, pn * NR, n, mr, nr);
-                    if s == last_slab {
-                        apply_epilogue(epi, c, rows.start, c_row0, pn * NR, n, mr, nr);
-                    }
                 }
             }
         }
@@ -391,24 +425,97 @@ pub(crate) fn gemm_rows_packed_epi(
     pool::give(apack);
 }
 
+/// A left operand `A` (`m × k`) prepared once for any number of products
+/// `C += A · B` with `n`-column right operands. When [`use_packed`]
+/// picks the packed kernel for `(m, k, n)`, `A` is packed here into
+/// `KC`-deep slabs of `MR`-row panels (slab `s` at
+/// [`slab_offset`]`(panels_m · MR, s)`); otherwise the naive loop reads it
+/// in place. The convolutions prepare their weight once per call and
+/// multiply it against every image.
+pub(crate) struct PreparedA<'a> {
+    a: MatRef<'a>,
+    n: usize,
+    packed: Option<Vec<f32>>,
+}
+
+impl<'a> PreparedA<'a> {
+    /// Prepares `a` for products with `n`-column right operands.
+    pub(crate) fn new(a: MatRef<'a>, n: usize) -> Self {
+        let (m, k) = (a.rows, a.cols);
+        let packed = use_packed(m, k, n).then(|| {
+            let panels_m = m.div_ceil(MR);
+            // Scratch: pack_a overwrites every element.
+            let mut buf = pool::take_scratch(panels_m * MR * k);
+            for s in 0..slabs(k) {
+                let kc = KC.min(k - s * KC);
+                pack_a(
+                    &mut buf[slab_offset(panels_m * MR, s)..],
+                    &a,
+                    0..m,
+                    s * KC,
+                    kc,
+                );
+            }
+            buf
+        });
+        PreparedA { a, n, packed }
+    }
+
+    /// `C += A · B` plus a fused writeback [`Epilogue`], with the kernel
+    /// and the per-element order of [`gemm_into`]. On the packed path
+    /// each `B` panel is packed once per `KC` slab (ascending) into pooled
+    /// scratch and multiplied against every row panel of `A`, each tile's
+    /// epilogue running right after its last slab. The naive path runs
+    /// the whole product, then the epilogue row by row.
+    pub(crate) fn gemm_epi(&self, c: &mut [f32], b: &impl PanelSource, epi: Epilogue<'_>) {
+        let (m, k, n) = (self.a.rows, self.a.cols, self.n);
+        debug_assert_eq!((b.rows(), b.cols()), (k, n), "gemm operand shapes");
+        debug_assert_eq!(c.len(), m * n, "gemm output size");
+        let Some(apack) = &self.packed else {
+            gemm_naive(c, &self.a, b);
+            for r in 0..m {
+                apply_epilogue(epi, c, r, 0, n, 1, n);
+            }
+            return;
+        };
+        let panels_m = m.div_ceil(MR);
+        // Scratch: pack_panel writes every element the microkernel reads.
+        let mut bpanel = pool::take_scratch(KC.min(k) * NR);
+        for s in 0..slabs(k) {
+            let (k0, kc) = (s * KC, KC.min(k - s * KC));
+            let a_slab = &apack[slab_offset(panels_m * MR, s)..];
+            for c0 in (0..n).step_by(NR) {
+                let nr = NR.min(n - c0);
+                b.pack_panel(&mut bpanel, k0, kc, c0);
+                for (pm, apanel) in a_slab.chunks(kc * MR).take(panels_m).enumerate() {
+                    let mr = MR.min(m - pm * MR);
+                    microkernel(apanel, &bpanel, kc, c, pm * MR, c0, n, mr, nr);
+                    if k0 + kc == k {
+                        apply_epilogue(epi, c, pm * MR, c0, n, mr, nr);
+                    }
+                }
+            }
+        }
+        pool::give(bpanel);
+    }
+}
+
+impl Drop for PreparedA<'_> {
+    fn drop(&mut self) {
+        if let Some(buf) = self.packed.take() {
+            pool::give(buf);
+        }
+    }
+}
+
 /// Naive ikj fallback for problems too small to amortize packing.
 /// Accumulates into `c` like the packed path.
-fn gemm_naive(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>) {
-    let (m, k, n) = (a.rows, a.cols, b.cols);
+fn gemm_naive(c: &mut [f32], a: &MatRef<'_>, b: &impl PanelSource) {
+    let (m, k, n) = (a.rows, a.cols, b.cols());
     for i in 0..m {
         let c_row = &mut c[i * n..(i + 1) * n];
         for p in 0..k {
-            let aip = a.at(i, p);
-            if !b.trans {
-                let b_row = &b.data[p * n..(p + 1) * n];
-                for (slot, &bv) in c_row.iter_mut().zip(b_row) {
-                    *slot += aip * bv;
-                }
-            } else {
-                for (j, slot) in c_row.iter_mut().enumerate() {
-                    *slot += aip * b.at(p, j);
-                }
-            }
+            b.axpy_row(c_row, a.at(i, p), p);
         }
     }
 }
@@ -417,28 +524,15 @@ fn gemm_naive(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>) {
 /// packed-blocked or naive kernel from the shapes alone. `c` must
 /// already hold the desired initial values (zeros for a plain product).
 pub(crate) fn gemm_into(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>) {
-    gemm_into_epi(c, a, b, Epilogue::None)
-}
-
-/// [`gemm_into`] plus a fused writeback [`Epilogue`]. The packed path
-/// applies the epilogue per finalized tile; the naive path runs the
-/// full product first and then one bias pass over the rows — the two
-/// orders are bitwise identical per element (every element's GEMM
-/// accumulation completes before its epilogue op either way).
-pub(crate) fn gemm_into_epi(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>, epi: Epilogue<'_>) {
     debug_assert_eq!(a.cols, b.rows, "gemm inner dimension");
     debug_assert_eq!(c.len(), a.rows * b.cols, "gemm output size");
     if use_packed(a.rows, a.cols, b.cols) {
         let _span = deco_telemetry::span!("tensor.gemm");
         let bp = PackedB::pack(b);
-        gemm_rows_packed_epi(c, a, &bp, 0..a.rows, epi);
+        gemm_rows_packed(c, a, &bp, 0..a.rows);
         bp.recycle();
     } else {
         gemm_naive(c, a, b);
-        let n = b.cols;
-        for r in 0..a.rows {
-            apply_epilogue(epi, c, 0, r, 0, n, 1, n);
-        }
     }
 }
 
@@ -552,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn epilogue_is_bitwise_equal_to_separate_pass() {
+    fn prepared_a_matches_gemm_into_and_a_separate_bias_pass_bitwise() {
         let mut rng = crate::Rng::new(14);
         for &(m, k, n) in &[
             (1usize, 3usize, 2usize),
@@ -565,15 +659,16 @@ mod tests {
             let b = randv(k * n, &mut rng);
             let mut bias = randv(m, &mut rng);
             bias[0] = 0.0; // exercise the zero-skip
+            let (av, bv) = (MatRef::new(&a, m, k), MatRef::new(&b, k, n));
+            let prepared = PreparedA::new(av, n);
+            let mut plain = vec![0.0f32; m * n];
+            prepared.gemm_epi(&mut plain, &bv, Epilogue::None);
             let mut fused = vec![0.0f32; m * n];
-            gemm_into_epi(
-                &mut fused,
-                &MatRef::new(&a, m, k),
-                &MatRef::new(&b, k, n),
-                Epilogue::Bias(&bias),
-            );
+            prepared.gemm_epi(&mut fused, &bv, Epilogue::Bias(&bias));
             let mut unfused = vec![0.0f32; m * n];
-            gemm_into(&mut unfused, &MatRef::new(&a, m, k), &MatRef::new(&b, k, n));
+            gemm_into(&mut unfused, &av, &bv);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plain), bits(&unfused), "({m},{k},{n}) no epilogue");
             for r in 0..m {
                 let bv = bias[r];
                 if bv != 0.0 {
@@ -582,39 +677,8 @@ mod tests {
                     }
                 }
             }
-            assert!(
-                fused
-                    .iter()
-                    .zip(&unfused)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "({m},{k},{n})"
-            );
+            assert_eq!(bits(&fused), bits(&unfused), "({m},{k},{n}) bias");
         }
-    }
-
-    #[test]
-    fn epilogue_row_range_split_matches_full_run() {
-        // The bias lookup must use absolute output rows, so a row-range
-        // split sees the same per-row bias as the unsplit run.
-        let mut rng = crate::Rng::new(15);
-        let (m, k, n) = (150, 90, 40);
-        let a = randv(m * k, &mut rng);
-        let b = randv(k * n, &mut rng);
-        let bias = randv(m, &mut rng);
-        let av = MatRef::new(&a, m, k);
-        let bp = PackedB::pack(&MatRef::new(&b, k, n));
-        let epi = Epilogue::Bias(&bias);
-        let mut full = vec![0.0f32; m * n];
-        gemm_rows_packed_epi(&mut full, &av, &bp, 0..m, epi);
-        let mut split = vec![0.0f32; m * n];
-        gemm_rows_packed_epi(&mut split[..MC * n], &av, &bp, 0..MC, epi);
-        gemm_rows_packed_epi(&mut split[MC * n..2 * MC * n], &av, &bp, MC..2 * MC, epi);
-        gemm_rows_packed_epi(&mut split[2 * MC * n..], &av, &bp, 2 * MC..m, epi);
-        bp.recycle();
-        assert!(full
-            .iter()
-            .zip(&split)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

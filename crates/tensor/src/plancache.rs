@@ -1,9 +1,9 @@
 //! Statistics stub left where the forward-plan cache used to be.
 //!
 //! The cache (memoized im2col slabs, packed GEMM panels and broadcast
-//! index plans) is gone: its one paying reuse — a convolution's im2col
-//! slab feeding that convolution's weight gradient — now lives on the
-//! autograd tape (see [`crate::Var::conv2d`]). This module survives only
+//! index plans) is gone, and so is the column matrix it memoized: the
+//! convolutions are implicit GEMMs that read each image from a padded
+//! plane (see [`crate::ops::conv`]). This module survives only
 //! because the repository benchmark's probe still reads
 //! `plancache::stats().held_bytes`; it reports zero and can be deleted
 //! together with that read.

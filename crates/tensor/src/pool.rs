@@ -1,6 +1,6 @@
 //! Thread-local tensor buffer pool: size-bucketed free lists of `f32`
 //! vectors, so steady-state condensation steps allocate nothing in the
-//! matmul / im2col / convolution path.
+//! matmul / convolution path.
 //!
 //! ## Design
 //!
@@ -15,9 +15,11 @@
 //!
 //! [`Tensor`](crate::Tensor) closes the loop automatically: its `Drop`
 //! impl offers the backing buffer to the pool whenever it is uniquely
-//! owned, so GEMM outputs, convolution outputs, im2col scratch, packing
-//! panels, and the autograd tape's gradient buffers all cycle through
-//! the free lists without any manual recycle calls.
+//! owned, so GEMM outputs, convolution outputs and the autograd tape's
+//! gradient buffers all cycle through the free lists without any manual
+//! recycle calls; kernel scratch (packing panels, the convolutions'
+//! padded image planes, the input gradient's column buffer) is taken and
+//! given back explicitly.
 //!
 //! The pool is strictly thread-local (no locks, no cross-thread
 //! contention); each runtime worker warms its own free lists.
