@@ -16,8 +16,9 @@
 //! DECO_BENCH_ITERS=5 cargo bench -p deco-bench --bench kernel_scaling -- --check
 //! ```
 //!
-//! `--check` gates the conv forward and the ConvNet train and
-//! input-gradient passes ([`GATES`]) against the committed file.
+//! `--check` gates the conv forward, the ConvNet train and
+//! input-gradient passes and the layer-1 conv input gradient
+//! ([`GATES`]) against the committed file.
 
 use std::process::ExitCode;
 
@@ -34,8 +35,16 @@ const TRAIN_STEP_OP: &str = "convnet_train_step_100x3x16x16_w8";
 /// The frozen-network image-gradient pass (θ± and Eq. 8) at the same
 /// shapes.
 const INPUT_GRAD_OP: &str = "convnet_input_grad_100x3x16x16_w8";
+/// The layer-1 conv input gradient at the same shapes: the Eq. 8 and
+/// θ± passes' largest single kernel.
+const INPUT_GRAD_L1_OP: &str = "conv2d_input_grad_100x8x16x16_w8";
 /// Rows the `--check` gate tracks.
-const GATES: [Gate; 3] = [(CONV_FWD_OP, 1), (TRAIN_STEP_OP, 1), (INPUT_GRAD_OP, 1)];
+const GATES: [Gate; 4] = [
+    (CONV_FWD_OP, 1),
+    (TRAIN_STEP_OP, 1),
+    (INPUT_GRAD_OP, 1),
+    (INPUT_GRAD_L1_OP, 1),
+];
 
 fn bench_ops(iters: usize) -> Vec<Row> {
     let mut rng = Rng::new(42);
@@ -150,8 +159,9 @@ fn bench_deco_passes(iters: usize) -> Vec<Row> {
 /// The first ConvNet block's kernels, one by one, at `deco_stream`'s
 /// layer-1 shape: 100 images of 3×16×16 through a width-8 3×3 conv,
 /// instance GroupNorm + ReLU and a 2×2 average pool. The conv forward
-/// also runs at the layer-2 and layer-3 shapes (8×8×8 and 8×4×4), so
-/// every conv forward a `deco_stream` pass runs has a row.
+/// and input gradient also run at the layer-2 and layer-3 shapes (8×8×8
+/// and 8×4×4), so every conv forward and input gradient a `deco_stream`
+/// pass runs has a row.
 fn bench_deco_block(iters: usize) -> Vec<Row> {
     use deco_tensor::ops::fused;
 
@@ -181,8 +191,16 @@ fn bench_deco_block(iters: usize) -> Vec<Row> {
         time_op("conv2d_fwd_100x8x4x4_w8", 1, iters, || {
             std::hint::black_box(x3.conv2d(&w23, Some(&b), spec));
         }),
-        time_op("conv2d_input_grad_100x8x16x16_w8", 1, iters, || {
+        time_op(INPUT_GRAD_L1_OP, 1, iters, || {
             std::hint::black_box(g.conv2d_input_grad(&w, (16, 16), spec));
+        }),
+        // `x2` and `x3` double as the layer-2 and layer-3 output
+        // gradients: both layers have 8 channels in and out.
+        time_op("conv2d_input_grad_100x8x8x8_w8", 1, iters, || {
+            std::hint::black_box(x2.conv2d_input_grad(&w23, (8, 8), spec));
+        }),
+        time_op("conv2d_input_grad_100x8x4x4_w8", 1, iters, || {
+            std::hint::black_box(x3.conv2d_input_grad(&w23, (4, 4), spec));
         }),
         time_op("conv2d_weight_grad_100x8x16x16_w8", 1, iters, || {
             std::hint::black_box(g.conv2d_weight_grad(&x, 3, spec));

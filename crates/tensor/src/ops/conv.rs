@@ -2,25 +2,31 @@
 //! gradient kernels used by the autograd layer.
 //!
 //! The three expensive kernels — forward, input gradient, and weight
-//! gradient — lower onto the cache-blocked GEMM core in [`super::gemm`].
-//! Each image's column matrix `cols` (`[c_in·k·k, oh·ow]`, row
-//! `ci·k² + khi·k + kwi` holding the input under that kernel tap for
-//! every output position) is the GEMM operand, and the convolution
-//! becomes `out = W × cols` forward (bias added in the GEMM writeback
-//! epilogue), `colsᵍ = Wᵀ × g` then a col2im scatter-add for the input
-//! gradient, and `gw += g × colsᵀ` for the weight gradient.
+//! gradient — are defined by each image's column matrix `cols`
+//! (`[c_in·k·k, oh·ow]`, row `ci·k² + khi·k + kwi` holding the input
+//! under that kernel tap for every output position): `out = W × cols`
+//! forward (bias added in the GEMM writeback epilogue), `colsᵍ = Wᵀ × g`
+//! then a col2im scatter-add for the input gradient, and
+//! `gw += g × colsᵀ` for the weight gradient. None of them builds `cols`.
 //!
-//! The forward and the weight gradient are implicit GEMMs: `cols` is
-//! never built. Each image is copied once into a zero-padded plane
-//! `[c_in, h+2p, w+2p]` in pooled scratch (`Plane`), and `cols`
-//! element `(tap, position)` is the plane value at the sum of a tap
-//! offset and a position offset, so the GEMM packs its `B` panels (or
-//! runs its naive loop) straight from the plane (`PlaneCols`). The
-//! weight is packed once per call. Nothing per batch outlives a call, so
-//! a convolution on the autograd tape keeps only its input for the
-//! weight gradient. The route these replaced — im2col into a column
-//! matrix, then `gemm_into` and, for the forward, a bias pass — lives on
-//! as a `#[cfg(test)]` reference held to the kernels bit for bit.
+//! The forward and the weight gradient are implicit GEMMs on the
+//! cache-blocked core in `super::gemm`. Each image is copied once into
+//! a zero-padded plane `[c_in, h+2p, w+2p]` in pooled scratch (`Plane`),
+//! and `cols` element `(tap, position)` is the plane value at the sum of
+//! a tap offset and a position offset, so the GEMM packs its `B` panels
+//! (or runs its naive loop) straight from the plane (`PlaneCols`). The
+//! weight is packed once per call.
+//!
+//! The input gradient is a sweep over kernel taps (`input_grad_image`):
+//! register tiles form each tap's sums `Σ_co w·g` straight from the
+//! output gradient and the weight, and each input cell adds its taps'
+//! sums in the order the GEMM + col2im route gave them.
+//!
+//! Nothing per batch outlives a call, so a convolution on the autograd
+//! tape keeps only its input for the weight gradient. The routes these
+//! replaced — im2col into a column matrix, then `gemm_into` and, for the
+//! forward, a bias pass; `Wᵀ × g` into a column matrix, then col2im —
+//! live on as `#[cfg(test)]` references held to the kernels bit for bit.
 //!
 //! Serial execution runs one kernel call over the full range; large
 //! problems fan the same kernel out across the `deco-runtime` pool with
@@ -79,51 +85,6 @@ fn in_range(tap: usize, side: usize, out: usize, s: usize, p: usize) -> Range<us
     let lo = p.saturating_sub(tap).div_ceil(s).min(out);
     let hi = (side + p).saturating_sub(tap).div_ceil(s).clamp(lo, out);
     lo..hi
-}
-
-/// Adjoint of im2col: scatter-adds a `[c_in·k·k, oh·ow]` column
-/// matrix back into one NCHW image gradient (which the caller has
-/// zeroed). Walks the per-tap runs of [`in_range`], so each input
-/// cell receives its contributions in ascending `(ci, khi, kwi, ohi,
-/// owi)` order — a pure function of the shapes.
-fn col2im_add(
-    gin_img: &mut [f32],
-    cols: &[f32],
-    (cin, h, w): (usize, usize, usize),
-    (oh, ow): (usize, usize),
-    spec: Conv2dSpec,
-) {
-    let (s, p, k) = (spec.stride, spec.padding, spec.kernel);
-    let ohw = oh * ow;
-    let mut row = 0usize;
-    for ci in 0..cin {
-        let g_ch = &mut gin_img[ci * h * w..(ci + 1) * h * w];
-        for khi in 0..k {
-            let rows = in_range(khi, h, oh, s, p);
-            for kwi in 0..k {
-                let src = &cols[row * ohw..(row + 1) * ohw];
-                row += 1;
-                let run = in_range(kwi, w, ow, s, p);
-                if run.is_empty() {
-                    continue;
-                }
-                let first = run.start * s + kwi - p;
-                for ohi in rows.clone() {
-                    let g_row = &mut g_ch[(ohi * s + khi - p) * w..][..w];
-                    let srun = &src[ohi * ow..(ohi + 1) * ow][run.clone()];
-                    if s == 1 {
-                        for (d, &v) in g_row[first..].iter_mut().zip(srun) {
-                            *d += v;
-                        }
-                    } else {
-                        for (d, &v) in g_row[first..].iter_mut().step_by(s).zip(srun) {
-                            *d += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Geometry of a 2-D convolution.
@@ -410,6 +371,330 @@ impl PanelSource for PlaneCols<'_> {
     }
 }
 
+/// Taps of one kernel row whose sums the input gradient forms together:
+/// they read the same output-gradient values, so a 3×3 kernel's row is
+/// three independent accumulator chains per lane.
+const TAPS: usize = 3;
+/// Lanes per input-gradient register tile: two 8-lane vectors.
+const LANES: usize = 16;
+
+/// The geometry one input-gradient image sweep needs.
+#[derive(Clone, Copy)]
+struct InputGrad {
+    /// Input image `(c_in, h, w)` and output `(oh, ow)`.
+    image: (usize, usize, usize),
+    out: (usize, usize),
+    cout: usize,
+    /// Output channels per partial sum (see [`input_grad_depth`]).
+    depth: usize,
+    spec: Conv2dSpec,
+}
+
+impl InputGrad {
+    /// Whether output rows have the input's length and stride (stride 1,
+    /// `k = 2p + 1`): then every tap moves all output positions to input
+    /// cells by one offset.
+    fn same_stride(&self) -> bool {
+        self.spec.stride == 1 && self.out == (self.image.1, self.image.2)
+    }
+
+    /// Zeroed floats on each side of a strip row's output plane for a
+    /// same-stride geometry: room for every lane of [`add_strip_rows`]'
+    /// `LANES`-wide loads whose tap row falls above or below the output.
+    /// The runs of other geometries read no guard.
+    fn guard(&self) -> usize {
+        if self.same_stride() {
+            self.spec.padding * (self.image.2 + 1)
+        } else {
+            0
+        }
+    }
+
+    /// Floats per strip row: the output plane and its two guards.
+    fn strip_row(&self) -> usize {
+        self.out.0 * self.out.1 + 2 * self.guard()
+    }
+
+    /// Cells after which the columns of a `LANES`-cell block repeat, for
+    /// a same-stride geometry: `lcm(w, LANES)`.
+    fn mask_period(&self) -> usize {
+        let w = self.image.2;
+        (w >> w.trailing_zeros().min(LANES.trailing_zeros())).max(1) * LANES
+    }
+}
+
+/// The output channels each tap sum folds at a time, so the sums keep the
+/// order of the `[c_in·k², c_out] × [c_out, oh·ow]` GEMM the input
+/// gradient used to run: one chain from `0.0` over every channel, except
+/// that the packed kernel sums `KC`-deep slabs separately and adds each
+/// slab's partial into the output in slab order.
+fn input_grad_depth(ckk: usize, cout: usize, ohw: usize) -> usize {
+    let depth = if gemm::use_packed(ckk, cout, ohw) {
+        gemm::KC
+    } else {
+        cout
+    };
+    depth.max(1)
+}
+
+/// Fills `masks` (`k · period` floats, see [`InputGrad::mask_period`])
+/// for a same-stride geometry: entry `kwi·period + i` has every bit set
+/// when kernel column `kwi` reaches input column `i mod w` from an output
+/// position, and none when it reads padding there.
+fn column_masks(masks: &mut [f32], geom: InputGrad) {
+    let w = geom.image.2;
+    let p = geom.spec.padding;
+    for (kwi, row) in masks.chunks_exact_mut(geom.mask_period()).enumerate() {
+        for (i, m) in row.iter_mut().enumerate() {
+            let on = (kwi..kwi + w).contains(&(i % w + p));
+            *m = f32::from_bits(if on { u32::MAX } else { 0 });
+        }
+    }
+}
+
+/// Adds one image's input gradient into `dst` (`[c_in, h, w]`, zeroed by
+/// the caller) from its output gradient `g` (`[c_out, oh·ow]`) and the
+/// weight `w` (`[c_out, c_in·k²]`).
+///
+/// Input cell `(ci, y, x)` gets, in ascending `(khi, kwi)` order, the
+/// sum of every tap that reaches it from an output position `(ohi, owi)`
+/// with `ohi·s + khi − p = y` and `owi·s + kwi − p = x`, a tap's sum
+/// being `Σ_co w[co][ci, khi, kwi] · g[co, ohi, owi]` folded in
+/// [`input_grad_depth`]'s order. Those are exactly the additions, in
+/// exactly the order, of the column-matrix GEMM followed by the col2im
+/// scatter-add this kernel replaced, so every bit is kept.
+///
+/// For each input channel, [`fill_strip`] forms the `k²` tap sums over
+/// the output rows that land in the image, one strip row per tap; then
+/// they are added into the channel, `LANES` cells at a time under the
+/// column `masks` for a same-stride geometry ([`add_strip_rows`]), run by
+/// run along [`in_range`] otherwise.
+fn input_grad_image(
+    dst: &mut [f32],
+    g: &[f32],
+    w: &[f32],
+    strip: &mut [f32],
+    masks: &[f32],
+    geom: InputGrad,
+) {
+    let (cin, h, wd) = geom.image;
+    let (oh, ow) = geom.out;
+    let (k, s, p) = (geom.spec.kernel, geom.spec.stride, geom.spec.padding);
+    let (guard, row_len) = (geom.guard(), geom.strip_row());
+    for ci in 0..cin {
+        for khi in 0..k {
+            let rows = in_range(khi, h, oh, s, p);
+            let strip_k = &mut strip[khi * k * row_len..(khi + 1) * k * row_len];
+            fill_strip(
+                strip_k,
+                g,
+                w,
+                (ci * k + khi) * k,
+                rows.start * ow..rows.end * ow,
+                geom,
+            );
+        }
+        let d_ch = &mut dst[ci * h * wd..(ci + 1) * h * wd];
+        if geom.same_stride() {
+            add_strip_rows(d_ch, strip, masks, geom);
+            continue;
+        }
+        for khi in 0..k {
+            let rows = in_range(khi, h, oh, s, p);
+            for kwi in 0..k {
+                let run = in_range(kwi, wd, ow, s, p);
+                if run.is_empty() {
+                    continue;
+                }
+                let first = run.start * s + kwi - p;
+                for ohi in rows.clone() {
+                    let d_row = &mut d_ch[(ohi * s + khi - p) * wd..][..wd];
+                    let src = &strip[(khi * k + kwi) * row_len + guard + ohi * ow..][..ow];
+                    for (d, &v) in d_row[first..].iter_mut().step_by(s).zip(&src[run.clone()]) {
+                        *d += v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Writes one channel of a same-stride geometry from its strip. Tap
+/// `(khi, kwi)` reaches cell `c` from output position `c + p·(w + 1) −
+/// khi·w − kwi`, so each block of `LANES` cells sums, from `0.0` and tap
+/// by tap, one `LANES`-wide load per strip row with the tap's column
+/// mask applied. Where a tap's row falls above or below the output, the
+/// lane reads a zeroed guard; where its column falls outside, the lane
+/// reads the end of a neighbouring row (formed or not), which the mask
+/// drops whole, so a NaN or infinity there never reaches a cell. Either
+/// way the lane adds `+0.0`, which leaves the sum unchanged (it starts at
+/// `+0.0` and only adds, so it is never `−0.0`).
+fn add_strip_rows(d_ch: &mut [f32], strip: &[f32], masks: &[f32], geom: InputGrad) {
+    let (_, h, w) = geom.image;
+    let (k, p) = (geom.spec.kernel, geom.spec.padding);
+    let (hw, guard, row_len) = (h * w, geom.guard(), geom.strip_row());
+    let period = geom.mask_period();
+    // Cell `c` reads strip row `t = khi·k + kwi` at `c + shift[t]`, where
+    // `shift[t] = guard + p·(w + 1) − khi·w − kwi`, and mask row `kwi` at
+    // `col = c mod period` (a whole block, as `period` is a multiple of
+    // `LANES`).
+    let shift = |khi: usize, kwi: usize| guard + p * (w + 1) - khi * w - kwi;
+    let (blocks, tail) = d_ch.as_chunks_mut::<LANES>();
+    let mut col = 0;
+    for (b, d) in blocks.iter_mut().enumerate() {
+        let c = b * LANES;
+        let mut acc = [0.0f32; LANES];
+        let mut t = 0;
+        for khi in 0..k {
+            for kwi in 0..k {
+                let src: &[f32; LANES] = strip[t * row_len + shift(khi, kwi) + c..]
+                    .first_chunk()
+                    .expect("block inside the strip");
+                let mask: &[f32; LANES] = masks[kwi * period + col..]
+                    .first_chunk()
+                    .expect("block inside the masks");
+                add_masked(&mut acc, src, mask);
+                t += 1;
+            }
+        }
+        *d = acc;
+        col += LANES;
+        if col == period {
+            col = 0;
+        }
+    }
+    let c = hw - tail.len();
+    tail.fill(0.0);
+    for khi in 0..k {
+        for kwi in 0..k {
+            let t = khi * k + kwi;
+            let src = &strip[t * row_len + shift(khi, kwi) + c..];
+            add_masked(tail, src, &masks[kwi * period + col..]);
+        }
+    }
+}
+
+/// `d[l] += src[l]` where `mask[l]` has every bit set, `d[l] += +0.0`
+/// where it has none.
+#[inline(always)]
+fn add_masked(d: &mut [f32], src: &[f32], mask: &[f32]) {
+    for ((d, &v), &m) in d.iter_mut().zip(src).zip(mask) {
+        *d += f32::from_bits(v.to_bits() & m.to_bits());
+    }
+}
+
+/// Writes the sums of taps `tap..tap + k` (one kernel row) at the output
+/// positions `positions` into `strip`, whose row `j` holds tap `tap + j`
+/// after a [`InputGrad::guard`]. Runs `TAPS × LANES` register tiles
+/// wherever `LANES` positions fit in the output (a tile may start before
+/// `positions` or run past its end; those sums are never read unmasked),
+/// and `1 × 1` tiles past the last whole one. Guards are never written.
+fn fill_strip(
+    strip: &mut [f32],
+    g: &[f32],
+    w: &[f32],
+    tap: usize,
+    positions: Range<usize>,
+    geom: InputGrad,
+) {
+    let ohw = geom.out.0 * geom.out.1;
+    let k = geom.spec.kernel;
+    let (guard, row_len) = (geom.guard(), geom.strip_row());
+    let src = TapSource {
+        g,
+        w,
+        ckk: geom.image.0 * k * k,
+        geom,
+    };
+    let mut pos = positions.start / LANES * LANES;
+    while pos < positions.end {
+        if pos + LANES > ohw {
+            for q in pos..positions.end {
+                for j in 0..k {
+                    strip[j * row_len + guard + q] = tap_tile::<1, 1>(src, tap + j, q)[0][0];
+                }
+            }
+            break;
+        }
+        let mut j = 0;
+        while j < k {
+            let (at, t) = (j * row_len + guard + pos, tap + j);
+            match k - j {
+                1 => store_tile(strip, at, row_len, tap_tile::<1, LANES>(src, t, pos)),
+                2 => store_tile(strip, at, row_len, tap_tile::<2, LANES>(src, t, pos)),
+                _ => store_tile(strip, at, row_len, tap_tile::<TAPS, LANES>(src, t, pos)),
+            }
+            j += TAPS.min(k - j);
+        }
+        pos += LANES;
+    }
+}
+
+/// Copies a register tile's rows into the strip at `at`, `row_len` apart.
+#[inline(always)]
+fn store_tile<const TB: usize>(
+    strip: &mut [f32],
+    at: usize,
+    row_len: usize,
+    tile: [[f32; LANES]; TB],
+) {
+    for (t, sums) in tile.iter().enumerate() {
+        strip[at + t * row_len..][..LANES].copy_from_slice(sums);
+    }
+}
+
+/// What the tap sums read: one image's output gradient, the weight and
+/// its row length `c_in·k²`, and the geometry.
+#[derive(Clone, Copy)]
+struct TapSource<'a> {
+    g: &'a [f32],
+    w: &'a [f32],
+    ckk: usize,
+    geom: InputGrad,
+}
+
+/// The sums of taps `tap..tap + TB` at output positions `pos..pos + L`:
+/// per tap and lane, a chain from `0.0` over the output channels in
+/// ascending order (`acc += w·g`, the GEMM microkernel's step), folded
+/// `depth` channels at a time. The taps share each channel's gradient
+/// load, and their chains run side by side.
+#[inline(always)]
+fn tap_tile<const TB: usize, const L: usize>(
+    src: TapSource<'_>,
+    tap: usize,
+    pos: usize,
+) -> [[f32; L]; TB] {
+    let ohw = src.geom.out.0 * src.geom.out.1;
+    let chain = |cos: Range<usize>| {
+        let mut acc = [[0.0f32; L]; TB];
+        for co in cos {
+            let gv: &[f32; L] = src.g[co * ohw + pos..]
+                .first_chunk()
+                .expect("tile inside the output gradient");
+            let wv: &[f32; TB] = src.w[co * src.ckk + tap..]
+                .first_chunk()
+                .expect("taps inside the weight row");
+            for (row, &wj) in acc.iter_mut().zip(wv) {
+                for (slot, &gl) in row.iter_mut().zip(gv) {
+                    *slot += wj * gl;
+                }
+            }
+        }
+        acc
+    };
+    let (cout, depth) = (src.geom.cout, src.geom.depth);
+    let mut acc = chain(0..depth.min(cout));
+    let mut c0 = depth;
+    while c0 < cout {
+        let part = chain(c0..(c0 + depth).min(cout));
+        for (a, &v) in acc.iter_mut().flatten().zip(part.iter().flatten()) {
+            *a += v;
+        }
+        c0 += depth;
+    }
+    acc
+}
+
 impl Tensor {
     /// 2-D convolution (cross-correlation) of an NCHW input with an
     /// `[c_out, c_in, k, k]` weight, plus an optional `[c_out]` bias.
@@ -483,7 +768,9 @@ impl Tensor {
 
     /// Gradient of [`Tensor::conv2d`] w.r.t. its input.
     ///
-    /// `self` is the output gradient `[n, c_out, oh, ow]`.
+    /// `self` is the output gradient `[n, c_out, oh, ow]`. Swept one
+    /// input channel and kernel row at a time (`input_grad_image`):
+    /// no column matrix is built and nothing is packed per image.
     ///
     /// # Panics
     /// Panics unless `weight` is `[c_out, c_in, k, k]` with `k` the
@@ -507,6 +794,13 @@ impl Tensor {
         deco_telemetry::counter!("tensor.ops.conv2d_input_grad");
         let ohw = oh * ow;
         let ckk = cin * kh * kw;
+        let geom = InputGrad {
+            image: (cin, h, w),
+            out: (oh, ow),
+            cout,
+            depth: input_grad_depth(ckk, cout, ohw),
+            spec,
+        };
         let g = self.clone();
         let wt = weight.clone();
         let mut gin = pool::take(n * cin * h * w);
@@ -517,17 +811,29 @@ impl Tensor {
             cin * h * w,
             &mut gin,
             move |imgs, dst| {
-                // Wᵀ as a view: logical [c_in·k·k, c_out].
-                let wt_t = MatRef::transposed(wt.data(), cout, ckk);
-                let mut cols_g = pool::take(ckk * ohw);
+                // Zeroed: a lane whose tap row falls outside the output
+                // reads a guard, and guards are never written.
+                let mut strip = pool::take(kw * kw * geom.strip_row());
+                let mask_len = if geom.same_stride() {
+                    kw * geom.mask_period()
+                } else {
+                    0
+                };
+                // Scratch: `column_masks` writes every mask.
+                let mut masks = pool::take_scratch(mask_len);
+                column_masks(&mut masks, geom);
                 for (bi, ni) in imgs.enumerate() {
-                    cols_g.fill(0.0);
-                    let g_img = &g.data()[ni * cout * ohw..(ni + 1) * cout * ohw];
-                    gemm::gemm_into(&mut cols_g, &wt_t, &MatRef::new(g_img, cout, ohw));
-                    let dst_img = &mut dst[bi * cin * h * w..(bi + 1) * cin * h * w];
-                    col2im_add(dst_img, &cols_g, (cin, h, w), (oh, ow), spec);
+                    input_grad_image(
+                        &mut dst[bi * cin * h * w..(bi + 1) * cin * h * w],
+                        &g.data()[ni * cout * ohw..(ni + 1) * cout * ohw],
+                        wt.data(),
+                        &mut strip,
+                        &masks,
+                        geom,
+                    );
                 }
-                pool::give(cols_g);
+                pool::give(masks);
+                pool::give(strip);
             },
         );
         Tensor::from_pool_buf(gin, [n, cin, h, w])
@@ -667,58 +973,155 @@ impl Tensor {
         assert_eq!(self.rank(), 4, "avg_pool2d input must be NCHW");
         let (n, c, h, w) = dims4(self);
         check_pool_window(k, h, w);
-        let (oh, ow) = (h / k, w / k);
-        let x = self.data();
-        let inv = 1.0 / (k * k) as f32;
-        // Scratch: every output element is written below.
-        let mut out = pool::take_scratch(n * c * oh * ow);
-        for nc in 0..n * c {
-            let x_base = nc * h * w;
-            let o_base = nc * oh * ow;
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut acc = 0.0f32;
-                    for dy in 0..k {
-                        let row = x_base + (ohi * k + dy) * w + owi * k;
-                        for dx in 0..k {
-                            acc += x[row + dx];
-                        }
-                    }
-                    out[o_base + ohi * ow + owi] = acc * inv;
-                }
-            }
-        }
-        Tensor::from_pool_buf(out, [n, c, oh, ow])
+        // Scratch: every output element is written.
+        let mut out = pool::take_scratch(n * c * (h / k) * (w / k));
+        pool_rows(&mut out, self.data(), (k, w / k), |v| v);
+        Tensor::from_pool_buf(out, [n, c, h / k, w / k])
     }
 
     /// Gradient of [`Tensor::avg_pool2d`]: spreads each output gradient
     /// uniformly over its window. `self` is the output gradient.
     ///
-    /// Walks each input row in `k`-wide windows. The windows tile the
-    /// input, so each input cell gets exactly one contribution, assigned
-    /// as `0.0 + g·(1/k²)` (the `+ 0.0` of accumulating into a zeroed
-    /// buffer, which turns `-0.0` into `+0.0`).
+    /// The windows tile the input, so each input cell gets exactly one
+    /// contribution, assigned as `0.0 + g·(1/k²)` (the `+ 0.0` of
+    /// accumulating into a zeroed buffer, which turns `-0.0` into `+0.0`).
     ///
     /// # Panics
     /// Panics unless `self` is rank 4 and `k ≥ 1`.
     pub fn avg_pool2d_grad(&self, k: usize) -> Tensor {
         let (n, c, oh, ow) = dims4(self);
         assert!(k >= 1, "pool window must be at least 1");
-        let (h, w) = (oh * k, ow * k);
-        let g = self.data();
-        let inv = 1.0 / (k * k) as f32;
         // Scratch: the windows tile the input, so every cell is written.
-        let mut gin = pool::take_scratch(n * c * h * w);
-        for r in 0..n * c * oh {
-            let g_row = &g[r * ow..(r + 1) * ow];
+        let mut gin = pool::take_scratch(n * c * oh * k * ow * k);
+        pool_grad_rows(&mut gin, self.data(), None, (k, ow));
+        Tensor::from_pool_buf(gin, [n, c, oh * k, ow * k])
+    }
+}
+
+/// Outputs per pooling block: one 8-lane vector.
+const POOL_LANES: usize = 8;
+
+/// The average-pooling forward over whole rows, shared by
+/// [`Tensor::avg_pool2d`] and the fused ReLU pool: output `(r, o)` of the
+/// `ow`-wide output rows sums `f(x)` over its `k × k` window from `0.0`
+/// in ascending `(dy, dx)` order, then scales by `1/k²`.
+///
+/// Each row runs in blocks of [`POOL_LANES`] outputs that take every
+/// `(dy, dx)` step together, so a step is one vector add; the outputs
+/// past the last whole block (all of them in rows shorter than a block)
+/// sum their windows one at a time in the same order. A `k = 2` window
+/// runs as a compile-time stride, which the compiler turns into vector
+/// loads and shuffles.
+pub(crate) fn pool_rows(
+    out: &mut [f32],
+    x: &[f32],
+    (k, ow): (usize, usize),
+    f: impl Fn(f32) -> f32,
+) {
+    match k {
+        2 => pool_rows_k::<2>(out, x, (k, ow), f),
+        _ => pool_rows_k::<0>(out, x, (k, ow), f),
+    }
+}
+
+/// [`pool_rows`] for window `K`, or for the run-time `k` when `K` is 0.
+#[inline(always)]
+fn pool_rows_k<const K: usize>(
+    out: &mut [f32],
+    x: &[f32],
+    (k, ow): (usize, usize),
+    f: impl Fn(f32) -> f32,
+) {
+    let k = if K == 0 { k } else { K };
+    let inv = 1.0 / (k * k) as f32;
+    let w = ow * k;
+    for (o_row, x_rows) in out
+        .chunks_exact_mut(ow.max(1))
+        .zip(x.chunks_exact((k * w).max(1)))
+    {
+        let (blocks, tail) = o_row.as_chunks_mut::<POOL_LANES>();
+        for (b, o) in blocks.iter_mut().enumerate() {
+            let mut acc = [0.0f32; POOL_LANES];
             for dy in 0..k {
-                let gi_row = &mut gin[(r * k + dy) * w..][..w];
-                for (win, &gv) in gi_row.chunks_exact_mut(k).zip(g_row) {
-                    win.fill(0.0f32 + gv * inv);
+                let xs = &x_rows[dy * w + b * POOL_LANES * k..][..POOL_LANES * k];
+                for dx in 0..k {
+                    for (l, a) in acc.iter_mut().enumerate() {
+                        *a += f(xs[l * k + dx]);
+                    }
                 }
             }
+            *o = acc.map(|a| a * inv);
         }
-        Tensor::from_pool_buf(gin, [n, c, h, w])
+        let o0 = ow - tail.len();
+        for (l, o) in tail.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for dy in 0..k {
+                for &v in &x_rows[dy * w + (o0 + l) * k..][..k] {
+                    acc += f(v);
+                }
+            }
+            *o = acc * inv;
+        }
+    }
+}
+
+/// The average-pooling backward over whole rows, shared by
+/// [`Tensor::avg_pool2d_grad`] and the fused ReLU pool: every cell of the
+/// window of output gradient `g[r, o]` is `0.0 + g[r, o]·(1/k²)`, or
+/// `0.0` where a ReLU input `x` is not above `0.0`. Blocks and the `k =
+/// 2` stride as in [`pool_rows`].
+pub(crate) fn pool_grad_rows(
+    gin: &mut [f32],
+    g: &[f32],
+    x: Option<&[f32]>,
+    (k, ow): (usize, usize),
+) {
+    match k {
+        2 => pool_grad_rows_k::<2>(gin, g, x, (k, ow)),
+        _ => pool_grad_rows_k::<0>(gin, g, x, (k, ow)),
+    }
+}
+
+/// [`pool_grad_rows`] for window `K`, or for the run-time `k` when `K`
+/// is 0.
+#[inline(always)]
+fn pool_grad_rows_k<const K: usize>(
+    gin: &mut [f32],
+    g: &[f32],
+    x: Option<&[f32]>,
+    (k, ow): (usize, usize),
+) {
+    let k = if K == 0 { k } else { K };
+    let inv = 1.0 / (k * k) as f32;
+    let w = ow * k;
+    for (r, g_row) in g.chunks_exact(ow.max(1)).enumerate() {
+        let (blocks, tail) = g_row.as_chunks::<POOL_LANES>();
+        for dy in 0..k {
+            let row = (r * k + dy) * w;
+            for (b, gs) in blocks.iter().enumerate() {
+                spread(gin, gs, x, row + b * POOL_LANES * k, (k, inv));
+            }
+            spread(gin, tail, x, row + (ow - tail.len()) * k, (k, inv));
+        }
+    }
+}
+
+/// Writes `0.0 + g·inv` over the `k`-wide windows of the consecutive
+/// output gradients `gs` in input row segment `at..`, then `0.0` where a
+/// ReLU input `x` is not above `0.0`. Forced inline, so a whole block's
+/// `gs` has a compile-time length.
+#[inline(always)]
+fn spread(gin: &mut [f32], gs: &[f32], x: Option<&[f32]>, at: usize, (k, inv): (usize, f32)) {
+    let d = &mut gin[at..at + gs.len() * k];
+    for (l, &gv) in gs.iter().enumerate() {
+        for dx in 0..k {
+            d[l * k + dx] = 0.0f32 + gv * inv;
+        }
+    }
+    if let Some(x) = x {
+        for (d, &xv) in d.iter_mut().zip(&x[at..]) {
+            *d = if xv > 0.0 { *d } else { 0.0 };
+        }
     }
 }
 
@@ -746,7 +1149,7 @@ fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
 mod tests {
     use super::*;
 
-    use crate::ops::testutil::{assert_bits_eq, specials};
+    use crate::ops::testutil::{assert_bits_eq, pool_operand, specials, POOL_SHAPES};
 
     /// `(c_in, h, w)` images and conv geometries the ConvNet never runs:
     /// stride 2, padding 0 and 2 (also padding ≥ kernel, where whole rows
@@ -774,23 +1177,6 @@ mod tests {
             }
         }
         cases
-    }
-
-    #[test]
-    fn col2im_matches_the_reference_loop_bitwise() {
-        let mut rng = crate::Rng::new(71);
-        for ((cin, h, w), spec) in odd_geometries() {
-            let (oh, ow) = (spec.out_side(h), spec.out_side(w));
-            let what = format!("{cin}x{h}x{w} {spec:?}");
-            let len = cin * spec.kernel * spec.kernel * oh * ow;
-            // A nonzero starting image checks the add order onto it too.
-            let cols = specials(&[len], true, &mut rng);
-            let start = specials(&[cin * h * w], false, &mut rng);
-            let (mut got, mut want) = (start.data().to_vec(), start.data().to_vec());
-            col2im_add(&mut got, cols.data(), (cin, h, w), (oh, ow), spec);
-            reference::col2im_add(&mut want, cols.data(), (cin, h, w), (oh, ow), spec);
-            assert_bits_eq(&got, &want, &format!("col2im_add {what}"));
-        }
     }
 
     /// `(n, c_in, c_out, h, w, spec)` cases that put the implicit GEMM
@@ -873,18 +1259,104 @@ mod tests {
         }
     }
 
+    /// `(n, c_in, c_out, h, w, spec)` cases for the input gradient: the
+    /// implicit-GEMM cases (every odd geometry and the `deco_stream`
+    /// layers 3→8 at 16×16 and 8→8 at 8×8 and 4×4 among them), plus
+    /// c_out 300 > `KC`, once on the packed GEMM (which folds two slab
+    /// partials) and once on the naive loop (one chain over all 300).
+    fn input_grad_cases() -> Vec<(usize, usize, usize, usize, usize, Conv2dSpec)> {
+        let mut cases = implicit_gemm_cases();
+        cases.push((3, 8, 8, 4, 4, Conv2dSpec::default()));
+        cases.push((2, 2, 300, 6, 6, Conv2dSpec::default()));
+        cases.push((2, 1, 300, 5, 5, Conv2dSpec::new(1, 1, 0)));
+        cases
+    }
+
+    #[test]
+    fn input_grad_matches_the_gemm_col2im_route_bitwise() {
+        let mut rng = crate::Rng::new(75);
+        for (n, cin, cout, h, w, spec) in input_grad_cases() {
+            let k = spec.kernel;
+            let (oh, ow) = (spec.out_side(h), spec.out_side(w));
+            for hard in [false, true] {
+                let what = format!("{n}x{cout}x{oh}x{ow} -> {cin}x{h}x{w} {spec:?} hard {hard}");
+                let wt = conv_operand(&[cout, cin, k, k], hard, &mut rng);
+                let g = conv_operand(&[n, cout, oh, ow], hard, &mut rng);
+                let want = reference::conv2d_input_grad(&g, &wt, (h, w), spec);
+                for threads in [1, 4] {
+                    deco_runtime::with_thread_count(threads, || {
+                        let got = g.conv2d_input_grad(&wt, (h, w), spec);
+                        let at = format!("conv2d_input_grad {what} at {threads} threads");
+                        assert_bits_eq(got.data(), &want, &at);
+                    });
+                }
+            }
+        }
+    }
+
+    /// Parks four NaN-filled buffers of every power-of-two length up to
+    /// `max_len` in this thread's pool, so a kernel that reads pooled
+    /// scratch it never wrote picks a NaN up.
+    fn poison_pool(max_len: usize) {
+        let mut held = Vec::new();
+        let mut len = 1;
+        while len <= max_len {
+            for _ in 0..4 {
+                let mut buf = pool::take_scratch(len);
+                buf.fill(f32::NAN);
+                held.push(buf);
+            }
+            len *= 2;
+        }
+        for buf in held {
+            pool::give(buf);
+        }
+    }
+
+    /// The input gradient's lanes whose tap row falls outside the output
+    /// read the strip's guards unmasked, so the strip must come zeroed
+    /// from a pool whose buffers hold NaN.
+    #[test]
+    fn input_grad_reads_no_stale_scratch() {
+        let mut rng = crate::Rng::new(77);
+        for (n, cin, cout, h, w, spec) in [
+            (2, 3, 8, 16, 16, Conv2dSpec::default()),
+            (2, 2, 5, 7, 5, Conv2dSpec::new(5, 1, 2)),
+            (2, 2, 5, 7, 5, Conv2dSpec::new(3, 2, 1)),
+        ] {
+            let k = spec.kernel;
+            let (oh, ow) = (spec.out_side(h), spec.out_side(w));
+            let wt = conv_operand(&[cout, cin, k, k], false, &mut rng);
+            let g = conv_operand(&[n, cout, oh, ow], false, &mut rng);
+            let want = reference::conv2d_input_grad(&g, &wt, (h, w), spec);
+            deco_runtime::with_thread_count(1, || {
+                poison_pool(1 << 16);
+                let got = g.conv2d_input_grad(&wt, (h, w), spec);
+                let what =
+                    format!("conv2d_input_grad {n}x{cout}x{oh}x{ow} {spec:?} after NaN scratch");
+                assert_bits_eq(got.data(), &want, &what);
+            });
+        }
+    }
+
+    #[test]
+    fn avg_pool_matches_the_reference_loop_bitwise() {
+        let mut rng = crate::Rng::new(76);
+        for (n, c, oh, ow, k) in POOL_SHAPES {
+            let what = format!("{n}x{c}x{oh}x{ow} k{k}");
+            let x = pool_operand(&[n, c, oh * k, ow * k], &mut rng);
+            let (got, want) = (x.avg_pool2d(k), reference::avg_pool2d(&x, k));
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            assert_bits_eq(got.data(), want.data(), &format!("avg_pool2d {what}"));
+        }
+    }
+
     #[test]
     fn avg_pool_grad_matches_the_reference_loop_bitwise() {
         let mut rng = crate::Rng::new(72);
-        for (n, c, oh, ow, k) in [
-            (2, 3, 8, 8, 2),
-            (1, 2, 3, 5, 3),
-            (3, 1, 1, 1, 3),
-            (1, 1, 4, 2, 1),
-            (2, 2, 1, 3, 5),
-        ] {
+        for (n, c, oh, ow, k) in POOL_SHAPES {
             let what = format!("{n}x{c}x{oh}x{ow} k{k}");
-            let g = specials(&[n, c, oh, ow], true, &mut rng);
+            let g = pool_operand(&[n, c, oh, ow], &mut rng);
             let (got, want) = (g.avg_pool2d_grad(k), reference::avg_pool2d_grad(&g, k));
             assert_eq!(got.shape(), want.shape(), "{what}");
             assert_bits_eq(got.data(), want.data(), &format!("avg_pool2d_grad {what}"));
@@ -1050,10 +1522,11 @@ mod tests {
                 for ni in start..(start + ipc).min(n) {
                     let x_img = &x.data()[ni * img..(ni + 1) * img];
                     im2col(&mut cols, x_img, (cin, h, w), (oh, ow), spec);
+                    let cols_t = transpose(&cols, ckk, ohw);
                     gemm::gemm_into(
                         &mut partial,
                         &MatRef::new(&g.data()[ni * cout * ohw..(ni + 1) * cout * ohw], cout, ohw),
-                        &MatRef::transposed(&cols, ckk, ohw),
+                        &MatRef::new(&cols_t, ohw, ckk),
                     );
                 }
                 for (d, s) in gw.iter_mut().zip(&partial) {
@@ -1061,6 +1534,45 @@ mod tests {
                 }
             }
             gw
+        }
+
+        /// [`Tensor::conv2d_input_grad`] as it was: per image, a zeroed
+        /// column matrix, `cols = Wᵀ × g_i`, then [`col2im_add`] into the
+        /// zeroed image gradient.
+        pub fn conv2d_input_grad(
+            g: &Tensor,
+            w: &Tensor,
+            (h, wd): (usize, usize),
+            spec: Conv2dSpec,
+        ) -> Vec<f32> {
+            let (n, cout, oh, ow) = dims4(g);
+            let cin = w.shape().dim(1);
+            let (ckk, ohw, img) = (cin * spec.kernel * spec.kernel, oh * ow, cin * h * wd);
+            let w_t = transpose(w.data(), cout, ckk);
+            let mut gin = vec![0.0f32; n * img];
+            let mut cols = vec![0.0f32; ckk * ohw];
+            for ni in 0..n {
+                cols.fill(0.0);
+                gemm::gemm_into(
+                    &mut cols,
+                    &MatRef::new(&w_t, ckk, cout),
+                    &MatRef::new(&g.data()[ni * cout * ohw..(ni + 1) * cout * ohw], cout, ohw),
+                );
+                let dst = &mut gin[ni * img..(ni + 1) * img];
+                col2im_add(dst, &cols, (cin, h, wd), (oh, ow), spec);
+            }
+            gin
+        }
+
+        /// The transpose of row-major `rows × cols` storage.
+        fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+            let mut t = vec![0.0f32; rows * cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    t[c * rows + r] = data[r * cols + c];
+                }
+            }
+            t
         }
 
         pub fn im2col(
@@ -1134,6 +1646,31 @@ mod tests {
                     }
                 }
             }
+        }
+
+        pub fn avg_pool2d(t: &Tensor, k: usize) -> Tensor {
+            let (n, c, h, w) = dims4(t);
+            let (oh, ow) = (h / k, w / k);
+            let x = t.data();
+            let inv = 1.0 / (k * k) as f32;
+            let mut out = pool::take_scratch(n * c * oh * ow);
+            for nc in 0..n * c {
+                let x_base = nc * h * w;
+                let o_base = nc * oh * ow;
+                for ohi in 0..oh {
+                    for owi in 0..ow {
+                        let mut acc = 0.0f32;
+                        for dy in 0..k {
+                            let row = x_base + (ohi * k + dy) * w + owi * k;
+                            for dx in 0..k {
+                                acc += x[row + dx];
+                            }
+                        }
+                        out[o_base + ohi * ow + owi] = acc * inv;
+                    }
+                }
+            }
+            Tensor::from_pool_buf(out, [n, c, oh, ow])
         }
 
         pub fn avg_pool2d_grad(t: &Tensor, k: usize) -> Tensor {

@@ -26,7 +26,7 @@
 //! All outputs are drawn from the buffer pool ([`crate::pool`]), so in
 //! steady state these kernels allocate nothing.
 
-use super::conv::check_pool_window;
+use super::conv::{check_pool_window, pool_grad_rows, pool_rows};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -320,32 +320,15 @@ pub fn group_norm_relu_bwd(
 ///
 /// Replicates `x.relu().avg_pool2d(k)`: per output cell the window sum
 /// accumulates `x.max(0.0)` in the unfused `(dy, dx)` ascending order
-/// from `0.0`, then scales by `1/k²`.
+/// from `0.0`, then scales by `1/k²` — the row loop of
+/// [`Tensor::avg_pool2d`] with the relu applied to each read.
 pub fn relu_avg_pool2d_fwd(x: &Tensor, k: usize) -> Tensor {
     let (n, c, h, w) = dims4(x);
     check_pool_window(k, h, w);
-    let (oh, ow) = (h / k, w / k);
-    let xd = x.data();
-    let inv = 1.0 / (k * k) as f32;
-    // Scratch: every output element is written below.
-    let mut out = pool::take_scratch(n * c * oh * ow);
-    for nc in 0..n * c {
-        let x_base = nc * h * w;
-        let o_base = nc * oh * ow;
-        for ohi in 0..oh {
-            for owi in 0..ow {
-                let mut acc = 0.0f32;
-                for dy in 0..k {
-                    let row = x_base + (ohi * k + dy) * w + owi * k;
-                    for dx in 0..k {
-                        acc += xd[row + dx].max(0.0);
-                    }
-                }
-                out[o_base + ohi * ow + owi] = acc * inv;
-            }
-        }
-    }
-    Tensor::from_pool_buf(out, [n, c, oh, ow])
+    // Scratch: every output element is written.
+    let mut out = pool::take_scratch(n * c * (h / k) * (w / k));
+    pool_rows(&mut out, x.data(), (k, w / k), |v| v.max(0.0));
+    Tensor::from_pool_buf(out, [n, c, h / k, w / k])
 }
 
 /// Fused relu + average-pool backward.
@@ -353,39 +336,21 @@ pub fn relu_avg_pool2d_fwd(x: &Tensor, k: usize) -> Tensor {
 /// Replicates `g.avg_pool2d_grad(k)` followed by the relu mask. The
 /// pool windows never overlap, so each input cell receives exactly one
 /// contribution `gv = g[o]·(1/k²)`, written by the unfused graph as
-/// `0.0 + gv` — reproduced here as `0.0f32 + gv` so a `-0.0`
-/// contribution canonicalizes identically. The relu mask then zeroes
-/// cells with `x ≤ 0.0`. Walks each input row in `k`-wide windows.
+/// `0.0 + gv` — reproduced as `0.0f32 + gv` so a `-0.0` contribution
+/// canonicalizes identically. The relu mask then zeroes cells with
+/// `x ≤ 0.0`. The row loop of [`Tensor::avg_pool2d_grad`].
 pub fn relu_avg_pool2d_bwd(g: &Tensor, x: &Tensor, k: usize) -> Tensor {
     let (n, c, h, w) = dims4(x);
     check_pool_window(k, h, w);
-    let (oh, ow) = (h / k, w / k);
     assert_eq!(
         g.numel(),
-        n * c * oh * ow,
+        n * c * (h / k) * (w / k),
         "grad shape does not match pooled output"
     );
-    let gd = g.data();
-    let xd = x.data();
-    let inv = 1.0 / (k * k) as f32;
     // Scratch: the windows tile the input exactly (divisibility asserted
-    // above), so every input cell is written below.
+    // above), so every input cell is written.
     let mut gx = pool::take_scratch(n * c * h * w);
-    for r in 0..n * c * oh {
-        let g_row = &gd[r * ow..(r + 1) * ow];
-        for dy in 0..k {
-            let row = (r * k + dy) * w..(r * k + dy + 1) * w;
-            let wins = gx[row.clone()]
-                .chunks_exact_mut(k)
-                .zip(xd[row].chunks_exact(k));
-            for ((win, x_win), &gv) in wins.zip(g_row) {
-                let gvz = 0.0f32 + gv * inv;
-                for (d, &xv) in win.iter_mut().zip(x_win) {
-                    *d = if xv > 0.0 { gvz } else { 0.0 };
-                }
-            }
-        }
-    }
+    pool_grad_rows(&mut gx, g.data(), Some(x.data()), (k, w / k));
     Tensor::from_pool_buf(gx, [n, c, h, w])
 }
 
@@ -476,7 +441,7 @@ pub fn log_softmax_ce_bwd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::{assert_bits_eq, specials};
+    use crate::ops::testutil::{assert_bits_eq, pool_operand, specials, POOL_SHAPES};
     use crate::rng::Rng;
 
     /// `(n, c, h, w, groups)` GroupNorm shapes: the ConvNet's instance
@@ -536,18 +501,27 @@ mod tests {
     }
 
     #[test]
+    fn relu_avg_pool_fwd_matches_the_reference_loop_bitwise() {
+        let mut rng = Rng::new(77);
+        for (n, c, oh, ow, k) in POOL_SHAPES {
+            let what = format!("{n}x{c}x{oh}x{ow} k{k}");
+            let x = pool_operand(&[n, c, oh * k, ow * k], &mut rng);
+            let (got, want) = (
+                relu_avg_pool2d_fwd(&x, k),
+                reference::relu_avg_pool2d_fwd(&x, k),
+            );
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            assert_bits_eq(got.data(), want.data(), &format!("fwd {what}"));
+        }
+    }
+
+    #[test]
     fn relu_avg_pool_bwd_matches_the_reference_loop_bitwise() {
         let mut rng = Rng::new(74);
-        for (n, c, oh, ow, k) in [
-            (2, 3, 8, 8, 2),
-            (1, 2, 3, 5, 3),
-            (3, 1, 1, 1, 3),
-            (1, 1, 4, 2, 1),
-            (2, 2, 1, 3, 5),
-        ] {
+        for (n, c, oh, ow, k) in POOL_SHAPES {
             let what = format!("{n}x{c}x{oh}x{ow} k{k}");
-            let x = specials(&[n, c, oh * k, ow * k], true, &mut rng);
-            let g = specials(&[n, c, oh, ow], true, &mut rng);
+            let x = pool_operand(&[n, c, oh * k, ow * k], &mut rng);
+            let g = pool_operand(&[n, c, oh, ow], &mut rng);
             let (got, want) = (
                 relu_avg_pool2d_bwd(&g, &x, k),
                 reference::relu_avg_pool2d_bwd(&g, &x, k),
@@ -739,6 +713,31 @@ mod tests {
                 Tensor::from_pool_buf(ggamma, [1, c, 1, 1]),
                 Tensor::from_pool_buf(gbeta, [1, c, 1, 1]),
             )
+        }
+
+        pub fn relu_avg_pool2d_fwd(x: &Tensor, k: usize) -> Tensor {
+            let (n, c, h, w) = dims4(x);
+            let (oh, ow) = (h / k, w / k);
+            let xd = x.data();
+            let inv = 1.0 / (k * k) as f32;
+            let mut out = pool::take_scratch(n * c * oh * ow);
+            for nc in 0..n * c {
+                let x_base = nc * h * w;
+                let o_base = nc * oh * ow;
+                for ohi in 0..oh {
+                    for owi in 0..ow {
+                        let mut acc = 0.0f32;
+                        for dy in 0..k {
+                            let row = x_base + (ohi * k + dy) * w + owi * k;
+                            for dx in 0..k {
+                                acc += xd[row + dx].max(0.0);
+                            }
+                        }
+                        out[o_base + ohi * ow + owi] = acc * inv;
+                    }
+                }
+            }
+            Tensor::from_pool_buf(out, [n, c, oh, ow])
         }
 
         pub fn relu_avg_pool2d_bwd(g: &Tensor, x: &Tensor, k: usize) -> Tensor {

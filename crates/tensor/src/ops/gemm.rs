@@ -57,51 +57,26 @@ pub(crate) const KC: usize = 256;
 /// both sides of the boundary.
 pub(crate) const PACKED_MIN_FLOPS: usize = 1 << 13;
 
-/// A rank-2 operand view: `data` interpreted as row-major
-/// `rows × cols`, or its transpose when `trans` is set (so the logical
-/// matrix is `cols × rows` read column-major). Lets the convolution
-/// input gradient multiply by `Wᵀ` without materializing it.
+/// A rank-2 operand view: `data` interpreted as row-major `rows × cols`.
 #[derive(Clone, Copy)]
 pub(crate) struct MatRef<'a> {
     data: &'a [f32],
-    /// Logical row count (after any transposition).
+    /// Row count.
     pub rows: usize,
-    /// Logical column count (after any transposition).
+    /// Column count.
     pub cols: usize,
-    trans: bool,
 }
 
 impl<'a> MatRef<'a> {
     /// Row-major `rows × cols` view.
     pub(crate) fn new(data: &'a [f32], rows: usize, cols: usize) -> Self {
         debug_assert_eq!(data.len(), rows * cols);
-        MatRef {
-            data,
-            rows,
-            cols,
-            trans: false,
-        }
-    }
-
-    /// Transposed view of row-major `rows × cols` storage: the logical
-    /// matrix is `cols × rows`.
-    pub(crate) fn transposed(data: &'a [f32], rows: usize, cols: usize) -> Self {
-        debug_assert_eq!(data.len(), rows * cols);
-        MatRef {
-            data,
-            rows: cols,
-            cols: rows,
-            trans: true,
-        }
+        MatRef { data, rows, cols }
     }
 
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
-        if self.trans {
-            self.data[c * self.rows + r]
-        } else {
-            self.data[r * self.cols + c]
-        }
+        self.data[r * self.cols + c]
     }
 }
 
@@ -118,16 +93,9 @@ fn pack_a(apack: &mut [f32], a: &MatRef<'_>, rows: std::ops::Range<usize>, k0: u
         let r0 = rows.start + panel * MR;
         let lanes = MR.min(rows.end - r0);
         let dst = &mut apack[base..base + kc * MR];
-        if a.trans && lanes == MR {
-            // Transposed storage keeps a panel's `MR` lanes contiguous
-            // per depth step: straight `MR`-wide copies.
-            for (p, chunk) in dst.chunks_exact_mut(MR).enumerate() {
-                let src = (k0 + p) * a.rows + r0;
-                chunk.copy_from_slice(&a.data[src..src + MR]);
-            }
-        } else if !a.trans && lanes == MR {
-            // Row-major storage: each lane's depth run is contiguous;
-            // read rows sequentially, scatter into the panel stride.
+        if lanes == MR {
+            // Each lane's depth run is contiguous: read rows
+            // sequentially, scatter into the panel stride.
             for lane in 0..MR {
                 let src = &a.data[(r0 + lane) * a.cols + k0..][..kc];
                 for (chunk, &v) in dst.chunks_exact_mut(MR).zip(src) {
@@ -180,21 +148,12 @@ impl PanelSource for MatRef<'_> {
     fn pack_panel(&self, dst: &mut [f32], k0: usize, kc: usize, c0: usize) {
         let lanes = NR.min(self.cols - c0);
         let dst = &mut dst[..kc * NR];
-        if !self.trans && lanes == NR {
-            // Row-major storage keeps a panel's `NR` lanes contiguous
-            // per depth step: straight `NR`-wide copies.
+        if lanes == NR {
+            // A panel's `NR` lanes are contiguous per depth step:
+            // straight `NR`-wide copies.
             for (p, chunk) in dst.chunks_exact_mut(NR).enumerate() {
                 let src = (k0 + p) * self.cols + c0;
                 chunk.copy_from_slice(&self.data[src..src + NR]);
-            }
-        } else if self.trans && lanes == NR {
-            // Transposed storage: each lane's depth run is contiguous;
-            // read columns sequentially, scatter into the panel stride.
-            for lane in 0..NR {
-                let src = &self.data[(c0 + lane) * self.rows + k0..][..kc];
-                for (chunk, &v) in dst.chunks_exact_mut(NR).zip(src) {
-                    chunk[lane] = v;
-                }
             }
         } else {
             for p in 0..kc {
@@ -211,15 +170,9 @@ impl PanelSource for MatRef<'_> {
     }
 
     fn axpy_row(&self, c_row: &mut [f32], a: f32, p: usize) {
-        if !self.trans {
-            let b_row = &self.data[p * self.cols..(p + 1) * self.cols];
-            for (slot, &bv) in c_row.iter_mut().zip(b_row) {
-                *slot += a * bv;
-            }
-        } else {
-            for (j, slot) in c_row.iter_mut().enumerate() {
-                *slot += a * self.at(p, j);
-            }
+        let b_row = &self.data[p * self.cols..(p + 1) * self.cols];
+        for (slot, &bv) in c_row.iter_mut().zip(b_row) {
+            *slot += a * bv;
         }
     }
 }
@@ -591,36 +544,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn transposed_views_agree_with_materialized_transpose() {
-        let mut rng = crate::Rng::new(12);
-        let (m, k, n) = (17, 23, 11);
-        // A stored as kᵗʰ-major (k × m), B stored as n × k.
-        let a_t = randv(k * m, &mut rng);
-        let b_t = randv(n * k, &mut rng);
-        let mut a = vec![0.0f32; m * k];
-        for r in 0..m {
-            for c in 0..k {
-                a[r * k + c] = a_t[c * m + r];
-            }
-        }
-        let mut b = vec![0.0f32; k * n];
-        for r in 0..k {
-            for c in 0..n {
-                b[r * n + c] = b_t[c * k + r];
-            }
-        }
-        let mut c1 = vec![0.0f32; m * n];
-        gemm_into(&mut c1, &MatRef::new(&a, m, k), &MatRef::new(&b, k, n));
-        let mut c2 = vec![0.0f32; m * n];
-        gemm_into(
-            &mut c2,
-            &MatRef::transposed(&a_t, k, m),
-            &MatRef::transposed(&b_t, n, k),
-        );
-        assert_eq!(c1, c2, "views must select identical elements");
     }
 
     #[test]

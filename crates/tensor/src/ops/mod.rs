@@ -29,6 +29,32 @@ pub(crate) mod testutil {
         t
     }
 
+    /// `(n, c, oh, ow, k)` pooled shapes: windows 1, 2, 3 and 5, H ≠ W,
+    /// and output rows shorter than, equal to and past one 8-output
+    /// block (ow 9, 12, 13 and 17 leave a tail).
+    pub const POOL_SHAPES: [(usize, usize, usize, usize, usize); 10] = [
+        (2, 3, 8, 8, 2),
+        (1, 2, 3, 5, 3),
+        (3, 1, 1, 1, 3),
+        (1, 1, 4, 2, 1),
+        (2, 2, 1, 3, 5),
+        (1, 2, 3, 9, 2),
+        (2, 1, 2, 17, 2),
+        (1, 1, 5, 13, 1),
+        (1, 3, 2, 12, 3),
+        (2, 2, 4, 16, 2),
+    ];
+
+    /// A pooling operand from [`specials`] with a NaN, `+inf` and `-inf`.
+    pub fn pool_operand(shape: &[usize], rng: &mut Rng) -> Tensor {
+        let mut t = specials(shape, true, rng);
+        let v = t.data_mut();
+        let last = v.len() - 1;
+        v[last] = f32::INFINITY;
+        v[last / 2] = f32::NEG_INFINITY;
+        t
+    }
+
     /// Asserts `a` and `b` hold the same bits element for element; any
     /// two NaNs compare equal (IEEE 754 leaves which NaN payload an
     /// operation propagates to the implementation).

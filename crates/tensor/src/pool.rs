@@ -18,8 +18,8 @@
 //! owned, so GEMM outputs, convolution outputs and the autograd tape's
 //! gradient buffers all cycle through the free lists without any manual
 //! recycle calls; kernel scratch (packing panels, the convolutions'
-//! padded image planes, the input gradient's column buffer) is taken and
-//! given back explicitly.
+//! padded image planes, the input gradient's tap-sum strip and column
+//! masks) is taken and given back explicitly, on the thread that took it.
 //!
 //! The pool is strictly thread-local (no locks, no cross-thread
 //! contention); each runtime worker warms its own free lists.
