@@ -2,8 +2,9 @@
 //! thread count run in one process through
 //! `deco_runtime::with_thread_count`. Two kinds of rows:
 //!
-//! * intra-op, at 1 / 2 / 4 threads: one pool-parallel kernel (matmul,
-//!   the conv2d forward) split across the pool;
+//! * intra-op, at 1 / 2 / 4 threads: the conv2d forward, whose images
+//!   split across the pool (matmul runs on its caller's thread, so its
+//!   one-thread row lives in `kernel_scaling`);
 //! * concurrent independent jobs, [`JOBS`] per round, at 1 / 2 / 4 / 8
 //!   threads:
 //!   - `match_jobs`: per-class match jobs (full `one_step_match` steps —
@@ -51,17 +52,12 @@ const JOBS: usize = 8;
 
 fn bench_intra_op(iters: usize) -> Vec<Row> {
     let mut rng = Rng::new(42);
-    // Sized well above the kernels' parallel thresholds.
-    let a = Tensor::randn([128, 128], &mut rng);
-    let b = Tensor::randn([128, 128], &mut rng);
+    // Sized well above the conv's parallel threshold.
     let x = Tensor::randn([16, 3, 32, 32], &mut rng);
     let w = Tensor::randn([16, 3, 3, 3], &mut rng);
     let spec = Conv2dSpec::default();
     let mut rows = Vec::new();
     for threads in INTRA_OP_THREADS {
-        rows.push(time_op("matmul_128x128", threads, iters, || {
-            std::hint::black_box(a.matmul(&b));
-        }));
         rows.push(time_op("conv2d_fwd_16x3x32x32_w16", threads, iters, || {
             std::hint::black_box(x.conv2d(&w, None, spec));
         }));

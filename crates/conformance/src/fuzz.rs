@@ -223,8 +223,8 @@ fn randn_vec(n: usize, rng: &mut Rng) -> Vec<f32> {
 fn fuzz_matmul(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("matmul");
-    // Degenerate shapes first, then random; every 37th case is large
-    // enough (2·m·k·n ≥ 2^18) to take the parallel row-chunked path.
+    // Degenerate shapes first, then random (mostly under the packed
+    // gate); every 37th case takes the packed cache-blocked kernel.
     let degenerate = [(1, 1, 1), (1, 7, 1), (5, 1, 3), (1, 1, 9), (2, 32, 2)];
     for i in 0..cases {
         let (m, k, n) = if i < degenerate.len() {
@@ -381,12 +381,12 @@ fn fuzz_gemm_blocked_vs_naive(cases: usize, seed: u64) -> KernelReport {
     let mut tr = Tracker::new("gemm_blocked_vs_naive");
     for i in 0..cases {
         // All shapes cross the packed-path gate (2·m·k·n ≥ 2^13, m ≥ 2,
-        // n ≥ 4, k ≥ 4); the interesting ones straddle the MR/NR/MC/KC
+        // n ≥ 4, k ≥ 4); the interesting ones straddle the MR/NR/KC
         // block edges.
         let (m, k, n) = match i {
             0 => (8, 8, 64),   // exactly one microkernel row-panel
             1 => (9, 8, 64),   // one row of remainder
-            2 => (64, 256, 8), // exactly one MC×KC slab
+            2 => (64, 256, 8), // exactly one KC slab of whole panels
             3 => (65, 257, 9), // one past every block edge
             4 => (2, 512, 4),  // minimum m and n over the gate
             _ => {

@@ -6,7 +6,7 @@
 //!
 //! Three layers, from micro to macro (see `docs/testing.md`):
 //!
-//! 1. [`reference`] + [`fuzz`] — naive, obviously-correct `f64`
+//! 1. [`reference`](mod@reference) + [`fuzz`] — naive, obviously-correct `f64`
 //!    implementations of every performance-sensitive kernel, plus a seeded
 //!    differential fuzzer that cross-checks them against the optimized
 //!    `deco-tensor`/`deco-nn` paths over randomized (including degenerate)

@@ -47,8 +47,11 @@ impl LabeledSet {
 }
 
 /// A deterministic, procedurally generated image-classification dataset
-/// with instances, environments and viewpoints (see [`crate::spec`] for the
-/// presets mirroring the paper's benchmarks).
+/// with instances, environments and viewpoints (see [`DatasetSpec`] and
+/// its presets, such as [`core50`], mirroring the paper's benchmarks).
+///
+/// [`DatasetSpec`]: crate::DatasetSpec
+/// [`core50`]: crate::core50
 ///
 /// ```
 /// use deco_datasets::{core50, SyntheticVision};

@@ -5,7 +5,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specifications accepted by [`vec`]: a fixed length or an
+/// Length specifications accepted by [`vec()`]: a fixed length or an
 /// (inclusive / exclusive) range of lengths.
 pub trait SizeRange {
     /// The inclusive `(min, max)` length bounds.
@@ -32,7 +32,7 @@ impl SizeRange for RangeInclusive<usize> {
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

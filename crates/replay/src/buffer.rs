@@ -18,8 +18,10 @@ pub struct BufferItem {
 
 /// A capacity-bounded store of [`BufferItem`]s.
 ///
-/// The buffer itself is policy-free: strategies in
-/// [`crate::strategies`] decide which items enter and which leave.
+/// The buffer itself is policy-free: a [`SelectionStrategy`] decides
+/// which items enter and which leave.
+///
+/// [`SelectionStrategy`]: crate::SelectionStrategy
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     capacity: usize,

@@ -53,9 +53,10 @@ impl<R> BatchState<R> {
         }
     }
 
-    /// Claim loop for pool workers: panics in `f` are captured into the
-    /// batch (first wins) so the submitting thread can re-raise them.
-    fn work_stealing<F: Fn(usize) -> R>(&self, f: &F) {
+    /// Claim loop a stub runs on a pool worker: panics in `f` are
+    /// captured into the batch (first wins) so the submitting thread can
+    /// re-raise them.
+    fn work_stub<F: Fn(usize) -> R>(&self, f: &F) {
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= self.total {
@@ -118,7 +119,7 @@ where
     for _ in 0..stubs {
         let state = Arc::clone(&state);
         let f = Arc::clone(&f);
-        pool.submit(Box::new(move || state.work_stealing(&*f)));
+        pool.submit(Box::new(move || state.work_stub(&*f)));
     }
     state.work_submitter(&*f);
     state.wait();

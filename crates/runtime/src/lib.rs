@@ -1,14 +1,14 @@
 //! # deco-runtime
 //!
-//! Work-stealing parallel execution for the DECO reproduction, with a
-//! hard **determinism guarantee**: every entry point returns results in
-//! item-index order and performs reductions in a fixed, thread-count-
-//! independent sequence, so a computation run under `DECO_THREADS=1`
-//! and `DECO_THREADS=64` produces bitwise-identical output.
+//! Parallel execution for the DECO reproduction, with a hard
+//! **determinism guarantee**: every entry point returns results in
+//! item-index order, and chunk boundaries never depend on the thread
+//! count, so a computation run under `DECO_THREADS=1` and
+//! `DECO_THREADS=64` produces bitwise-identical output.
 //!
 //! The build environment has no crates.io access (no rayon/crossbeam),
-//! so this crate provides the pool itself: per-worker Chase-Lev-style
-//! steal deques over `std::sync` primitives ([`deque`]), a lazily
+//! so this crate provides the pool itself: worker threads fed from one
+//! shared task stack over `std::sync` primitives, in a lazily
 //! initialized process-wide pool sized from
 //! [`std::thread::available_parallelism`] and overridable with the
 //! `DECO_THREADS` environment variable ([`pool`]), and a deterministic
@@ -19,8 +19,9 @@
 //! let squares = deco_runtime::parallel_map((0..8u64).collect(), |_, x| x * x);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //!
-//! let total = deco_runtime::parallel_reduce(100, 16, |r| r.sum::<usize>(), |a, b| a + b);
-//! assert_eq!(total, Some(4950));
+//! // A reduction: per-chunk partials in chunk order, folded on the caller.
+//! let partials = deco_runtime::parallel_for_chunks(100, 16, |r| r.sum::<usize>());
+//! assert_eq!(partials.into_iter().reduce(|a, b| a + b), Some(4950));
 //! ```
 //!
 //! Closures must be `Send + Sync + 'static`: capture shared inputs by
@@ -30,15 +31,14 @@
 //! always participates in its own batch, which makes the scheme
 //! deadlock-free by construction.
 //!
-//! With `--telemetry`, the pool reports aggregate `runtime.tasks` /
-//! `runtime.steals` counters, per-worker `runtime.worker<i>.{tasks,steals}`
-//! counters, a `runtime.pool.occupancy` gauge, and a `runtime.batch`
-//! span on every parallel fan-out.
+//! With `--telemetry`, the pool reports an aggregate `runtime.tasks`
+//! counter, per-worker `runtime.worker<i>.tasks` counters, a
+//! `runtime.pool.occupancy` gauge, and a `runtime.batch` span on every
+//! parallel fan-out.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod deque;
 pub mod pool;
 
 mod batch;
@@ -127,7 +127,11 @@ fn chunk_bounds(n: usize, chunk_len: usize) -> Vec<Range<usize>> {
 ///
 /// Chunk boundaries depend only on `(n, chunk_len)`, so both the number
 /// of results and each result's value are independent of the thread
-/// count (provided `f` is a pure function of its range).
+/// count (provided `f` is a pure function of its range). A reduction
+/// folds the partials left to right on the caller
+/// (`partials.into_iter().reduce(fold)`), so even a non-associative fold
+/// such as an f32 sum is bitwise identical at any `DECO_THREADS`; the
+/// convolution weight gradient folds its per-chunk partials this way.
 pub fn parallel_for_chunks<R, F>(n: usize, chunk_len: usize, f: F) -> Vec<R>
 where
     R: Send + 'static,
@@ -136,14 +140,6 @@ where
     let bounds = chunk_bounds(n, chunk_len);
     let pool = current_pool();
     batch::run_batch(&pool, bounds.len(), move |c| f(bounds[c].clone()))
-}
-
-/// Applies `f` to fixed chunks of `0..n` for effect only.
-pub fn parallel_for<F>(n: usize, chunk_len: usize, f: F)
-where
-    F: Fn(Range<usize>) + Send + Sync + 'static,
-{
-    parallel_for_chunks(n, chunk_len, f);
 }
 
 /// Maps `f` over `items` across the pool, returning results in item
@@ -168,25 +164,6 @@ where
             .expect("parallel_map item claimed twice");
         f(i, item)
     })
-}
-
-/// Chunked map-reduce with a **deterministic, index-ordered reduction**:
-/// `map` runs over fixed chunks of `0..n` (in parallel), and the chunk
-/// results are folded strictly left-to-right in chunk order on the
-/// calling thread. Returns `None` for `n == 0`.
-///
-/// The fold sequence — `fold(…fold(fold(m₀, m₁), m₂)…, m_k)` — depends
-/// only on `(n, chunk_len)`, never on the thread count, so even
-/// non-associative reductions (floating-point sums) are bitwise
-/// reproducible at any `DECO_THREADS`.
-pub fn parallel_reduce<A, M, F>(n: usize, chunk_len: usize, map: M, fold: F) -> Option<A>
-where
-    A: Send + 'static,
-    M: Fn(Range<usize>) -> A + Send + Sync + 'static,
-    F: Fn(A, A) -> A,
-{
-    let partials = parallel_for_chunks(n, chunk_len, map);
-    partials.into_iter().reduce(fold)
 }
 
 #[cfg(test)]
@@ -218,21 +195,18 @@ mod tests {
     #[test]
     fn reduce_matches_serial_fold() {
         let serial: i64 = (0..1000i64).map(|x| x * x).sum();
-        let par = with_thread_count(4, || {
-            parallel_reduce(
-                1000,
-                13,
-                |r| r.map(|i| (i as i64) * (i as i64)).sum::<i64>(),
-                |a, b| a + b,
-            )
+        let partials = with_thread_count(4, || {
+            parallel_for_chunks(1000, 13, |r| {
+                r.map(|i| (i as i64) * (i as i64)).sum::<i64>()
+            })
         });
-        assert_eq!(par, Some(serial));
+        assert_eq!(partials.into_iter().reduce(|a, b| a + b), Some(serial));
     }
 
     #[test]
-    fn reduce_of_empty_is_none() {
-        let r = parallel_reduce(0, 4, |range| range.len(), |a, b| a + b);
-        assert_eq!(r, None);
+    fn empty_range_has_no_chunks() {
+        let partials = with_thread_count(4, || parallel_for_chunks(0, 4, |range| range.len()));
+        assert!(partials.is_empty());
     }
 
     #[test]
@@ -249,15 +223,12 @@ mod tests {
         let data: Vec<f32> = (0..997).map(|i| (i as f32).sin() * 1e-3).collect();
         let run = |threads| {
             let data = data.clone();
-            with_thread_count(threads, move || {
-                parallel_reduce(
-                    data.len(),
-                    32,
-                    move |r| r.map(|i| data[i]).fold(0.0f32, |a, b| a + b),
-                    |a, b| a + b,
-                )
-                .unwrap()
-            })
+            let partials = with_thread_count(threads, move || {
+                parallel_for_chunks(data.len(), 32, move |r| {
+                    r.map(|i| data[i]).fold(0.0f32, |a, b| a + b)
+                })
+            });
+            partials.into_iter().fold(0.0f32, |a, b| a + b)
         };
         assert_eq!(run(1).to_bits(), run(4).to_bits());
     }
@@ -281,13 +252,9 @@ mod tests {
     fn nested_batches_complete() {
         let out = with_thread_count(3, || {
             parallel_map((0..8usize).collect(), |_, x| {
-                parallel_reduce(
-                    10,
-                    2,
-                    move |r| r.map(|i| i + x).sum::<usize>(),
-                    |a, b| a + b,
-                )
-                .unwrap()
+                parallel_for_chunks(10, 2, move |r| r.map(|i| i + x).sum::<usize>())
+                    .into_iter()
+                    .sum::<usize>()
             })
         });
         let expect: Vec<usize> = (0..8).map(|x| (0..10).map(|i| i + x).sum()).collect();

@@ -1,62 +1,51 @@
-//! The work-stealing thread pool.
+//! The thread pool.
 //!
 //! A [`Pool`] with `threads` participants spawns `threads − 1` worker OS
 //! threads; the thread that submits a batch is always the final
 //! participant, so `threads == 1` means **no worker threads at all** and
 //! every parallel entry point degenerates to the exact serial code path.
 //!
-//! Each worker owns a [`StealDeque`]; submitted tasks are distributed
-//! round-robin across the deques, and an idle worker first drains its
-//! own deque (LIFO) and then steals from its peers (FIFO), counting
-//! every steal. Workers park on a condition variable keyed by a
-//! generation counter, so submissions never suffer lost wakeups.
+//! Submitted tasks go onto one shared stack, and an idle worker pops the
+//! newest. Every task is a batch stub that claims items from its batch's
+//! cursor (`batch.rs`), so load balance comes from the cursor, not from
+//! which worker runs which stub. Idle workers park on a condition
+//! variable paired with the stack's lock, so a push is never missed.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use crate::deque::StealDeque;
 
 /// A unit of queued work.
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// State shared between the pool handle and its workers.
 pub(crate) struct Shared {
-    /// One deque per worker thread.
-    deques: Vec<StealDeque<Task>>,
+    /// Queued tasks; workers pop the newest.
+    tasks: Mutex<Vec<Task>>,
     /// Total participants (workers + the submitting thread).
     threads: usize,
-    /// Submission generation counter; bumped on every submit.
-    signal: Mutex<u64>,
-    /// Parking spot for idle workers.
+    /// Parking spot for idle workers, paired with `tasks`.
     cv: Condvar,
-    /// Set once on drop; workers exit at the next wakeup.
+    /// Set once on drop; workers exit once the stack is empty.
     shutdown: AtomicBool,
-    /// Round-robin cursor for task placement.
-    next_deque: AtomicUsize,
     /// Workers currently executing a task (drives the occupancy gauge).
     active: AtomicI64,
 }
 
 impl Shared {
-    /// Next queued task for worker `idx`: own deque first, then steal
-    /// round-robin from peers.
-    fn find_task(&self, idx: usize) -> Option<Task> {
-        if let Some(t) = self.deques[idx].pop() {
-            return Some(t);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (idx + off) % n;
-            if let Some(t) = self.deques[victim].steal() {
-                deco_telemetry::counter!("runtime.steals");
-                if deco_telemetry::is_enabled() {
-                    deco_telemetry::metrics::counter(&format!("runtime.worker{idx}.steals")).inc();
-                }
-                return Some(t);
+    /// Pops the newest queued task, parking while the stack is empty;
+    /// `None` once the pool shuts down with nothing left to run.
+    fn next_task(&self) -> Option<Task> {
+        let mut tasks = self.tasks.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(task) = tasks.pop() {
+                return Some(task);
             }
+            if self.shutdown.load(Ordering::Acquire) {
+                return None;
+            }
+            tasks = self.cv.wait(tasks).unwrap_or_else(|e| e.into_inner());
         }
-        None
     }
 }
 
@@ -65,33 +54,20 @@ fn worker_main(shared: Arc<Shared>, idx: usize) {
     // worker's own pool, not the global one.
     crate::set_current_shared(Arc::clone(&shared));
     let tasks_counter = deco_telemetry::metrics::counter(&format!("runtime.worker{idx}.tasks"));
-    loop {
-        // Snapshot the generation before scanning, so a submission that
-        // races with an empty scan is seen by the wait loop below.
-        let seen = *shared.signal.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(task) = shared.find_task(idx) {
-            let active = shared.active.fetch_add(1, Ordering::Relaxed) + 1;
-            deco_telemetry::gauge_set!("runtime.pool.occupancy", active);
-            deco_telemetry::counter!("runtime.tasks");
-            tasks_counter.inc();
-            // Batch stubs catch panics from user closures themselves;
-            // this backstop keeps a buggy stub from killing the worker.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-            let active = shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
-            deco_telemetry::gauge_set!("runtime.pool.occupancy", active);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let mut g = shared.signal.lock().unwrap_or_else(|e| e.into_inner());
-        while *g == seen && !shared.shutdown.load(Ordering::Acquire) {
-            g = shared.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
+    while let Some(task) = shared.next_task() {
+        let active = shared.active.fetch_add(1, Ordering::Relaxed) + 1;
+        deco_telemetry::gauge_set!("runtime.pool.occupancy", active);
+        deco_telemetry::counter!("runtime.tasks");
+        tasks_counter.inc();
+        // Batch stubs catch panics from user closures themselves;
+        // this backstop keeps a buggy stub from killing the worker.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+        let active = shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
+        deco_telemetry::gauge_set!("runtime.pool.occupancy", active);
     }
 }
 
-/// A work-stealing thread pool. See the [module docs](self) for the
+/// A thread pool. See the [module docs](self) for the
 /// architecture; most code uses the process-wide pool implicitly via
 /// [`parallel_for_chunks`](crate::parallel_for_chunks) and friends
 /// rather than holding a `Pool` directly.
@@ -115,12 +91,10 @@ impl Pool {
         let threads = threads.max(1);
         let n_workers = threads - 1;
         let shared = Arc::new(Shared {
-            deques: (0..n_workers).map(|_| StealDeque::new()).collect(),
+            tasks: Mutex::new(Vec::new()),
             threads,
-            signal: Mutex::new(0),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            next_deque: AtomicUsize::new(0),
             active: AtomicI64::new(0),
         });
         let workers = (0..n_workers)
@@ -145,7 +119,7 @@ impl Pool {
 
     /// Number of spawned worker threads (`threads() − 1`).
     pub fn workers(&self) -> usize {
-        self.shared.deques.len()
+        self.shared.threads - 1
     }
 
     /// Runs `f` with this pool installed as the calling thread's current
@@ -174,10 +148,11 @@ impl Drop for PopOnDrop {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
         {
-            let mut g = self.shared.signal.lock().unwrap_or_else(|e| e.into_inner());
-            *g = g.wrapping_add(1);
+            // Set under the stack's lock, so no worker can check the flag
+            // and then park after the wakeup below.
+            let _tasks = self.shared.tasks.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.cv.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
@@ -201,7 +176,7 @@ impl PoolRef {
 
     /// Worker count.
     pub(crate) fn workers(&self) -> usize {
-        self.shared.as_ref().map_or(0, |s| s.deques.len())
+        self.threads() - 1
     }
 
     /// Queues a task (panics on the serial fallback; callers check
@@ -211,11 +186,11 @@ impl PoolRef {
             .shared
             .as_ref()
             .expect("cannot submit to the serial fallback pool");
-        let n = shared.deques.len();
-        let slot = shared.next_deque.fetch_add(1, Ordering::Relaxed) % n;
-        shared.deques[slot].push(task);
-        let mut g = shared.signal.lock().unwrap_or_else(|e| e.into_inner());
-        *g = g.wrapping_add(1);
-        shared.cv.notify_all();
+        shared
+            .tasks
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(task);
+        shared.cv.notify_one();
     }
 }

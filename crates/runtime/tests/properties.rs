@@ -1,17 +1,20 @@
-//! Property and stress tests for `deco-runtime`: `parallel_reduce`
-//! against a serial fold over arbitrary inputs, and a multi-thread
-//! hammer on the steal deque.
+//! Property and stress tests for `deco-runtime`: chunked partials from
+//! `parallel_for_chunks`, folded on the caller, against a serial fold
+//! over arbitrary inputs, and concurrent submitters on one shared pool.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
+use std::time::Duration;
 
-use deco_runtime::deque::StealDeque;
 use proptest::prelude::*;
 
 proptest! {
-    /// `parallel_reduce` over arbitrary lengths and chunk sizes equals
-    /// the plain serial left fold — including non-associative f32 sums —
-    /// at both 1 and 4 threads.
+    /// `parallel_for_chunks` partials folded left to right on the caller,
+    /// over arbitrary lengths and chunk sizes, equal the plain serial
+    /// left fold — including non-associative f32 sums — at both 1 and 4
+    /// threads.
     #[test]
     fn reduce_equals_serial_fold(
         values in prop::collection::vec(-10.0f32..10.0, 0..200),
@@ -26,14 +29,12 @@ proptest! {
         };
         for threads in [1usize, 4] {
             let data = values.clone();
-            let par = deco_runtime::with_thread_count(threads, move || {
-                deco_runtime::parallel_reduce(
-                    data.len(),
-                    chunk,
-                    move |r| r.map(|i| data[i]).fold(0.0f32, |a, b| a + b),
-                    |a, b| a + b,
-                )
+            let partials = deco_runtime::with_thread_count(threads, move || {
+                deco_runtime::parallel_for_chunks(data.len(), chunk, move |r| {
+                    r.map(|i| data[i]).fold(0.0f32, |a, b| a + b)
+                })
             });
+            let par = partials.into_iter().reduce(|a, b| a + b);
             prop_assert_eq!(
                 par.map(f32::to_bits),
                 serial.map(f32::to_bits),
@@ -71,18 +72,18 @@ proptest! {
     ) {
         let expected: String = (0..n).map(|i| format!("[{i}]")).collect();
         for threads in [1usize, 4] {
-            let got = deco_runtime::with_thread_count(threads, move || {
-                deco_runtime::parallel_reduce(
-                    n,
-                    chunk,
-                    |r| r.map(|i| format!("[{i}]")).collect::<String>(),
-                    |mut a, b| {
-                        a.push_str(&b);
-                        a
-                    },
-                )
-            })
-            .unwrap_or_default();
+            let partials = deco_runtime::with_thread_count(threads, move || {
+                deco_runtime::parallel_for_chunks(n, chunk, |r| {
+                    r.map(|i| format!("[{i}]")).collect::<String>()
+                })
+            });
+            let got = partials
+                .into_iter()
+                .reduce(|mut a, b| {
+                    a.push_str(&b);
+                    a
+                })
+                .unwrap_or_default();
             prop_assert_eq!(&got, &expected, "threads={} n={} chunk={}", threads, n, chunk);
         }
     }
@@ -115,75 +116,96 @@ proptest! {
         let serial = seeds.iter().fold(ID, |acc, &s| mul(acc, elem(s)));
         for threads in [1usize, 4] {
             let seeds = seeds.clone();
-            let got = deco_runtime::with_thread_count(threads, move || {
-                deco_runtime::parallel_reduce(
-                    seeds.len(),
-                    chunk,
-                    move |r| r.map(|i| elem(seeds[i])).fold(ID, mul),
-                    mul,
-                )
-            })
-            .unwrap();
+            let partials = deco_runtime::with_thread_count(threads, move || {
+                deco_runtime::parallel_for_chunks(seeds.len(), chunk, move |r| {
+                    r.map(|i| elem(seeds[i])).fold(ID, mul)
+                })
+            });
+            let got = partials.into_iter().reduce(mul).unwrap();
             prop_assert_eq!(got, serial, "threads={} chunk={}", threads, chunk);
         }
     }
 }
 
-/// Eight threads hammer one deque — the owner pushing and popping its
-/// own end while seven thieves steal the front — and every pushed value
-/// must come out exactly once.
+/// One item's work for [`submitters_share_one_pool_concurrently`]: counts
+/// the run, records the running thread's name and takes about a
+/// millisecond, long enough that the submitters cannot drain a batch
+/// before a woken worker claims a share.
+fn run_item(runs: &[AtomicUsize], slot: usize, ran_on: &Mutex<BTreeSet<String>>) {
+    runs[slot].fetch_add(1, Ordering::Relaxed);
+    let name = thread::current().name().unwrap_or_default().to_owned();
+    ran_on.lock().unwrap().insert(name);
+    thread::sleep(Duration::from_millis(1));
+}
+
+/// Several OS threads install one shared 4-thread pool at the same time
+/// and submit `parallel_map` batches whose items submit nested batches.
+/// Every item must run exactly once and come back in index order. A
+/// batch completes on its submitter alone, so the test also records the
+/// names of the threads that ran items: pool workers (`deco-runtime-*`)
+/// must be among them, or the shared task stack was never drained.
 #[test]
-fn deque_survives_eight_thread_hammer() {
-    const ITEMS: usize = 10_000;
-    const THIEVES: usize = 7;
-    let deque: Arc<StealDeque<usize>> = Arc::new(StealDeque::new());
-    let taken: Arc<std::sync::Mutex<Vec<usize>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+fn submitters_share_one_pool_concurrently() {
+    const SUBMITTERS: usize = 3;
+    const ROUNDS: usize = 4;
+    const ITEMS: usize = 8;
+    const INNER: usize = 3;
+    // Each outer item owns `1 + INNER` run counters: its own, then its
+    // nested items'.
+    const SLOTS: usize = 1 + INNER;
 
-    let mut handles = Vec::new();
-    for _ in 0..THIEVES {
-        let deque = Arc::clone(&deque);
-        let taken = Arc::clone(&taken);
-        let done = Arc::clone(&done);
-        handles.push(thread::spawn(move || {
-            let mut local = Vec::new();
-            loop {
-                match deque.steal() {
-                    Some(v) => local.push(v),
-                    None => {
-                        if done.load(std::sync::atomic::Ordering::Acquire) && deque.is_empty() {
-                            break;
-                        }
-                        thread::yield_now();
+    let pool = deco_runtime::Pool::new(4);
+    let runs: Arc<Vec<AtomicUsize>> = Arc::new(
+        (0..SUBMITTERS * ROUNDS * ITEMS * SLOTS)
+            .map(|_| AtomicUsize::new(0))
+            .collect(),
+    );
+    let ran_on = Arc::new(Mutex::new(BTreeSet::new()));
+    let start = Barrier::new(SUBMITTERS);
+
+    thread::scope(|scope| {
+        for submitter in 0..SUBMITTERS {
+            let (pool, start, runs, ran_on) = (&pool, &start, &runs, &ran_on);
+            scope.spawn(move || {
+                start.wait();
+                pool.install(|| {
+                    for round in 0..ROUNDS {
+                        let base = (submitter * ROUNDS + round) * ITEMS;
+                        let (runs, ran_on) = (Arc::clone(runs), Arc::clone(ran_on));
+                        let out = deco_runtime::parallel_map(
+                            (base..base + ITEMS).collect(),
+                            move |i, item: usize| {
+                                run_item(&runs, item * SLOTS, &ran_on);
+                                let (runs, ran_on) = (Arc::clone(&runs), Arc::clone(&ran_on));
+                                let inner = deco_runtime::parallel_map(
+                                    (0..INNER).collect(),
+                                    move |j, x| {
+                                        run_item(&runs, item * SLOTS + 1 + j, &ran_on);
+                                        (j, x)
+                                    },
+                                );
+                                (i, item, inner)
+                            },
+                        );
+                        let inner: Vec<(usize, usize)> = (0..INNER).map(|j| (j, j)).collect();
+                        let expect: Vec<_> =
+                            (0..ITEMS).map(|i| (i, base + i, inner.clone())).collect();
+                        assert_eq!(out, expect, "submitter {submitter} round {round}");
                     }
-                }
-            }
-            taken.lock().unwrap().extend(local);
-        }));
-    }
-
-    // Owner: push everything, popping its own back end now and then the
-    // way a worker interleaves producing and consuming tasks.
-    let mut owner_taken = Vec::new();
-    for i in 0..ITEMS {
-        deque.push(i);
-        if i % 3 == 0 {
-            if let Some(v) = deque.pop() {
-                owner_taken.push(v);
-            }
+                });
+            });
         }
-    }
-    done.store(true, std::sync::atomic::Ordering::Release);
-    for h in handles {
-        h.join().expect("thief thread panicked");
-    }
+    });
 
-    let mut all = taken.lock().unwrap().clone();
-    all.extend(owner_taken);
-    all.sort_unstable();
-    assert_eq!(all.len(), ITEMS, "items lost or duplicated");
-    assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
-    assert!(deque.is_empty());
+    for (slot, count) in runs.iter().enumerate() {
+        let count = count.load(Ordering::Relaxed);
+        assert_eq!(count, 1, "item slot {slot} ran {count} times");
+    }
+    let ran_on = ran_on.lock().unwrap();
+    assert!(
+        ran_on.iter().any(|name| name.starts_with("deco-runtime-")),
+        "no pool worker ran an item; items ran on {ran_on:?}"
+    );
 }
 
 /// The pool drains large bursts submitted from multiple installed

@@ -4,7 +4,7 @@
 //! atomics, and incrementing one is a single relaxed `fetch_add` guarded
 //! by the global [`enabled`](crate::is_enabled) flag. The registry map
 //! itself is only locked when a handle is first created (typically once
-//! per call site via `OnceLock`, see the [`counter!`](crate::counter)
+//! per call site via `OnceLock`, see the [`counter!`](crate::counter!)
 //! macro) and when a snapshot is taken.
 
 use std::collections::BTreeMap;

@@ -42,7 +42,7 @@ thread_local! {
 }
 
 /// A live timed scope. Created by [`enter`] (usually via the
-/// [`span!`](crate::span) macro); records its wall time on drop.
+/// [`span!`](crate::span!) macro); records its wall time on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     start: Option<Instant>,

@@ -88,7 +88,7 @@ fn add_rows_lockstep<const L: usize>(accs: &mut [f32], data: &[f32], len: usize)
 /// * `sd = (var + eps).sqrt()`;
 /// * `out = ((((v − m) / sd) * γ[ch]) + β[ch]).max(0.0)`.
 ///
-/// Each image runs its sums ([`add_row_sums`], the blocks of an image
+/// Each image runs its sums (`add_row_sums`, the blocks of an image
 /// interleaved), the element-wise squares into pooled scratch between
 /// them, and then the element-wise divide-and-affine pass.
 ///
@@ -175,7 +175,7 @@ pub fn group_norm_relu_fwd(
 ///
 /// Each image runs every step as an element-wise pass into pooled
 /// scratch (the products and quotients) followed by the sums over that
-/// scratch ([`add_row_sums`]), each sum in its existing order: `γ`/`β`
+/// scratch (`add_row_sums`), each sum in its existing order: `γ`/`β`
 /// per channel in global source-linear order, exactly like the unfused
 /// `sum_to`; `gstd` and `gmean` per block in ascending element order.
 ///

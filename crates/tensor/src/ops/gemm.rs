@@ -16,24 +16,20 @@
 //! ## Determinism contract
 //!
 //! Every output element is accumulated in a fixed order that depends
-//! only on the operand shapes: `k`-slabs in ascending order, and within
-//! a slab sequentially over `k`. Panel and slab boundaries never depend
-//! on the thread count, so callers may fan row-panel ranges out across
-//! `deco-runtime` and still get bitwise-identical results at any
-//! `DECO_THREADS` (see [`Tensor::matmul`]). Zero-padded panel lanes
-//! contribute exactly `+0.0` per step, which cannot change any partial
-//! sum.
+//! only on the operand shapes: `k`-slabs in ascending order, each summed
+//! from `0.0` sequentially over `k` and then added into `C`. Panel and
+//! slab boundaries never depend on the thread count, so a caller that
+//! fans independent products out across `deco-runtime` (the
+//! convolutions, one image per product) still gets bitwise-identical
+//! results at any `DECO_THREADS`. Zero-padded panel lanes contribute
+//! exactly `+0.0` per step, which cannot change any partial sum.
 //!
-//! Two drivers run the microkernel. [`gemm_rows_packed`] packs all of
-//! `B` up front and `A` per row block, so [`Tensor::matmul`] can fan row
-//! ranges out over one shared packed `B`. [`PreparedA`] packs `A` once
-//! for many products and packs each `B` one panel at a time from any
-//! [`PanelSource`], which is how the convolutions read their column
-//! matrices straight from a padded image, image after image against one
-//! packed weight (measured against running them through the first
-//! driver in EXPERIMENTS.md, "Implicit-GEMM convolution"). Both
-//! accumulate every element in the same order, so they agree bit for
-//! bit.
+//! One driver runs the microkernel: [`PreparedA`] packs `A` once for
+//! any number of products and packs each `B` one panel at a time from
+//! any [`PanelSource`]. [`gemm_into`], under [`Tensor::matmul`], reads a
+//! stored `B`; the convolutions read their column matrices straight
+//! from a padded image, image after image against one packed weight
+//! (EXPERIMENTS.md, "Implicit-GEMM convolution").
 //!
 //! All scratch (packed panels) comes from the thread-local
 //! [`crate::pool`], so steady-state calls allocate nothing.
@@ -46,8 +42,6 @@ use crate::pool;
 pub(crate) const MR: usize = 8;
 /// Microkernel tile columns (one or two SIMD vectors of `B`).
 pub(crate) const NR: usize = 8;
-/// Rows of `A` per packed block — the parallel fan-out granularity.
-pub(crate) const MC: usize = 64;
 /// Depth (`k`) per packed slab.
 pub(crate) const KC: usize = 256;
 
@@ -80,18 +74,16 @@ impl<'a> MatRef<'a> {
     }
 }
 
-/// Packs `A[rows.start..rows.end, k0..k0+kc]` into `MR`-row panels:
-/// panel `p` holds rows `rows.start + p·MR ..`, stored column-major
-/// within the panel (`apack[panel][depth][lane]`), zero-padded to a
-/// full `MR` lanes.
-fn pack_a(apack: &mut [f32], a: &MatRef<'_>, rows: std::ops::Range<usize>, k0: usize, kc: usize) {
-    let nrows = rows.len();
-    let panels = nrows.div_ceil(MR);
+/// Packs `A[0..m, k0..k0+kc]` into `MR`-row panels: panel `p` holds
+/// rows `p·MR ..`, stored column-major within the panel
+/// (`apack[panel][depth][lane]`), zero-padded to a full `MR` lanes.
+fn pack_a(apack: &mut [f32], a: &MatRef<'_>, k0: usize, kc: usize) {
+    let panels = a.rows.div_ceil(MR);
     debug_assert!(apack.len() >= panels * kc * MR);
     for panel in 0..panels {
         let base = panel * kc * MR;
-        let r0 = rows.start + panel * MR;
-        let lanes = MR.min(rows.end - r0);
+        let r0 = panel * MR;
+        let lanes = MR.min(a.rows - r0);
         let dst = &mut apack[base..base + kc * MR];
         if lanes == MR {
             // Each lane's depth run is contiguous: read rows
@@ -177,17 +169,6 @@ impl PanelSource for MatRef<'_> {
     }
 }
 
-/// Packs `B[k0..k0+kc, 0..n]` into `NR`-column panels: panel `q` holds
-/// columns `q·NR ..`, stored row-major within the panel
-/// (`bpack[panel][depth][lane]`), zero-padded to a full `NR` lanes.
-fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
-    let panels = n.div_ceil(NR);
-    debug_assert!(bpack.len() >= panels * kc * NR);
-    for panel in 0..panels {
-        b.pack_panel(&mut bpack[panel * kc * NR..], k0, kc, panel * NR);
-    }
-}
-
 /// `MR × NR` register-tile microkernel: accumulates
 /// `apanel (kc × MR) · bpanel (kc × NR)` into a local tile, then adds
 /// the valid `mr × nr` corner into `C` (`c_row0` is relative to the
@@ -201,13 +182,14 @@ fn pack_b(bpack: &mut [f32], b: &MatRef<'_>, k0: usize, kc: usize, n: usize) {
 /// every committed f32 golden is pinned to it.
 ///
 /// Both panels are sliced to exactly `kc` depth steps so the zipped
-/// loop has a single exit. It is forced inline: with two callers LLVM
-/// otherwise emits it out of line and re-zeroes `acc` through the stack
-/// on every call. Inlined into [`gemm_rows_packed`] and
-/// [`PreparedA::gemm_epi`], the loop must keep the `acc` tile in
-/// registers with no per-step copies: check the disassembly after
-/// changing this loop or its callers (EXPERIMENTS.md, "One GEMM kernel"
-/// and "Implicit-GEMM convolution").
+/// loop has a single exit. It is forced inline: its one caller,
+/// [`PreparedA::gemm_epi`], is instantiated once per [`PanelSource`],
+/// and with more than one call site LLVM emitted it out of line,
+/// re-zeroing `acc` through the stack on every call. Inlined, the loop
+/// must keep the `acc` tile in registers with no per-step copies: check
+/// the disassembly after changing this loop or its caller
+/// (EXPERIMENTS.md, "One GEMM kernel", "Implicit-GEMM convolution" and
+/// "One GEMM driver and one task queue").
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn microkernel(
@@ -252,36 +234,6 @@ fn slabs(k: usize) -> usize {
 /// offset table, which keeps steady-state packing allocation-free.
 fn slab_offset(width: usize, s: usize) -> usize {
     width * KC * s
-}
-
-/// A `k × n` operand packed into `KC`-deep slabs of `NR`-column panels,
-/// reusable across row-panel tasks; slab `s` starts at
-/// [`slab_offset`]`(panels_n · NR, s)`.
-pub(crate) struct PackedB {
-    buf: Vec<f32>,
-    k: usize,
-    n: usize,
-}
-
-impl PackedB {
-    /// Packs all of `b` into pooled scratch; callers should call
-    /// [`PackedB::recycle`] when done.
-    pub(crate) fn pack(b: &MatRef<'_>) -> PackedB {
-        let (k, n) = (b.rows, b.cols);
-        let panels_n = n.div_ceil(NR);
-        // Scratch: pack_b overwrites every element.
-        let mut buf = pool::take_scratch(panels_n * NR * k);
-        for s in 0..slabs(k) {
-            let kc = KC.min(k - s * KC);
-            pack_b(&mut buf[slab_offset(panels_n * NR, s)..], b, s * KC, kc, n);
-        }
-        PackedB { buf, k, n }
-    }
-
-    /// Returns the scratch buffer to the pool.
-    pub(crate) fn recycle(self) {
-        pool::give(self.buf);
-    }
 }
 
 /// Writeback fusion applied to each output tile immediately after its
@@ -333,51 +285,6 @@ fn apply_epilogue(
     }
 }
 
-/// Multiplies rows `rows` of `a` (`m × k`) with pre-packed `b`
-/// (`k × n`), **adding** into `c`, which holds exactly those output
-/// rows (`rows.len() × n`, rows-relative). Accumulation order per
-/// element: slabs ascending, sequential within a slab — a pure function
-/// of the shapes, so any row-range split of the same product is bitwise
-/// identical to the unsplit run.
-pub(crate) fn gemm_rows_packed(
-    c: &mut [f32],
-    a: &MatRef<'_>,
-    bp: &PackedB,
-    rows: std::ops::Range<usize>,
-) {
-    let (k, n) = (bp.k, bp.n);
-    debug_assert_eq!(a.cols, k);
-    debug_assert_eq!(c.len(), rows.len() * n);
-    let panels_n = n.div_ceil(NR);
-    // Scratch: every microkernel read is preceded by a pack_a write of
-    // the same region (panels × kc × MR), so skip the zero-fill.
-    let mut apack = pool::take_scratch(MC.div_ceil(MR) * MR * KC);
-    let mut r0 = rows.start;
-    while r0 < rows.end {
-        let mc = MC.min(rows.end - r0);
-        let panels_m = mc.div_ceil(MR);
-        for s in 0..slabs(k) {
-            let slab_off = slab_offset(panels_n * NR, s);
-            let k0 = s * KC;
-            let kc = KC.min(k - k0);
-            pack_a(&mut apack, a, r0..r0 + mc, k0, kc);
-            for pm in 0..panels_m {
-                let apanel = &apack[pm * kc * MR..(pm + 1) * kc * MR];
-                let mr = MR.min(mc - pm * MR);
-                let c_row0 = r0 + pm * MR - rows.start;
-                for pn in 0..panels_n {
-                    let nr = NR.min(n - pn * NR);
-                    let off = slab_off + pn * kc * NR;
-                    let bpanel = &bp.buf[off..off + kc * NR];
-                    microkernel(apanel, bpanel, kc, c, c_row0, pn * NR, n, mr, nr);
-                }
-            }
-        }
-        r0 += mc;
-    }
-    pool::give(apack);
-}
-
 /// A left operand `A` (`m × k`) prepared once for any number of products
 /// `C += A · B` with `n`-column right operands. When [`use_packed`]
 /// picks the packed kernel for `(m, k, n)`, `A` is packed here into
@@ -401,13 +308,7 @@ impl<'a> PreparedA<'a> {
             let mut buf = pool::take_scratch(panels_m * MR * k);
             for s in 0..slabs(k) {
                 let kc = KC.min(k - s * KC);
-                pack_a(
-                    &mut buf[slab_offset(panels_m * MR, s)..],
-                    &a,
-                    0..m,
-                    s * KC,
-                    kc,
-                );
+                pack_a(&mut buf[slab_offset(panels_m * MR, s)..], &a, s * KC, kc);
             }
             buf
         });
@@ -477,23 +378,11 @@ fn gemm_naive(c: &mut [f32], a: &MatRef<'_>, b: &impl PanelSource) {
 /// packed-blocked or naive kernel from the shapes alone. `c` must
 /// already hold the desired initial values (zeros for a plain product).
 pub(crate) fn gemm_into(c: &mut [f32], a: &MatRef<'_>, b: &MatRef<'_>) {
-    debug_assert_eq!(a.cols, b.rows, "gemm inner dimension");
-    debug_assert_eq!(c.len(), a.rows * b.cols, "gemm output size");
-    if use_packed(a.rows, a.cols, b.cols) {
-        let _span = deco_telemetry::span!("tensor.gemm");
-        let bp = PackedB::pack(b);
-        gemm_rows_packed(c, a, &bp, 0..a.rows);
-        bp.recycle();
-    } else {
-        gemm_naive(c, a, b);
-    }
+    let _span = use_packed(a.rows, a.cols, b.cols).then(|| deco_telemetry::span!("tensor.gemm"));
+    PreparedA::new(*a, b.cols).gemm_epi(c, b, Epilogue::None);
 }
 
-/// Shape-only heuristic for the packed path (shared with
-/// [`Tensor::matmul`]'s parallel dispatch so serial and parallel runs
-/// agree on the kernel).
-///
-/// [`Tensor::matmul`]: crate::Tensor::matmul
+/// Shape-only heuristic for the packed path.
 pub(crate) fn use_packed(m: usize, k: usize, n: usize) -> bool {
     2 * m * k * n >= PACKED_MIN_FLOPS && m >= 2 && n >= NR / 2 && k >= 4
 }
@@ -546,30 +435,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_range_split_is_bitwise_equal_to_full_run() {
-        let mut rng = crate::Rng::new(13);
-        let (m, k, n) = (150, 90, 40);
-        let a = randv(m * k, &mut rng);
-        let b = randv(k * n, &mut rng);
-        let av = MatRef::new(&a, m, k);
-        let bp = PackedB::pack(&MatRef::new(&b, k, n));
-        let mut full = vec![0.0f32; m * n];
-        gemm_rows_packed(&mut full, &av, &bp, 0..m);
-        let mut split = vec![0.0f32; m * n];
-        // Split at MC boundaries — the parallel fan-out granularity.
-        gemm_rows_packed(&mut split[..MC * n], &av, &bp, 0..MC);
-        gemm_rows_packed(&mut split[MC * n..2 * MC * n], &av, &bp, MC..2 * MC);
-        gemm_rows_packed(&mut split[2 * MC * n..], &av, &bp, 2 * MC..m);
-        bp.recycle();
-        assert!(full
-            .iter()
-            .zip(&split)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+    /// The per-element order contract as a scalar loop: the packed
+    /// kernel sums each `KC`-deep slab from `0.0` in `k` order and adds
+    /// the slab sums into `c` in ascending slab order; the naive loop
+    /// adds each product straight into `c` in `k` order.
+    fn contract_order(c: &mut [f32], a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) {
+        for i in 0..m {
+            for j in 0..n {
+                let term = |p: usize| a[i * k + p] * b[p * n + j];
+                let slot = &mut c[i * n + j];
+                if use_packed(m, k, n) {
+                    for k0 in (0..k).step_by(KC) {
+                        *slot += (k0..(k0 + KC).min(k)).fold(0.0f32, |acc, p| acc + term(p));
+                    }
+                } else {
+                    for p in 0..k {
+                        *slot += term(p);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn prepared_a_matches_gemm_into_and_a_separate_bias_pass_bitwise() {
+    fn prepared_a_matches_the_order_contract_and_a_separate_bias_pass_bitwise() {
         let mut rng = crate::Rng::new(14);
         for &(m, k, n) in &[
             (1usize, 3usize, 2usize),
@@ -580,27 +469,29 @@ mod tests {
         ] {
             let a = randv(m * k, &mut rng);
             let b = randv(k * n, &mut rng);
+            // A nonzero start, so the slab sums are seen to land in `c`.
+            let c0 = randv(m * n, &mut rng);
             let mut bias = randv(m, &mut rng);
             bias[0] = 0.0; // exercise the zero-skip
             let (av, bv) = (MatRef::new(&a, m, k), MatRef::new(&b, k, n));
             let prepared = PreparedA::new(av, n);
-            let mut plain = vec![0.0f32; m * n];
+            let mut plain = c0.clone();
             prepared.gemm_epi(&mut plain, &bv, Epilogue::None);
-            let mut fused = vec![0.0f32; m * n];
+            let mut fused = c0.clone();
             prepared.gemm_epi(&mut fused, &bv, Epilogue::Bias(&bias));
-            let mut unfused = vec![0.0f32; m * n];
-            gemm_into(&mut unfused, &av, &bv);
+            let mut expect = c0;
+            contract_order(&mut expect, &a, &b, (m, k, n));
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&plain), bits(&unfused), "({m},{k},{n}) no epilogue");
+            assert_eq!(bits(&plain), bits(&expect), "({m},{k},{n}) no epilogue");
             for r in 0..m {
                 let bv = bias[r];
                 if bv != 0.0 {
-                    for slot in unfused[r * n..(r + 1) * n].iter_mut() {
+                    for slot in expect[r * n..(r + 1) * n].iter_mut() {
                         *slot += bv;
                     }
                 }
             }
-            assert_eq!(bits(&fused), bits(&unfused), "({m},{k},{n}) bias");
+            assert_eq!(bits(&fused), bits(&expect), "({m},{k},{n}) bias");
         }
     }
 

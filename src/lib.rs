@@ -14,7 +14,7 @@
 //! | [`condense`] | `deco-condense` | DC / DSA / DM + one-step matching |
 //! | [`core`] | `deco` | DECO itself + the on-device learning loop |
 //! | [`eval`] | `deco-eval` | experiment runner, tables, reports |
-//! | [`runtime`] | `deco-runtime` | work-stealing pool, deterministic reductions |
+//! | [`runtime`] | `deco-runtime` | thread pool, deterministic reductions |
 //! | [`serve`] | `deco-serve` | multi-tenant serving: session persistence, LRU eviction, batch scheduling |
 //! | [`scenarios`] | `deco-scenarios` | adversarial stream scenarios + benchmark matrix / leaderboard |
 //!
