@@ -80,7 +80,7 @@ fn bench_ops(iters: usize) -> Vec<Row> {
 /// stem shape, through the fused block ops the network always runs.
 fn bench_convnet(iters: usize) -> Vec<Row> {
     use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig};
-    use deco_tensor::{with_tape_arena, Reduction, Var};
+    use deco_tensor::{Reduction, Var};
 
     let mut rng = Rng::new(42);
     let net = ConvNet::new(
@@ -98,17 +98,13 @@ fn bench_convnet(iters: usize) -> Vec<Row> {
     let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
     vec![
         time_op("convnet_forward_fused", 1, iters, || {
-            with_tape_arena(|| {
-                let input = Var::constant(x.clone());
-                std::hint::black_box(net.forward(&input, false));
-            });
+            let input = Var::constant(x.clone());
+            std::hint::black_box(net.forward(&input, false));
         }),
         time_op("convnet_backward_fused", 1, iters, || {
-            with_tape_arena(|| {
-                let input = Var::constant(x.clone());
-                let logits = net.forward(&input, false);
-                weighted_cross_entropy(&logits, &labels, None, Reduction::Sum).backward();
-            });
+            let input = Var::constant(x.clone());
+            let logits = net.forward(&input, false);
+            weighted_cross_entropy(&logits, &labels, None, Reduction::Sum).backward();
         }),
     ]
 }
@@ -118,7 +114,7 @@ fn bench_convnet(iters: usize) -> Vec<Row> {
 /// (3×16×16, 10 classes) through width 8, depth 3.
 fn bench_deco_passes(iters: usize) -> Vec<Row> {
     use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig};
-    use deco_tensor::{with_tape_arena, Reduction, Var};
+    use deco_tensor::{Reduction, Var};
 
     let mut rng = Rng::new(42);
     let net = ConvNet::new(
@@ -138,20 +134,16 @@ fn bench_deco_passes(iters: usize) -> Vec<Row> {
         // Constant images, live parameters: the retrain step and the
         // matcher's g_real / g_syn passes.
         time_op(TRAIN_STEP_OP, 1, iters, || {
-            with_tape_arena(|| {
-                let logits = net.forward(&Var::constant(x.clone()), false);
-                weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
-            });
+            let logits = net.forward(&Var::constant(x.clone()), false);
+            weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
         }),
         // Image leaf, frozen parameters: the matcher's θ± passes and the
         // Eq. 8 discrimination gradient.
         time_op(INPUT_GRAD_OP, 1, iters, || {
-            with_tape_arena(|| {
-                let images = Var::leaf(x.clone(), true);
-                let logits = net.forward(&images, true);
-                weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
-                std::hint::black_box(images.grad());
-            });
+            let images = Var::leaf(x.clone(), true);
+            let logits = net.forward(&images, true);
+            weighted_cross_entropy(&logits, &labels, None, Reduction::Mean).backward();
+            std::hint::black_box(images.grad());
         }),
     ]
 }

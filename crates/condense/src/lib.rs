@@ -53,6 +53,6 @@ pub use matcher::{
     numeric_image_grad, one_step_match, BatchMatchJob, ClassMatchJob, MatchBatch, MatchResult,
 };
 pub use methods::{
-    train_on_buffer, CondenseContext, Condenser, DcCondenser, DcConfig, DmCondenser, DmConfig,
-    DsaCondenser, SegmentData,
+    class_match_job, train_on_buffer, CondenseContext, Condenser, DcCondenser, DcConfig,
+    DmCondenser, DmConfig, DsaCondenser, SegmentData,
 };

@@ -61,22 +61,11 @@ pub fn model_gradient(
     weights: Option<&[f32]>,
     aug: Option<&Augmentation>,
 ) -> GradList {
-    deco_tensor::with_tape_arena(|| {
-        let x = maybe_augment(&Var::constant(images.clone()), aug);
-        let logits = net.forward(&x, false);
-        let loss = weighted_cross_entropy(&logits, labels, weights, Reduction::Sum);
-        loss.backward();
-        let params = net.params();
-        let grads = GradList::from_params(&params);
-        // Release the leaf bindings while the arena scope is still open:
-        // a bound leaf is pinned (its node can't be recycled at scope
-        // end), which would cost one fresh node allocation per parameter
-        // on every subsequent pass.
-        for p in &params {
-            p.clear_binding();
-        }
-        grads
-    })
+    let x = maybe_augment(&Var::constant(images.clone()), aug);
+    let logits = net.forward(&x, false);
+    let loss = weighted_cross_entropy(&logits, labels, weights, Reduction::Sum);
+    loss.backward();
+    GradList::from_params(&net.params())
 }
 
 /// The matching distance `D` between synthetic and real model gradients
@@ -103,14 +92,12 @@ fn input_gradient(
     labels: &[usize],
     aug: Option<&Augmentation>,
 ) -> Tensor {
-    deco_tensor::with_tape_arena(|| {
-        let leaf = Var::leaf(images.clone(), true);
-        let x = maybe_augment(&leaf, aug);
-        let logits = net.forward(&x, true);
-        let loss = weighted_cross_entropy(&logits, labels, None, Reduction::Sum);
-        loss.backward();
-        take_image_gradient(&leaf, images)
-    })
+    let leaf = Var::leaf(images.clone(), true);
+    let x = maybe_augment(&leaf, aug);
+    let logits = net.forward(&x, true);
+    let loss = weighted_cross_entropy(&logits, labels, None, Reduction::Sum);
+    loss.backward();
+    take_image_gradient(&leaf, images)
 }
 
 /// Extracts the image gradient after a backward pass.

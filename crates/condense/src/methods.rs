@@ -97,7 +97,7 @@ pub fn train_on_buffer(
 /// Packages the matching inputs of `class` as a pool-dispatchable job, or
 /// `None` when the segment holds no samples of it. The returned `rows` are
 /// the buffer rows the job's image gradient applies to.
-pub(crate) fn class_match_job(
+pub fn class_match_job(
     buffer: &SyntheticBuffer,
     segment: &SegmentData<'_>,
     class: usize,
@@ -355,21 +355,17 @@ impl Condenser for DmCondenser {
                 rows_list.push(rows);
             }
             let grads = deco_runtime::parallel_map(inputs, move |_, (real, syn)| {
-                // Per-job tape arena: the two feature passes recycle tape
-                // nodes through this worker's thread-local free lists.
-                deco_tensor::with_tape_arena(|| {
-                    let net = ConvNet::from_params(config, &params);
-                    // Real mean embedding (no gradient needed).
-                    let real_feats = net.features(&Var::constant(real), true);
-                    let real_mean = Var::constant(real_feats.value().mean_axes(&[0], true));
-                    // Synthetic mean embedding, differentiable w.r.t. images.
-                    let syn_leaf = Var::leaf(syn, true);
-                    let syn_feats = net.features(&syn_leaf, true);
-                    let syn_mean = syn_feats.mean_axes_keepdim(&[0]);
-                    let loss = syn_mean.sub(&real_mean).square().sum();
-                    loss.backward();
-                    syn_leaf.grad()
-                })
+                let net = ConvNet::from_params(config, &params);
+                // Real mean embedding (no gradient needed).
+                let real_feats = net.features(&Var::constant(real), true);
+                let real_mean = Var::constant(real_feats.value().mean_axes(&[0], true));
+                // Synthetic mean embedding, differentiable w.r.t. images.
+                let syn_leaf = Var::leaf(syn, true);
+                let syn_feats = net.features(&syn_leaf, true);
+                let syn_mean = syn_feats.mean_axes_keepdim(&[0]);
+                let loss = syn_mean.sub(&real_mean).square().sum();
+                loss.backward();
+                syn_leaf.grad()
             });
             for (rows, grad) in rows_list.iter().zip(grads) {
                 if let Some(grad) = grad {

@@ -2,12 +2,13 @@
 //!
 //! `one_step_match` is five forward/backward passes through the fused
 //! ConvNet block. After warm-up, its heap traffic must stay bounded:
-//! every f32 buffer comes from the thread-local pool, tape nodes and
-//! gradient vectors recycle through the autograd arena free lists, and
-//! the convolutions' padded image planes are pooled scratch. What remains per step is
-//! a small fixed overhead (one boxed backward closure per tape node
-//! plus a handful of collection buffers) — far below one allocation
-//! per tensor op, and >10× below the pre-fusion baseline of ~2,000.
+//! every f32 buffer comes from the thread-local pool, its `Arc` shell
+//! from the storage-shell free list, and the convolutions' padded
+//! image planes are pooled scratch. What remains per step is a small
+//! fixed overhead per tape node (the node, its parent vector, its
+//! boxed backward closure and that closure's gradient vector) plus
+//! `backward`'s traversal scratch and a handful of collection buffers,
+//! ≈6× below the pre-fusion baseline of ~2,084.
 //!
 //! Runs serially (one runtime thread) so all pool traffic lands on this
 //! test thread's free lists, in its own binary so no concurrent test
@@ -21,7 +22,7 @@ use deco_nn::{ConvNet, ConvNetConfig};
 use deco_tensor::{Rng, Tensor};
 
 /// Ceiling on steady-state allocations per `one_step_match`. The
-/// measured value is ~160; the pre-fusion baseline was ~2,084. The
+/// measured value is 348; the pre-fusion baseline was ~2,084. The
 /// headroom absorbs allocator-neutral refactors without letting a
 /// regression anywhere near the old per-op-materialization regime.
 const MAX_ALLOCS_PER_STEP: u64 = 400;
@@ -72,8 +73,8 @@ fn one_step_match_stays_within_alloc_budget() {
             real_weights: None,
         };
 
-        // Warm-up: pool, storage-shell and arena free lists all fill on
-        // the first couple of steps.
+        // Warm-up: the pool and the storage-shell free list fill on the
+        // first couple of steps.
         for _ in 0..3 {
             std::hint::black_box(one_step_match(&net, &batch, None, 0.01));
         }

@@ -1,7 +1,7 @@
 //! Fused matcher steps against their unfused reference.
 //!
-//! The fused kernels (`group_norm_relu`, `relu_avg_pool2d`, the fused
-//! softmax cross-entropy and the conv bias epilogue) replicate the
+//! The fused kernels (`group_norm_relu`, the fused softmax
+//! cross-entropy and the conv bias epilogue) replicate the
 //! exact per-element f32 operation and accumulation order of the op
 //! chains they replace, so a full `one_step_match` — five
 //! forward/backward passes through every fused op — must be **bitwise
@@ -144,23 +144,21 @@ fn dm_feature_gradient_matches_reference_bitwise() {
     let syn = Tensor::randn([2, 1, 8, 8], &mut rng);
     let run = |fused: bool, threads: usize| {
         deco_runtime::with_thread_count(threads, || {
-            deco_tensor::with_tape_arena(|| {
-                let net = ConvNet::from_params(config, &params);
-                let frozen: Vec<Var> = params.iter().cloned().map(Var::constant).collect();
-                let features = |x: &Var| {
-                    if fused {
-                        net.features(x, true)
-                    } else {
-                        unfused::convnet_features(&config, &frozen, x)
-                    }
-                };
-                let real_feats = features(&Var::constant(real.clone()));
-                let real_mean = Var::constant(real_feats.value().mean_axes(&[0], true));
-                let syn_leaf = Var::leaf(syn.clone(), true);
-                let syn_mean = features(&syn_leaf).mean_axes_keepdim(&[0]);
-                syn_mean.sub(&real_mean).square().sum().backward();
-                syn_leaf.grad().expect("image gradient")
-            })
+            let net = ConvNet::from_params(config, &params);
+            let frozen: Vec<Var> = params.iter().cloned().map(Var::constant).collect();
+            let features = |x: &Var| {
+                if fused {
+                    net.features(x, true)
+                } else {
+                    unfused::convnet_features(&config, &frozen, x)
+                }
+            };
+            let real_feats = features(&Var::constant(real.clone()));
+            let real_mean = Var::constant(real_feats.value().mean_axes(&[0], true));
+            let syn_leaf = Var::leaf(syn.clone(), true);
+            let syn_mean = features(&syn_leaf).mean_axes_keepdim(&[0]);
+            syn_mean.sub(&real_mean).square().sum().backward();
+            syn_leaf.grad().expect("image gradient")
         })
     };
     let base = run(true, 1);

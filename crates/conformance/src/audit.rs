@@ -159,7 +159,7 @@ pub fn run_audit() -> AuditReport {
 }
 
 /// The explicit coverage list: every public tensor op, every `nn` layer,
-/// the tape arena, the storage-precision surface
+/// the storage-precision surface
 /// (`dtype.rs` — conversions held to their per-dtype tolerance bands),
 /// the matcher's closed-form `∇_g D`, and the Eq. 7 HVP checks.
 pub fn entries() -> Vec<AuditEntry> {
@@ -247,18 +247,6 @@ pub fn entries() -> Vec<AuditEntry> {
             check_fused_gn_relu_bwd
         ),
         entry!(
-            "fused::relu_avg_pool2d_fwd",
-            Algebraic,
-            0.0,
-            check_fused_relu_pool_fwd
-        ),
-        entry!(
-            "fused::relu_avg_pool2d_bwd",
-            Algebraic,
-            0.0,
-            check_fused_relu_pool_bwd
-        ),
-        entry!(
             "fused::log_softmax_ce_fwd",
             Algebraic,
             0.0,
@@ -274,19 +262,6 @@ pub fn entries() -> Vec<AuditEntry> {
         entry!("layers::Conv2d", Gradcheck, 3e-2, check_layer_conv2d),
         entry!("layers::Linear", Gradcheck, 3e-2, check_layer_linear),
         entry!("layers::GroupNorm", Gradcheck, 5e-2, check_layer_group_norm),
-        // --- the autograd tape arena (crates/tensor/src/autograd.rs) ---
-        entry!(
-            "autograd::with_tape_arena",
-            Algebraic,
-            0.0,
-            check_tape_arena_transparent
-        ),
-        entry!(
-            "autograd::arena_node_high_water",
-            Algebraic,
-            0.0,
-            check_arena_high_water
-        ),
         // --- crates/tensor/src/dtype.rs: storage precision ---
         // Tolerances here are the per-dtype bands the formats pin down:
         // 2⁻⁸ relative for bf16 (2× the half-ulp), 0.75 in units of
@@ -832,33 +807,6 @@ fn check_fused_gn_relu_bwd() -> f32 {
         .max(bits_differ(&on.3, &off.3))
 }
 
-/// ReLU+AvgPool graph, fused or the reference chain: forward value and
-/// input gradient. Negative-heavy input exercises the rectification
-/// mask.
-fn run_relu_pool(fused: bool) -> (Tensor, Tensor) {
-    let mut rng = Rng::new(172);
-    let x = Var::leaf(Tensor::randn([2, 3, 6, 6], &mut rng), true);
-    let y = if fused {
-        x.relu_avg_pool2d(2)
-    } else {
-        unfused::relu_avg_pool2d(&x, 2)
-    };
-    y.square().sum().backward();
-    (y.value().clone(), x.grad().expect("x grad"))
-}
-
-fn check_fused_relu_pool_fwd() -> f32 {
-    let on = run_relu_pool(true);
-    let off = run_relu_pool(false);
-    bits_differ(&on.0, &off.0)
-}
-
-fn check_fused_relu_pool_bwd() -> f32 {
-    let on = run_relu_pool(true);
-    let off = run_relu_pool(false);
-    bits_differ(&on.1, &off.1)
-}
-
 /// Softmax cross-entropy, fused or the reference chain: loss value and
 /// logits gradient, with class weights and mean reduction so the scale
 /// path is exercised.
@@ -1060,49 +1008,6 @@ fn cosine_deviation(a: &[f32], b: &[f32]) -> f32 {
         return 1.0;
     }
     (1.0 - cos).max(0.0) as f32
-}
-
-fn check_tape_arena_transparent() -> f32 {
-    use deco_tensor::with_tape_arena;
-    // Recycling tape nodes must not change any value or gradient: the
-    // same backward pass inside and outside an arena scope is bitwise
-    // identical, including on a second scope that reuses parked nodes.
-    let mut rng = Rng::new(142);
-    let x = Tensor::randn([4, 5], &mut rng);
-    let w = Tensor::randn([5, 3], &mut rng);
-    let run = || {
-        let leaf = Var::leaf(x.clone(), true);
-        let loss = leaf.matmul(&Var::constant(w.clone())).square().sum();
-        loss.backward();
-        (loss.value().item(), leaf.grad().expect("leaf grad"))
-    };
-    let (la, ga) = with_tape_arena(run);
-    let (lr, gr) = with_tape_arena(run);
-    let (lb, gb) = run();
-    if la.to_bits() == lb.to_bits() && lr.to_bits() == lb.to_bits() && ga == gb && gr == gb {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_arena_high_water() -> f32 {
-    use deco_tensor::{arena_node_high_water, with_tape_arena};
-    let before = arena_node_high_water();
-    let mut rng = Rng::new(143);
-    let x = Tensor::randn([3, 3], &mut rng);
-    with_tape_arena(|| {
-        let leaf = Var::leaf(x.clone(), true);
-        leaf.square().sum().backward();
-    });
-    let after = arena_node_high_water();
-    // The scope built at least one recyclable node, so the gauge is
-    // positive and monotone.
-    if after >= before && after > 0 {
-        0.0
-    } else {
-        1.0
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -147,7 +147,6 @@ pub fn run_differential(cases: usize, seed: u64) -> DiffReport {
             fuzz_gemm_blocked_vs_naive(cases, seed ^ 0x0A),
             fuzz_matcher_storage_dtype(cases, seed ^ 0x0C),
             fuzz_fused_group_norm_relu(cases, seed ^ 0x0E),
-            fuzz_fused_relu_avg_pool(cases, seed ^ 0x0F),
             fuzz_fused_softmax_ce(cases, seed ^ 0x10),
             fuzz_conv_bias_epilogue(cases, seed ^ 0x11),
         ],
@@ -772,53 +771,6 @@ fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
-/// Differential case for the fused `relu → avg_pool2d` tape op:
-/// forward and the masked pooled-gradient backward, bitwise against the
-/// reference chain at 1 and 4 threads, forward against the `f64`
-/// reference.
-fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
-    let mut rng = Rng::new(seed);
-    let mut tr = Tracker::new("fused_relu_avg_pool2d");
-    for i in 0..cases {
-        let (n, c, k, tiles) = match i {
-            0 => (1, 1, 1, 1), // 1x1 image, 1x1 window
-            1 => (1, 1, 3, 1), // window == image
-            2 => (4, 1, 2, 1),
-            _ => (
-                rng.below(3) + 1,
-                rng.below(3) + 1,
-                rng.below(3) + 1,
-                rng.below(3) + 1,
-            ),
-        };
-        let (h, w) = (k * tiles, k * tiles);
-        let x = randn_vec(n * c * h * w, &mut rng);
-        let xt = Tensor::from_vec(x.clone(), [n, c, h, w]);
-        let run = |build: &dyn Fn(&Var) -> Var| {
-            let xl = Var::leaf(xt.clone(), true);
-            let y = build(&xl);
-            y.sum().backward();
-            (y.value().clone(), xl.grad().expect("x grad"))
-        };
-        let (out, ok) = run_against_reference(
-            || run(&|x| x.relu_avg_pool2d(k)),
-            || run(&|x| unfused::relu_avg_pool2d(x, k)),
-            |(y, gx)| {
-                let mut v = y.data().to_vec();
-                v.extend_from_slice(gx.data());
-                v
-            },
-        );
-        // relu is exact in f32, so the reference pools the rectified
-        // f32 input in f64.
-        let rect: Vec<f32> = x.iter().map(|&v| v.max(0.0)).collect();
-        let r = reference::avg_pool2d(&rect, (n, c, h, w), k);
-        let dev = reference::max_rel_deviation(out.0.data(), &r);
-        tr.record(dev, ok, &format!("n{n} c{c} {h}x{w} k{k}"));
-    }
-    tr.finish()
-}
-
 /// Differential case for the fused `log_softmax → nll` loss: loss value
 /// and logit gradient, bitwise against the reference chain at 1 and 4
 /// threads, against the `f64` softmax-cross-entropy reference.
@@ -953,7 +905,7 @@ mod tests {
         let b = run_differential(8, 0xD1FF);
         assert!(a.passed(), "\n{}", a.render());
         assert_eq!(a.max_deviation(), b.max_deviation());
-        assert_eq!(a.kernels.len(), 14);
+        assert_eq!(a.kernels.len(), 13);
     }
 
     #[test]

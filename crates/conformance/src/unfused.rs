@@ -1,8 +1,8 @@
 //! Reference implementations of the fused ops.
 //!
 //! Each fused tape op in `deco-tensor` — `Var::group_norm_relu`,
-//! `Var::relu_avg_pool2d`, `Var::log_softmax_cross_entropy` and the
-//! bias epilogue of `Var::conv2d` — stands in for a chain of public `Var`
+//! `Var::log_softmax_cross_entropy` and the bias epilogue of
+//! `Var::conv2d` — stands in for a chain of public `Var`
 //! ops, and the functions here build exactly that chain. The fused
 //! kernels replicate each chain's per-element f32 operations and
 //! accumulation order, so the fuzzer, the gradient audit and the
@@ -33,11 +33,6 @@ pub fn group_norm_relu(x: &Var, gamma: &Var, beta: &Var, groups: usize, eps: f32
     let std = var.add_scalar(eps).sqrt();
     let normed = centered.div(&std).reshape([n, c, h, w]);
     normed.mul(gamma).add(beta).relu()
-}
-
-/// `relu → avg_pool2d`: the chain `Var::relu_avg_pool2d` fuses.
-pub fn relu_avg_pool2d(x: &Var, k: usize) -> Var {
-    x.relu().avg_pool2d(k)
 }
 
 /// `log_softmax → nll`: the chain `Var::log_softmax_cross_entropy`
@@ -78,10 +73,11 @@ pub fn convnet_features(config: &ConvNetConfig, params: &[Var], x: &Var) -> Var 
         h = conv2d_bias(&h, &block[0], &block[1], spec);
         h = if config.norm {
             let c = h.shape().dim(1);
-            group_norm_relu(&h, &block[2], &block[3], c, GROUP_NORM_EPS).avg_pool2d(2)
+            group_norm_relu(&h, &block[2], &block[3], c, GROUP_NORM_EPS)
         } else {
-            relu_avg_pool2d(&h, 2)
-        };
+            h.relu()
+        }
+        .avg_pool2d(2);
     }
     h.reshape([x.shape().dim(0), config.feature_dim()])
 }

@@ -10,8 +10,8 @@
 //! 4. apply the combined update (Eq. 9): `opt_S(∇_S D + α ∇_S L_disc)`.
 
 use deco_condense::{
-    match_classes_parallel, ClassMatchJob, CondenseContext, Condenser, MatchResult, SegmentData,
-    SyntheticBuffer,
+    class_match_job, match_classes_parallel, ClassMatchJob, CondenseContext, Condenser,
+    MatchResult, SegmentData, SyntheticBuffer,
 };
 use deco_nn::{feature_discrimination_loss, DiscriminationSpec, Sgd};
 use deco_tensor::{Rng, Tensor, Var};
@@ -102,22 +102,7 @@ impl DecoCondenser {
         segment
             .active_classes
             .iter()
-            .filter_map(|&class| {
-                let idx = segment.indices_of_class(class);
-                if idx.is_empty() {
-                    return None;
-                }
-                let rows: Vec<usize> = buffer.class_rows(class).collect();
-                let job = ClassMatchJob {
-                    syn_images: buffer.images().select_rows(&rows),
-                    syn_labels: vec![class; rows.len()],
-                    real_images: segment.images.select_rows(&idx),
-                    real_labels: vec![class; idx.len()],
-                    real_weights: Some(idx.iter().map(|&i| segment.weights[i]).collect()),
-                    aug: None,
-                };
-                Some((rows, job))
-            })
+            .filter_map(|&class| class_match_job(buffer, segment, class, None))
             .unzip()
     }
 
@@ -291,9 +276,7 @@ mod tests {
     }
 
     fn smoke_config() -> DecoConfig {
-        DecoConfig::default()
-            .with_iterations(4)
-            .with_model_epochs(5)
+        DecoConfig::default().with_iterations(4)
     }
 
     #[test]

@@ -2,6 +2,12 @@
 
 /// All DECO hyper-parameters, with the paper's published defaults.
 ///
+/// The condenser reads `iterations`, `tau`, `alpha`, `image_lr` and
+/// `epsilon_scale`. The voting threshold `m`, `β`, the model learning
+/// rate and the training steps are the learner's
+/// ([`LearnerConfig`](crate::LearnerConfig)); `beta`, `model_lr` and
+/// `model_epochs` here are not read.
+///
 /// ```
 /// use deco::DecoConfig;
 /// let cfg = DecoConfig::default().with_alpha(0.5).with_iterations(5);
@@ -12,8 +18,6 @@
 pub struct DecoConfig {
     /// Condensation iterations per segment (`L`, paper: 10).
     pub iterations: usize,
-    /// Majority-voting filter threshold (`m`, paper: 0.4).
-    pub vote_threshold: f32,
     /// Contrastive temperature (`τ`, paper: 0.07).
     pub tau: f32,
     /// Feature-discrimination weight (`α`, paper: 0.1).
@@ -36,7 +40,6 @@ impl Default for DecoConfig {
     fn default() -> Self {
         DecoConfig {
             iterations: 10,
-            vote_threshold: 0.4,
             tau: 0.07,
             alpha: 0.1,
             beta: 10,
@@ -52,16 +55,6 @@ impl DecoConfig {
     /// Sets `L`.
     pub fn with_iterations(mut self, l: usize) -> Self {
         self.iterations = l;
-        self
-    }
-
-    /// Sets the voting threshold `m`.
-    ///
-    /// # Panics
-    /// Panics unless `m ∈ [0, 1)`.
-    pub fn with_vote_threshold(mut self, m: f32) -> Self {
-        assert!((0.0..1.0).contains(&m), "m must be in [0, 1)");
-        self.vote_threshold = m;
         self
     }
 
@@ -113,7 +106,6 @@ impl DecoConfig {
     /// Panics on any out-of-range field.
     pub fn validate(&self) {
         assert!(self.iterations > 0, "L must be positive");
-        assert!((0.0..1.0).contains(&self.vote_threshold), "m out of range");
         assert!(self.tau > 0.0, "tau must be positive");
         assert!(self.alpha >= 0.0, "alpha must be non-negative");
         assert!(self.beta > 0, "beta must be positive");
@@ -131,7 +123,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = DecoConfig::default();
         assert_eq!(c.iterations, 10);
-        assert!((c.vote_threshold - 0.4).abs() < 1e-6);
         assert!((c.tau - 0.07).abs() < 1e-6);
         assert!((c.alpha - 0.1).abs() < 1e-6);
         assert_eq!(c.beta, 10);
@@ -144,7 +135,6 @@ mod tests {
     fn builder_chains() {
         let c = DecoConfig::default()
             .with_iterations(3)
-            .with_vote_threshold(0.2)
             .with_tau(0.5)
             .with_alpha(0.0)
             .with_beta(5)

@@ -219,16 +219,9 @@ fn build_policy(
     let classes = data.num_classes();
     match spec.method {
         MethodKind::Deco => {
-            let mut cfg = DecoConfig::default()
-                .with_iterations(spec.params.deco_iterations)
-                .with_model_lr(spec.params.model_lr)
-                .with_model_epochs(spec.params.model_epochs)
-                .with_beta(spec.params.beta);
+            let mut cfg = DecoConfig::default().with_iterations(spec.params.deco_iterations);
             if let Some(alpha) = spec.alpha_override {
                 cfg = cfg.with_alpha(alpha);
-            }
-            if let Some(m) = spec.vote_threshold_override {
-                cfg = cfg.with_vote_threshold(m);
             }
             BufferPolicy::Condensed {
                 condenser: Box::new(DecoCondenser::new(cfg)),

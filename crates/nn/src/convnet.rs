@@ -115,13 +115,13 @@ impl ConvNet {
         let mut h = x.clone();
         for (conv, norm) in &self.blocks {
             h = conv.forward(&h, frozen);
-            // Fused block tail (bitwise identical to the gn → relu →
-            // pool chain; see Var::group_norm_relu and
-            // Var::relu_avg_pool2d).
+            // Fused norm tail (bitwise identical to the gn → relu
+            // chain; see Var::group_norm_relu).
             h = match norm {
-                Some(gn) => gn.forward_relu(&h, frozen).avg_pool2d(2),
-                None => h.relu_avg_pool2d(2),
-            };
+                Some(gn) => gn.forward_relu(&h, frozen),
+                None => h.relu(),
+            }
+            .avg_pool2d(2);
         }
         h.reshape([n, self.config.feature_dim()])
     }

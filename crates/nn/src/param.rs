@@ -49,11 +49,6 @@ impl Param {
         self.bound.borrow().as_ref().and_then(Var::grad)
     }
 
-    /// Drops the recorded binding (and with it the retained graph).
-    pub fn clear_binding(&self) {
-        *self.bound.borrow_mut() = None;
-    }
-
     /// Copy of the current value.
     pub fn tensor(&self) -> Tensor {
         self.value.borrow().clone()

@@ -34,137 +34,6 @@ thread_local! {
     // process-wide snapshots see the sum over threads.
     static TAPE_BYTES: Cell<i64> = const { Cell::new(0) };
     static TAPE_PEAK: Cell<i64> = const { Cell::new(0) };
-    static ARENA: RefCell<ArenaState> = RefCell::new(ArenaState::new());
-}
-
-/// Upper bound on recycled `Rc<Node>` allocations parked between arena
-/// scopes (a hollow node is ~100 bytes, so the cap is ~1 MiB/thread).
-const NODE_FREE_CAP: usize = 8192;
-/// Upper bound on recycled (empty) parent vectors.
-const PARENT_FREE_CAP: usize = 8192;
-
-/// Per-thread tape arena. While a scope opened by [`with_tape_arena`]
-/// is active, every node built on this thread is also registered here;
-/// when the scope ends, registered nodes whose last external handle has
-/// dropped are *reset* (value hollowed, grad cleared, parents detached,
-/// closure freed — each returning its heap to the buffer pool) and the
-/// `Rc<Node>` allocation plus the parent `Vec` are parked on free lists
-/// for the next tape instead of round-tripping the global allocator.
-///
-/// Nodes still referenced at scope end — `Param`-bound leaves, returned
-/// gradients — are skipped and drop normally later, so the arena never
-/// changes what a caller can observe. Reused nodes are stamped with a
-/// fresh id ([`fresh_id`]), which `backward_with`'s visited-set relies
-/// on.
-struct ArenaState {
-    /// Registry length at entry of each active (possibly nested) scope.
-    scope_starts: Vec<usize>,
-    /// Every node created while a scope was active, in creation order.
-    registry: Vec<Var>,
-    node_free: Vec<Rc<Node>>,
-    parent_free: Vec<Vec<Var>>,
-    /// Peak number of simultaneously registered nodes (proxy for the
-    /// largest single tape built on this thread).
-    high_water: u64,
-}
-
-impl ArenaState {
-    fn new() -> Self {
-        ArenaState {
-            scope_starts: Vec::new(),
-            registry: Vec::new(),
-            node_free: Vec::new(),
-            parent_free: Vec::new(),
-            high_water: 0,
-        }
-    }
-}
-
-/// Runs `f` inside an autograd node-arena scope: tape nodes built
-/// during `f` whose handles are dropped by the time the scope ends are
-/// reset and recycled for the next scope on this thread instead of
-/// round-tripping the global allocator. Values and gradients are
-/// unaffected; scopes nest.
-pub fn with_tape_arena<R>(f: impl FnOnce() -> R) -> R {
-    // Scope end must run even if `f` panics, or the registry would pin
-    // nodes (and their tensors) for the life of the thread.
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            arena_end_scope();
-        }
-    }
-    let _ = ARENA.try_with(|a| {
-        let mut a = a.borrow_mut();
-        let len = a.registry.len();
-        a.scope_starts.push(len);
-    });
-    let _guard = Guard;
-    f()
-}
-
-/// High-water mark of live arena-scope nodes on this thread (a proxy
-/// for the largest tape a single scope built). Mirrored to the
-/// `tensor.tape.arena_node_high_water` telemetry gauge.
-pub fn arena_node_high_water() -> u64 {
-    ARENA.try_with(|a| a.borrow().high_water).unwrap_or(0)
-}
-
-fn arena_end_scope() {
-    let _ = ARENA.try_with(|a| {
-        let mut a = a.borrow_mut();
-        let Some(start) = a.scope_starts.pop() else {
-            return;
-        };
-        let live = a.registry.len() as u64;
-        if live > a.high_water {
-            a.high_water = live;
-        }
-        // Mirrored unconditionally, not just on a new record: a
-        // telemetry reset clears the gauge registry, and an
-        // already-reached high water would otherwise never re-register.
-        deco_telemetry::gauge_set!(
-            "tensor.tape.arena_node_high_water",
-            a.high_water.min(i64::MAX as u64) as i64
-        );
-        // Reverse creation order: children release their parent handles
-        // first, so by the time a parent is popped it is usually
-        // uniquely owned and can be reset in place (this also turns the
-        // recursive drop of deep graphs into an iterative sweep).
-        while a.registry.len() > start {
-            let var = a.registry.pop().expect("registry length checked");
-            let Var { node } = var;
-            let mut rc = node;
-            let Some(node) = Rc::get_mut(&mut rc) else {
-                // Still referenced outside the scope (Param-bound leaf,
-                // returned output); it drops normally later.
-                continue;
-            };
-            // Release the byte charge now and zero it so the eventual
-            // Node::drop of the recycled allocation stays balanced.
-            if node.tracked_bytes != 0 {
-                TAPE_BYTES.with(|b| b.set(b.get() - node.tracked_bytes as i64));
-                deco_telemetry::global_tracker().free(
-                    deco_telemetry::MemoryComponent::AutogradTape,
-                    node.tracked_bytes,
-                );
-                node.tracked_bytes = 0;
-            }
-            node.value = Tensor::hollow();
-            *node.grad.borrow_mut() = None;
-            let mut parents = std::mem::take(&mut node.parents);
-            parents.clear();
-            if a.parent_free.len() < PARENT_FREE_CAP {
-                a.parent_free.push(parents);
-            }
-            // The boxed closure itself is freed, not recycled: its size
-            // varies per op, so a free list could not reuse it anyway.
-            node.backward = None;
-            if a.node_free.len() < NODE_FREE_CAP {
-                a.node_free.push(rc);
-            }
-        }
-    });
 }
 
 fn fresh_id() -> u64 {
@@ -220,64 +89,10 @@ pub enum Reduction {
 
 type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
 
-/// Cap on recycled parent-gradient vectors parked per thread (each is
-/// a handful of machine words once cleared).
-const GRADVEC_FREE_CAP: usize = 64;
-
-thread_local! {
-    /// Spent parent-gradient vectors recycled by [`Var::backward_with`]
-    /// so steady-state backward passes stop allocating the per-node
-    /// return `Vec`.
-    static GRADVEC_FREE: RefCell<Vec<Vec<Option<Tensor>>>> = const { RefCell::new(Vec::new()) };
-    /// Recycled traversal state for `backward_with` (topological order,
-    /// visited set, DFS stack), reused across backward passes.
-    static BWD_SCRATCH: RefCell<Option<BackwardScratch>> = const { RefCell::new(None) };
-}
-
-/// An empty parent-gradient vector from the thread's free list, keeping
-/// whatever capacity its previous life grew to. Used via `grads!`.
-fn take_grad_vec() -> Vec<Option<Tensor>> {
-    GRADVEC_FREE
-        .try_with(|fl| fl.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-/// Parks a spent parent-gradient vector for reuse; its elements must
-/// already have been taken.
-fn park_grad_vec(mut v: Vec<Option<Tensor>>) {
-    v.clear();
-    let _ = GRADVEC_FREE.try_with(|fl| {
-        let mut fl = fl.borrow_mut();
-        if fl.len() < GRADVEC_FREE_CAP {
-            fl.push(v);
-        }
-    });
-}
-
-/// Builds a backward closure's return vector from the recycled pool
-/// instead of a fresh `vec![...]` allocation.
-macro_rules! grads {
-    ($($g:expr),* $(,)?) => {{
-        let mut v = take_grad_vec();
-        $(v.push($g);)*
-        v
-    }};
-}
-
 /// DFS work item for `backward_with`'s iterative topological sort.
 enum Visit {
     Enter(Var),
     Exit(Var),
-}
-
-/// Reusable traversal state for `backward_with`.
-#[derive(Default)]
-struct BackwardScratch {
-    order: Vec<Var>,
-    seen: HashSet<u64>,
-    stack: Vec<Visit>,
 }
 
 struct Node {
@@ -345,10 +160,8 @@ impl Var {
         Var::alloc_node(value, requires_grad, parents, backward)
     }
 
-    /// Builds a node, reusing a recycled allocation and parent vector
-    /// from the thread's arena when a scope is active (see
-    /// [`ArenaState`]). Recycled nodes get a fresh id — `backward`'s
-    /// visited set keys on ids, so reuse must never repeat one.
+    /// Builds a node with a fresh id (`backward`'s visited set keys on
+    /// ids) and charges it to the tape accounting.
     fn alloc_node(
         value: Tensor,
         requires_grad: bool,
@@ -356,51 +169,17 @@ impl Var {
         backward: Option<BackwardFn>,
     ) -> Var {
         let tracked_bytes = track_node(&value);
-        let (slot, mut parent_vec) = ARENA
-            .try_with(|a| {
-                let mut a = a.borrow_mut();
-                if a.scope_starts.is_empty() {
-                    (None, Vec::new())
-                } else {
-                    (a.node_free.pop(), a.parent_free.pop().unwrap_or_default())
-                }
-            })
-            .unwrap_or((None, Vec::new()));
-        parent_vec.reserve(parents.len());
-        for p in parents {
-            parent_vec.push((*p).clone());
+        Var {
+            node: Rc::new(Node {
+                id: fresh_id(),
+                value,
+                requires_grad,
+                grad: RefCell::new(None),
+                parents: parents.iter().map(|&p| p.clone()).collect(),
+                backward,
+                tracked_bytes,
+            }),
         }
-        let var = match slot {
-            Some(mut rc) => {
-                let node = Rc::get_mut(&mut rc).expect("arena freelist node is uniquely owned");
-                node.id = fresh_id();
-                node.value = value;
-                node.requires_grad = requires_grad;
-                node.parents = parent_vec;
-                node.backward = backward;
-                node.tracked_bytes = tracked_bytes;
-                debug_assert!(node.grad.borrow().is_none(), "recycled node kept a grad");
-                Var { node: rc }
-            }
-            None => Var {
-                node: Rc::new(Node {
-                    id: fresh_id(),
-                    value,
-                    requires_grad,
-                    grad: RefCell::new(None),
-                    parents: parent_vec,
-                    backward,
-                    tracked_bytes,
-                }),
-            },
-        };
-        let _ = ARENA.try_with(|a| {
-            let mut a = a.borrow_mut();
-            if !a.scope_starts.is_empty() {
-                a.registry.push(var.clone());
-            }
-        });
-        var
     }
 
     /// The forward value.
@@ -454,15 +233,11 @@ impl Var {
         if !self.requires_grad() {
             return;
         }
-        // Topological order over the subgraph that requires gradients,
-        // using recycled traversal scratch (fresh only on first use or
-        // under reentrancy). Iterative DFS avoids recursion limits.
-        let mut scratch = BWD_SCRATCH
-            .try_with(|s| s.borrow_mut().take())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        let BackwardScratch { order, seen, stack } = &mut scratch;
+        // Topological order over the subgraph that requires gradients.
+        // Iterative DFS avoids recursion limits.
+        let mut order = Vec::new();
+        let mut seen = HashSet::new();
+        let mut stack = Vec::new();
         stack.push(Visit::Enter(self.clone()));
         while let Some(v) = stack.pop() {
             match v {
@@ -491,14 +266,14 @@ impl Var {
                 .borrow()
                 .clone()
                 .expect("node visited without gradient");
-            let mut parent_grads = backward(&grad_out);
+            let parent_grads = backward(&grad_out);
             assert_eq!(
                 parent_grads.len(),
                 var.node.parents.len(),
                 "backward returned wrong number of parent gradients"
             );
-            for (p, slot) in var.node.parents.iter().zip(parent_grads.iter_mut()) {
-                if let Some(g) = slot.take() {
+            for (p, g) in var.node.parents.iter().zip(parent_grads) {
+                if let Some(g) = g {
                     if p.requires_grad() {
                         assert_eq!(
                             g.shape(),
@@ -511,18 +286,12 @@ impl Var {
                     }
                 }
             }
-            park_grad_vec(parent_grads);
             // This non-leaf node's gradient has been fully consumed;
             // release it eagerly so its buffer returns to the pool
             // instead of living until the graph drops. Leaves (no
             // backward fn) keep theirs — they are what callers read.
             *var.node.grad.borrow_mut() = None;
         }
-        // Release the node handles (the arena relies on unique ownership
-        // at scope end) and park the scratch for the next pass.
-        order.clear();
-        seen.clear();
-        let _ = BWD_SCRATCH.try_with(|s| *s.borrow_mut() = Some(scratch));
     }
 
     // ---- elementwise arithmetic (broadcasting) ----
@@ -536,7 +305,7 @@ impl Var {
             value,
             &[self, rhs],
             Box::new(move |g| {
-                grads![
+                vec![
                     sa.as_ref().map(|sa| g.sum_to(sa)),
                     sb.as_ref().map(|sb| g.sum_to(sb)),
                 ]
@@ -553,7 +322,7 @@ impl Var {
             value,
             &[self, rhs],
             Box::new(move |g| {
-                grads![
+                vec![
                     sa.as_ref().map(|sa| g.sum_to(sa)),
                     sb.as_ref().map(|sb| (-g).sum_to(sb)),
                 ]
@@ -575,7 +344,7 @@ impl Var {
             value,
             &[self, rhs],
             Box::new(move |g| {
-                grads![
+                vec![
                     a.as_ref().map(|(sa, vb)| (g * vb).sum_to(sa)),
                     b.as_ref().map(|(sb, va)| (g * va).sum_to(sb)),
                 ]
@@ -599,7 +368,7 @@ impl Var {
                 let gb = b
                     .as_ref()
                     .map(|(sb, va)| (&(&(-g) * va) / &(&vb * &vb)).sum_to(sb));
-                grads![ga, gb]
+                vec![ga, gb]
             }),
         )
     }
@@ -607,19 +376,19 @@ impl Var {
     /// Negation.
     pub fn neg(&self) -> Var {
         let value = -self.value();
-        Var::from_op(value, &[self], Box::new(move |g| grads![Some(-g)]))
+        Var::from_op(value, &[self], Box::new(move |g| vec![Some(-g)]))
     }
 
     /// Adds a scalar.
     pub fn add_scalar(&self, c: f32) -> Var {
         let value = self.value() + c;
-        Var::from_op(value, &[self], Box::new(move |g| grads![Some(g.clone())]))
+        Var::from_op(value, &[self], Box::new(move |g| vec![Some(g.clone())]))
     }
 
     /// Multiplies by a scalar.
     pub fn mul_scalar(&self, c: f32) -> Var {
         let value = self.value() * c;
-        Var::from_op(value, &[self], Box::new(move |g| grads![Some(g * c)]))
+        Var::from_op(value, &[self], Box::new(move |g| vec![Some(g * c)]))
     }
 
     /// Elementwise square.
@@ -629,7 +398,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(&(g * 2.0) * &v)]),
+            Box::new(move |g| vec![Some(&(g * 2.0) * &v)]),
         )
     }
 
@@ -642,7 +411,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g * &out.map(|y| 0.5 / y))]),
+            Box::new(move |g| vec![Some(g * &out.map(|y| 0.5 / y))]),
         )
     }
 
@@ -650,14 +419,14 @@ impl Var {
     pub fn exp(&self) -> Var {
         let value = self.value().map(f32::exp);
         let out = value.clone();
-        Var::from_op(value, &[self], Box::new(move |g| grads![Some(g * &out)]))
+        Var::from_op(value, &[self], Box::new(move |g| vec![Some(g * &out)]))
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
         let v = self.value().clone();
         let value = self.value().map(f32::ln);
-        Var::from_op(value, &[self], Box::new(move |g| grads![Some(g / &v)]))
+        Var::from_op(value, &[self], Box::new(move |g| vec![Some(g / &v)]))
     }
 
     /// Rectified linear unit.
@@ -668,11 +437,9 @@ impl Var {
             value,
             &[self],
             Box::new(move |g| {
-                grads![Some(g.zip_broadcast(&v, |gi, xi| if xi > 0.0 {
-                    gi
-                } else {
-                    0.0
-                }),)]
+                vec![Some(
+                    g.zip_broadcast(&v, |gi, xi| if xi > 0.0 { gi } else { 0.0 }),
+                )]
             }),
         )
     }
@@ -699,7 +466,7 @@ impl Var {
             value,
             &[self],
             Box::new(move |g| {
-                grads![Some(g.zip_broadcast(&v, |gi, xi| {
+                vec![Some(g.zip_broadcast(&v, |gi, xi| {
                     if xi == 0.0 {
                         0.0
                     } else {
@@ -720,7 +487,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g.reshape(orig.clone()))]),
+            Box::new(move |g| vec![Some(g.reshape(orig.clone()))]),
         )
     }
 
@@ -733,7 +500,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g.scatter_rows_add(&idx, n))]),
+            Box::new(move |g| vec![Some(g.scatter_rows_add(&idx, n))]),
         )
     }
 
@@ -751,8 +518,7 @@ impl Var {
             value,
             &parent_refs,
             Box::new(move |g| {
-                let mut grads = take_grad_vec();
-                grads.reserve(row_counts.len());
+                let mut grads = Vec::with_capacity(row_counts.len());
                 let mut start = 0usize;
                 for &rows in &row_counts {
                     let idx: Vec<usize> = (start..start + rows).collect();
@@ -770,14 +536,14 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g.shift2d(-dy, -dx))]),
+            Box::new(move |g| vec![Some(g.shift2d(-dy, -dx))]),
         )
     }
 
     /// Horizontal mirror (NCHW); gradient mirrors back.
     pub fn flip_w(&self) -> Var {
         let value = self.value().flip_w();
-        Var::from_op(value, &[self], Box::new(move |g| grads![Some(g.flip_w())]))
+        Var::from_op(value, &[self], Box::new(move |g| vec![Some(g.flip_w())]))
     }
 
     // ---- linear algebra ----
@@ -794,7 +560,7 @@ impl Var {
             Box::new(move |g| {
                 let ga = b.as_ref().map(|b| g.matmul(&b.transpose2()));
                 let gb = a.as_ref().map(|a| a.transpose2().matmul(g));
-                grads![ga, gb]
+                vec![ga, gb]
             }),
         )
     }
@@ -805,7 +571,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g.transpose2())]),
+            Box::new(move |g| vec![Some(g.transpose2())]),
         )
     }
 
@@ -843,11 +609,11 @@ impl Var {
         let backward: BackwardFn = Box::new(move |g| {
             let gx = w.as_ref().map(|w| g.conv2d_input_grad(w, hw, spec));
             let gw = x.as_ref().map(|x| g.conv2d_weight_grad(x, kernel, spec));
-            let mut out = grads![gx, gw];
             if has_bias {
-                out.push(need_gb.then(|| g.conv2d_bias_grad()));
+                vec![gx, gw, need_gb.then(|| g.conv2d_bias_grad())]
+            } else {
+                vec![gx, gw]
             }
-            out
         });
         match bias {
             Some(b) => Var::from_op(value, &[self, weight, b], backward),
@@ -861,7 +627,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(g.avg_pool2d_grad(k))]),
+            Box::new(move |g| vec![Some(g.avg_pool2d_grad(k))]),
         )
     }
 
@@ -874,7 +640,7 @@ impl Var {
         Var::from_op(
             value,
             &[self],
-            Box::new(move |g| grads![Some(Tensor::full(shape.clone(), g.item()))]),
+            Box::new(move |g| vec![Some(Tensor::full(shape.clone(), g.item()))]),
         )
     }
 
@@ -893,8 +659,8 @@ impl Var {
             &[self],
             Box::new(move |g| {
                 // Broadcast the reduced gradient back over the summed axes.
-                grads![Some(
-                    g.zip_broadcast(&Tensor::zeros(shape.clone()), |a, _| a,)
+                vec![Some(
+                    g.zip_broadcast(&Tensor::zeros(shape.clone()), |a, _| a),
                 )]
             }),
         )
@@ -942,7 +708,7 @@ impl Var {
                         gx[i * c + j] = gd[i * c + j] - p * gsum;
                     }
                 }
-                grads![Some(Tensor::from_vec(gx, [n, c]))]
+                vec![Some(Tensor::from_vec(gx, [n, c]))]
             }),
         )
     }
@@ -984,7 +750,7 @@ impl Var {
                 for (i, &y) in labels.iter().enumerate() {
                     gx[i * c + y] = -w[i] * gv;
                 }
-                grads![Some(Tensor::from_vec(gx, [n, c]))]
+                vec![Some(Tensor::from_vec(gx, [n, c]))]
             }),
         )
     }
@@ -1043,7 +809,7 @@ impl Var {
                         gx[i * c + j] = gd[i] * s[i * c + j];
                     }
                 }
-                grads![Some(Tensor::from_vec(gx, [n, c]))]
+                vec![Some(Tensor::from_vec(gx, [n, c]))]
             }),
         )
     }
@@ -1098,30 +864,11 @@ impl Var {
                 let [gx, ggamma, gbeta] = crate::ops::fused::group_norm_relu_bwd(
                     g, &x, &saved_out, &mean, &std, &gam, groups, live,
                 );
-                grads![
+                vec![
                     gx,
                     ggamma.map(|t| t.reshape(gshape.clone())),
                     gbeta.map(|t| t.reshape(bshape.clone())),
                 ]
-            }),
-        )
-    }
-
-    /// Fused relu followed by non-overlapping `k×k` average pooling.
-    ///
-    /// Bitwise identical to `self.relu().avg_pool2d(k)`, but the relu'd
-    /// intermediate is never materialized and the backward collapses the
-    /// pool-scatter and relu-mask passes into one kernel.
-    pub fn relu_avg_pool2d(&self, k: usize) -> Var {
-        deco_telemetry::counter!("tensor.fusion.relu_avg_pool2d");
-        let value = crate::ops::fused::relu_avg_pool2d_fwd(self.value(), k);
-        let x = self.value().clone();
-        Var::from_op(
-            value,
-            &[self],
-            Box::new(move |g| {
-                deco_telemetry::counter!("tensor.fusion.backward");
-                grads![Some(crate::ops::fused::relu_avg_pool2d_bwd(g, &x, k))]
             }),
         )
     }
@@ -1159,7 +906,7 @@ impl Var {
             &[self],
             Box::new(move |g| {
                 deco_telemetry::counter!("tensor.fusion.backward");
-                grads![Some(crate::ops::fused::log_softmax_ce_bwd(
+                vec![Some(crate::ops::fused::log_softmax_ce_bwd(
                     g,
                     &logits,
                     &lse,
@@ -1273,19 +1020,6 @@ mod tests {
                         .square()
                         .sum()
                 },
-            );
-        }
-    }
-
-    #[test]
-    fn relu_avg_pool2d_matches_reference_bitwise() {
-        let mut rng = Rng::new(91);
-        for (side, k) in [(4usize, 2usize), (6, 3), (6, 2)] {
-            let x = Tensor::randn([2, 3, side, side], &mut rng);
-            assert_matches_reference(
-                &[x],
-                |v| v[0].relu_avg_pool2d(k).square().sum(),
-                |v| v[0].relu().avg_pool2d(k).square().sum(),
             );
         }
     }
@@ -1624,70 +1358,6 @@ mod tests {
         x.powi(3).sum().backward();
         // d(x³)/dx = 3x² = 12
         assert!((x.grad().unwrap().item() - 12.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn arena_scope_recycles_and_preserves_results() {
-        let reference = {
-            let x = Var::leaf(Tensor::from_vec(vec![1.0, 2.0], [2]), true);
-            x.mul(&x).sum().backward();
-            x.grad().unwrap()
-        };
-        for _ in 0..3 {
-            let g = with_tape_arena(|| {
-                let x = Var::leaf(Tensor::from_vec(vec![1.0, 2.0], [2]), true);
-                x.mul(&x).sum().backward();
-                x.grad().unwrap()
-            });
-            assert_eq!(g.data(), reference.data());
-        }
-        let parked = ARENA.with(|a| a.borrow().node_free.len());
-        assert!(
-            parked > 0,
-            "arena should park recycled nodes between scopes"
-        );
-        assert!(arena_node_high_water() > 0);
-    }
-
-    #[test]
-    fn var_held_across_scope_end_stays_valid() {
-        // Externally held nodes (e.g. Param-bound leaves) must survive
-        // the end-of-scope reset untouched.
-        let x = with_tape_arena(|| Var::leaf(Tensor::from_vec(vec![7.0], [1]), true));
-        assert_eq!(x.value().data(), &[7.0]);
-    }
-
-    #[test]
-    fn recycled_nodes_get_fresh_ids() {
-        // backward's visited set keys on node ids; a recycled node that
-        // kept its old id would corrupt topological traversal.
-        let ids = |()| {
-            with_tape_arena(|| {
-                let x = Var::leaf(Tensor::scalar(1.0), true);
-                let y = x.add_scalar(1.0);
-                (x.node.id, y.node.id)
-            })
-        };
-        let (x1, y1) = ids(());
-        let (x2, y2) = ids(());
-        assert!(x1 != x2 && y1 != y2 && x2 != y2);
-    }
-
-    #[test]
-    fn nested_arena_scopes_balance() {
-        let g = with_tape_arena(|| {
-            let inner = with_tape_arena(|| {
-                let x = Var::leaf(Tensor::scalar(3.0), true);
-                x.square().backward();
-                x.grad().unwrap()
-            });
-            let x = Var::leaf(Tensor::scalar(3.0), true);
-            x.square().backward();
-            assert_eq!(inner.data(), x.grad().unwrap().data());
-            x.grad().unwrap()
-        });
-        assert_eq!(g.data(), &[6.0]);
-        ARENA.with(|a| assert!(a.borrow().scope_starts.is_empty()));
     }
 
     #[test]

@@ -47,10 +47,7 @@ mod tensor;
 #[doc(hidden)]
 pub mod testhook;
 
-pub use autograd::{
-    arena_node_high_water, reset_tape_peak, tape_current_bytes, tape_peak_bytes, with_tape_arena,
-    Reduction, Var,
-};
+pub use autograd::{reset_tape_peak, tape_current_bytes, tape_peak_bytes, Reduction, Var};
 pub use dtype::{ScalarType, StorageDtype, StoredTensor};
 pub use ops::conv::Conv2dSpec;
 pub use rng::Rng;

@@ -975,7 +975,7 @@ impl Tensor {
         check_pool_window(k, h, w);
         // Scratch: every output element is written.
         let mut out = pool::take_scratch(n * c * (h / k) * (w / k));
-        pool_rows(&mut out, self.data(), (k, w / k), |v| v);
+        pool_rows(&mut out, self.data(), (k, w / k));
         Tensor::from_pool_buf(out, [n, c, h / k, w / k])
     }
 
@@ -993,7 +993,7 @@ impl Tensor {
         assert!(k >= 1, "pool window must be at least 1");
         // Scratch: the windows tile the input, so every cell is written.
         let mut gin = pool::take_scratch(n * c * oh * k * ow * k);
-        pool_grad_rows(&mut gin, self.data(), None, (k, ow));
+        pool_grad_rows(&mut gin, self.data(), (k, ow));
         Tensor::from_pool_buf(gin, [n, c, oh * k, ow * k])
     }
 }
@@ -1001,10 +1001,10 @@ impl Tensor {
 /// Outputs per pooling block: one 8-lane vector.
 const POOL_LANES: usize = 8;
 
-/// The average-pooling forward over whole rows, shared by
-/// [`Tensor::avg_pool2d`] and the fused ReLU pool: output `(r, o)` of the
-/// `ow`-wide output rows sums `f(x)` over its `k × k` window from `0.0`
-/// in ascending `(dy, dx)` order, then scales by `1/k²`.
+/// The average-pooling forward of [`Tensor::avg_pool2d`] over whole
+/// rows: output `(r, o)` of the `ow`-wide output rows sums its `k × k`
+/// window from `0.0` in ascending `(dy, dx)` order, then scales by
+/// `1/k²`.
 ///
 /// Each row runs in blocks of [`POOL_LANES`] outputs that take every
 /// `(dy, dx)` step together, so a step is one vector add; the outputs
@@ -1012,26 +1012,16 @@ const POOL_LANES: usize = 8;
 /// sum their windows one at a time in the same order. A `k = 2` window
 /// runs as a compile-time stride, which the compiler turns into vector
 /// loads and shuffles.
-pub(crate) fn pool_rows(
-    out: &mut [f32],
-    x: &[f32],
-    (k, ow): (usize, usize),
-    f: impl Fn(f32) -> f32,
-) {
+fn pool_rows(out: &mut [f32], x: &[f32], (k, ow): (usize, usize)) {
     match k {
-        2 => pool_rows_k::<2>(out, x, (k, ow), f),
-        _ => pool_rows_k::<0>(out, x, (k, ow), f),
+        2 => pool_rows_k::<2>(out, x, (k, ow)),
+        _ => pool_rows_k::<0>(out, x, (k, ow)),
     }
 }
 
 /// [`pool_rows`] for window `K`, or for the run-time `k` when `K` is 0.
 #[inline(always)]
-fn pool_rows_k<const K: usize>(
-    out: &mut [f32],
-    x: &[f32],
-    (k, ow): (usize, usize),
-    f: impl Fn(f32) -> f32,
-) {
+fn pool_rows_k<const K: usize>(out: &mut [f32], x: &[f32], (k, ow): (usize, usize)) {
     let k = if K == 0 { k } else { K };
     let inv = 1.0 / (k * k) as f32;
     let w = ow * k;
@@ -1046,7 +1036,7 @@ fn pool_rows_k<const K: usize>(
                 let xs = &x_rows[dy * w + b * POOL_LANES * k..][..POOL_LANES * k];
                 for dx in 0..k {
                     for (l, a) in acc.iter_mut().enumerate() {
-                        *a += f(xs[l * k + dx]);
+                        *a += xs[l * k + dx];
                     }
                 }
             }
@@ -1057,7 +1047,7 @@ fn pool_rows_k<const K: usize>(
             let mut acc = 0.0f32;
             for dy in 0..k {
                 for &v in &x_rows[dy * w + (o0 + l) * k..][..k] {
-                    acc += f(v);
+                    acc += v;
                 }
             }
             *o = acc * inv;
@@ -1065,32 +1055,21 @@ fn pool_rows_k<const K: usize>(
     }
 }
 
-/// The average-pooling backward over whole rows, shared by
-/// [`Tensor::avg_pool2d_grad`] and the fused ReLU pool: every cell of the
-/// window of output gradient `g[r, o]` is `0.0 + g[r, o]·(1/k²)`, or
-/// `0.0` where a ReLU input `x` is not above `0.0`. Blocks and the `k =
-/// 2` stride as in [`pool_rows`].
-pub(crate) fn pool_grad_rows(
-    gin: &mut [f32],
-    g: &[f32],
-    x: Option<&[f32]>,
-    (k, ow): (usize, usize),
-) {
+/// The average-pooling backward of [`Tensor::avg_pool2d_grad`] over
+/// whole rows: every cell of the window of output gradient `g[r, o]` is
+/// `0.0 + g[r, o]·(1/k²)`. Blocks and the `k = 2` stride as in
+/// [`pool_rows`].
+fn pool_grad_rows(gin: &mut [f32], g: &[f32], (k, ow): (usize, usize)) {
     match k {
-        2 => pool_grad_rows_k::<2>(gin, g, x, (k, ow)),
-        _ => pool_grad_rows_k::<0>(gin, g, x, (k, ow)),
+        2 => pool_grad_rows_k::<2>(gin, g, (k, ow)),
+        _ => pool_grad_rows_k::<0>(gin, g, (k, ow)),
     }
 }
 
 /// [`pool_grad_rows`] for window `K`, or for the run-time `k` when `K`
 /// is 0.
 #[inline(always)]
-fn pool_grad_rows_k<const K: usize>(
-    gin: &mut [f32],
-    g: &[f32],
-    x: Option<&[f32]>,
-    (k, ow): (usize, usize),
-) {
+fn pool_grad_rows_k<const K: usize>(gin: &mut [f32], g: &[f32], (k, ow): (usize, usize)) {
     let k = if K == 0 { k } else { K };
     let inv = 1.0 / (k * k) as f32;
     let w = ow * k;
@@ -1099,35 +1078,29 @@ fn pool_grad_rows_k<const K: usize>(
         for dy in 0..k {
             let row = (r * k + dy) * w;
             for (b, gs) in blocks.iter().enumerate() {
-                spread(gin, gs, x, row + b * POOL_LANES * k, (k, inv));
+                spread(gin, gs, row + b * POOL_LANES * k, (k, inv));
             }
-            spread(gin, tail, x, row + (ow - tail.len()) * k, (k, inv));
+            spread(gin, tail, row + (ow - tail.len()) * k, (k, inv));
         }
     }
 }
 
 /// Writes `0.0 + g·inv` over the `k`-wide windows of the consecutive
-/// output gradients `gs` in input row segment `at..`, then `0.0` where a
-/// ReLU input `x` is not above `0.0`. Forced inline, so a whole block's
-/// `gs` has a compile-time length.
+/// output gradients `gs` in input row segment `at..`. Forced inline, so
+/// a whole block's `gs` has a compile-time length.
 #[inline(always)]
-fn spread(gin: &mut [f32], gs: &[f32], x: Option<&[f32]>, at: usize, (k, inv): (usize, f32)) {
+fn spread(gin: &mut [f32], gs: &[f32], at: usize, (k, inv): (usize, f32)) {
     let d = &mut gin[at..at + gs.len() * k];
     for (l, &gv) in gs.iter().enumerate() {
         for dx in 0..k {
             d[l * k + dx] = 0.0f32 + gv * inv;
         }
     }
-    if let Some(x) = x {
-        for (d, &xv) in d.iter_mut().zip(&x[at..]) {
-            *d = if xv > 0.0 { *d } else { 0.0 };
-        }
-    }
 }
 
 /// Asserts a `k × k` pooling window is at least 1 wide and tiles an
 /// `h × w` input.
-pub(crate) fn check_pool_window(k: usize, h: usize, w: usize) {
+fn check_pool_window(k: usize, h: usize, w: usize) {
     assert!(k >= 1, "pool window must be at least 1");
     assert!(
         h.is_multiple_of(k) && w.is_multiple_of(k),

@@ -1,7 +1,7 @@
 //! Bitwise-preserving fused kernels for the ConvNet block hot path.
 //!
 //! Each kernel here collapses a chain of tape ops — `group-norm → relu`,
-//! `relu → avg-pool`, `log-softmax → nll` — into a single pass (or a
+//! `log-softmax → nll` — into a single pass (or a
 //! fixed small number of passes) over the data, while replicating the
 //! **exact per-element f32 operation and accumulation order** of the
 //! unfused graph. That invariant is what makes fusion safe: a fused op
@@ -26,7 +26,6 @@
 //! All outputs are drawn from the buffer pool ([`crate::pool`]), so in
 //! steady state these kernels allocate nothing.
 
-use super::conv::{check_pool_window, pool_grad_rows, pool_rows};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -316,44 +315,6 @@ pub fn group_norm_relu_bwd(
     ]
 }
 
-/// Fused relu + average-pool forward.
-///
-/// Replicates `x.relu().avg_pool2d(k)`: per output cell the window sum
-/// accumulates `x.max(0.0)` in the unfused `(dy, dx)` ascending order
-/// from `0.0`, then scales by `1/k²` — the row loop of
-/// [`Tensor::avg_pool2d`] with the relu applied to each read.
-pub fn relu_avg_pool2d_fwd(x: &Tensor, k: usize) -> Tensor {
-    let (n, c, h, w) = dims4(x);
-    check_pool_window(k, h, w);
-    // Scratch: every output element is written.
-    let mut out = pool::take_scratch(n * c * (h / k) * (w / k));
-    pool_rows(&mut out, x.data(), (k, w / k), |v| v.max(0.0));
-    Tensor::from_pool_buf(out, [n, c, h / k, w / k])
-}
-
-/// Fused relu + average-pool backward.
-///
-/// Replicates `g.avg_pool2d_grad(k)` followed by the relu mask. The
-/// pool windows never overlap, so each input cell receives exactly one
-/// contribution `gv = g[o]·(1/k²)`, written by the unfused graph as
-/// `0.0 + gv` — reproduced as `0.0f32 + gv` so a `-0.0` contribution
-/// canonicalizes identically. The relu mask then zeroes cells with
-/// `x ≤ 0.0`. The row loop of [`Tensor::avg_pool2d_grad`].
-pub fn relu_avg_pool2d_bwd(g: &Tensor, x: &Tensor, k: usize) -> Tensor {
-    let (n, c, h, w) = dims4(x);
-    check_pool_window(k, h, w);
-    assert_eq!(
-        g.numel(),
-        n * c * (h / k) * (w / k),
-        "grad shape does not match pooled output"
-    );
-    // Scratch: the windows tile the input exactly (divisibility asserted
-    // above), so every input cell is written.
-    let mut gx = pool::take_scratch(n * c * h * w);
-    pool_grad_rows(&mut gx, g.data(), Some(x.data()), (k, w / k));
-    Tensor::from_pool_buf(gx, [n, c, h, w])
-}
-
 /// Fused log-softmax + weighted NLL forward.
 ///
 /// Replicates `logits.log_softmax()` followed by `nll(labels, weights,
@@ -441,7 +402,7 @@ pub fn log_softmax_ce_bwd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::{assert_bits_eq, pool_operand, specials, POOL_SHAPES};
+    use crate::ops::testutil::{assert_bits_eq, specials};
     use crate::rng::Rng;
 
     /// `(n, c, h, w, groups)` GroupNorm shapes: the ConvNet's instance
@@ -501,43 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_avg_pool_fwd_matches_the_reference_loop_bitwise() {
-        let mut rng = Rng::new(77);
-        for (n, c, oh, ow, k) in POOL_SHAPES {
-            let what = format!("{n}x{c}x{oh}x{ow} k{k}");
-            let x = pool_operand(&[n, c, oh * k, ow * k], &mut rng);
-            let (got, want) = (
-                relu_avg_pool2d_fwd(&x, k),
-                reference::relu_avg_pool2d_fwd(&x, k),
-            );
-            assert_eq!(got.shape(), want.shape(), "{what}");
-            assert_bits_eq(got.data(), want.data(), &format!("fwd {what}"));
-        }
-    }
-
-    #[test]
-    fn relu_avg_pool_bwd_matches_the_reference_loop_bitwise() {
-        let mut rng = Rng::new(74);
-        for (n, c, oh, ow, k) in POOL_SHAPES {
-            let what = format!("{n}x{c}x{oh}x{ow} k{k}");
-            let x = pool_operand(&[n, c, oh * k, ow * k], &mut rng);
-            let g = pool_operand(&[n, c, oh, ow], &mut rng);
-            let (got, want) = (
-                relu_avg_pool2d_bwd(&g, &x, k),
-                reference::relu_avg_pool2d_bwd(&g, &x, k),
-            );
-            assert_eq!(got.shape(), want.shape(), "{what}");
-            assert_bits_eq(got.data(), want.data(), &format!("bwd {what}"));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pool window must be at least 1")]
-    fn zero_relu_pool_window_is_rejected() {
-        relu_avg_pool2d_fwd(&Tensor::zeros([1, 1, 2, 2]), 0);
-    }
-
-    #[test]
     fn empty_batches_pass_through() {
         let x = Tensor::zeros([0, 4, 2, 2]);
         let p = Tensor::ones([1, 4, 1, 1]);
@@ -547,12 +471,6 @@ mod tests {
         assert_eq!(gx.expect("gx").shape().dims(), &[0, 4, 2, 2]);
         assert_eq!(gg.expect("gγ").data(), &[0.0; 4]);
         assert_eq!(gb.expect("gβ").data(), &[0.0; 4]);
-        let pooled = relu_avg_pool2d_fwd(&x, 2);
-        assert_eq!(pooled.shape().dims(), &[0, 4, 1, 1]);
-        assert_eq!(
-            relu_avg_pool2d_bwd(&pooled, &x, 2).shape().dims(),
-            &[0, 4, 2, 2]
-        );
     }
 
     /// The loops the streamed kernels replaced, kept verbatim as the
@@ -714,69 +632,6 @@ mod tests {
                 Tensor::from_pool_buf(gbeta, [1, c, 1, 1]),
             )
         }
-
-        pub fn relu_avg_pool2d_fwd(x: &Tensor, k: usize) -> Tensor {
-            let (n, c, h, w) = dims4(x);
-            let (oh, ow) = (h / k, w / k);
-            let xd = x.data();
-            let inv = 1.0 / (k * k) as f32;
-            let mut out = pool::take_scratch(n * c * oh * ow);
-            for nc in 0..n * c {
-                let x_base = nc * h * w;
-                let o_base = nc * oh * ow;
-                for ohi in 0..oh {
-                    for owi in 0..ow {
-                        let mut acc = 0.0f32;
-                        for dy in 0..k {
-                            let row = x_base + (ohi * k + dy) * w + owi * k;
-                            for dx in 0..k {
-                                acc += xd[row + dx].max(0.0);
-                            }
-                        }
-                        out[o_base + ohi * ow + owi] = acc * inv;
-                    }
-                }
-            }
-            Tensor::from_pool_buf(out, [n, c, oh, ow])
-        }
-
-        pub fn relu_avg_pool2d_bwd(g: &Tensor, x: &Tensor, k: usize) -> Tensor {
-            let (n, c, h, w) = dims4(x);
-            assert!(
-                k > 0 && h % k == 0 && w % k == 0,
-                "pool window {k} must divide {h}x{w}"
-            );
-            let (oh, ow) = (h / k, w / k);
-            assert_eq!(
-                g.numel(),
-                n * c * oh * ow,
-                "grad shape does not match pooled output"
-            );
-            let gd = g.data();
-            let xd = x.data();
-            let inv = 1.0 / (k * k) as f32;
-            // Scratch: the windows tile the input exactly (divisibility asserted
-            // above), so every input cell is written below.
-            let mut gx = pool::take_scratch(n * c * h * w);
-            for nc in 0..n * c {
-                let g_base = nc * oh * ow;
-                let x_base = nc * h * w;
-                for ohi in 0..oh {
-                    for owi in 0..ow {
-                        let gv = gd[g_base + ohi * ow + owi] * inv;
-                        // `0.0 += gv` in the unfused scatter: -0.0 becomes +0.0.
-                        let gvz = 0.0f32 + gv;
-                        for dy in 0..k {
-                            let row = x_base + (ohi * k + dy) * w + owi * k;
-                            for dx in 0..k {
-                                gx[row + dx] = if xd[row + dx] > 0.0 { gvz } else { 0.0 };
-                            }
-                        }
-                    }
-                }
-            }
-            Tensor::from_pool_buf(gx, [n, c, h, w])
-        }
     }
 
     // The fused-vs-unfused bitwise equivalences are asserted end-to-end
@@ -799,32 +654,6 @@ mod tests {
             };
             let expect = ((((v - m) / s) * g) + b).max(0.0);
             assert_eq!(out.data()[i].to_bits(), expect.to_bits());
-        }
-    }
-
-    #[test]
-    fn relu_avg_pool_fwd_matches_manual() {
-        let x = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0], [1, 1, 2, 2]);
-        let out = relu_avg_pool2d_fwd(&x, 2);
-        assert_eq!(out.data(), &[(1.0f32 + 0.0 + 3.0 + 0.0) * 0.25]);
-    }
-
-    #[test]
-    fn relu_avg_pool_bwd_masks_and_spreads() {
-        let x = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0], [1, 1, 2, 2]);
-        let g = Tensor::from_vec(vec![8.0], [1, 1, 1, 1]);
-        let gx = relu_avg_pool2d_bwd(&g, &x, 2);
-        assert_eq!(gx.data(), &[2.0, 0.0, 2.0, 0.0]);
-    }
-
-    #[test]
-    fn relu_avg_pool_bwd_negative_zero_canonicalizes() {
-        // gv = -0.0: the unfused scatter writes 0.0 += -0.0 == +0.0.
-        let x = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], [1, 1, 2, 2]);
-        let g = Tensor::from_vec(vec![-0.0], [1, 1, 1, 1]);
-        let gx = relu_avg_pool2d_bwd(&g, &x, 2);
-        for &v in gx.data() {
-            assert_eq!(v.to_bits(), 0.0f32.to_bits());
         }
     }
 

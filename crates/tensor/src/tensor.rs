@@ -139,16 +139,6 @@ impl Tensor {
         }
     }
 
-    /// A dormant placeholder tensor backed by the shared hollow storage.
-    /// Used by the autograd node arena to vacate a recycled node's value
-    /// slot without allocating; never observed by numeric code.
-    pub(crate) fn hollow() -> Self {
-        Tensor {
-            data: hollow_storage(),
-            shape: Shape::scalar(),
-        }
-    }
-
     /// A scalar (rank-0) tensor.
     pub fn scalar(value: f32) -> Self {
         let mut buf = crate::pool::take_scratch(1);

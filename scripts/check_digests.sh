@@ -13,10 +13,11 @@
 # - `deco_stream` at 14 MiB. Its 100-image train steps convolve as
 #   implicit GEMMs (crates/tensor/src/ops/conv.rs), so the tape keeps no
 #   im2col slab; with the slabs (4 + 2 + 0.5 MiB of pool buffers per
-#   step) it read 17.45 MB, without them 11.16 MB, and 11.05 MB
-#   (11,053,164 bytes) since the input gradient stopped taking a
-#   column matrix per call. The run is single-threaded, so the value
-#   repeats from run to run.
+#   step) it read 17.45 MB, without them 11.16 MB, 11.05 MB
+#   (11,053,164 bytes) once the input gradient stopped taking a
+#   column matrix per call, and 11,044,924 bytes since the autograd
+#   tape lost its node arena and free lists. The run is
+#   single-threaded, so the value repeats from run to run.
 # - `serve_fleet` at 48 MiB. Its sixteen session buffers are 30.8 KB
 #   each; what fills the heap beyond the sessions is the two threads'
 #   tensor pools, which park only what their own thread takes back
