@@ -22,7 +22,9 @@ use deco_nn::{ConvNet, ConvNetConfig};
 use deco_tensor::{Rng, Tensor};
 
 /// Ceiling on steady-state allocations per `one_step_match`. The
-/// measured value is 348; the pre-fusion baseline was ~2,084. The
+/// measured value is 320 (348 while each parameter held its last bound
+/// leaf past `GradList::from_params`); the pre-fusion baseline was
+/// ~2,084. The
 /// headroom absorbs allocator-neutral refactors without letting a
 /// regression anywhere near the old per-op-materialization regime.
 const MAX_ALLOCS_PER_STEP: u64 = 400;

@@ -35,15 +35,16 @@
 
 pub mod analysis;
 mod dataset;
-mod drift;
 mod render;
 mod spec;
 mod stream;
 
 pub use dataset::{LabeledSet, SyntheticVision};
-pub use drift::DriftStream;
 pub use spec::{
     cifar100, cifar10_confusable, confusable_partner, core50, icub1, imagenet10, imagenet_scale,
     DatasetSpec, CIFAR10_NAMES,
 };
-pub use stream::{empirical_stc, RunState, Segment, Stream, StreamConfig, StreamCursor};
+pub use stream::{
+    empirical_stc, BaselineScenario, RunState, Scenario, Segment, Stream, StreamConfig,
+    StreamCursor,
+};

@@ -28,13 +28,15 @@ pub struct GradList(pub Vec<Tensor>);
 
 impl GradList {
     /// Collects the most recent gradients of `params`, substituting zeros
-    /// for parameters that received none.
+    /// for parameters that received none, and releases each parameter's
+    /// binding: after this, [`Param::grad`] reads `None` until the next
+    /// forward pass binds it again.
     pub fn from_params(params: &[&Param]) -> Self {
         GradList(
             params
                 .iter()
                 .map(|p| {
-                    p.grad()
+                    p.take_grad()
                         .unwrap_or_else(|| Tensor::zeros(p.tensor().shape().clone()))
                 })
                 .collect(),

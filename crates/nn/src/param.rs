@@ -13,7 +13,11 @@ use deco_tensor::{Tensor, Var};
 ///
 /// The one-forward-one-backward discipline is deliberate: condensation
 /// re-randomizes and re-binds models constantly, and keeping only the last
-/// binding keeps memory bounded.
+/// binding keeps memory bounded. [`GradList::from_params`] reads the
+/// gradient and releases the binding, so it is held no longer than the
+/// list.
+///
+/// [`GradList::from_params`]: crate::GradList::from_params
 #[derive(Debug)]
 pub struct Param {
     value: RefCell<Tensor>,
@@ -47,6 +51,12 @@ impl Param {
     /// Gradient accumulated into the most recent [`Param::var`] binding.
     pub fn grad(&self) -> Option<Tensor> {
         self.bound.borrow().as_ref().and_then(Var::grad)
+    }
+
+    /// [`Param::grad`], releasing the binding: the leaf and its gradient
+    /// are no longer held once the caller drops the returned tensor.
+    pub(crate) fn take_grad(&self) -> Option<Tensor> {
+        self.bound.borrow_mut().take().as_ref().and_then(Var::grad)
     }
 
     /// Copy of the current value.

@@ -6,7 +6,7 @@
 //!
 //! Its own binary because it switches telemetry on process-wide.
 
-use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig};
+use deco_nn::{weighted_cross_entropy, ConvNet, ConvNetConfig, GradList};
 use deco_telemetry::{global_tracker, MemoryComponent};
 use deco_tensor::{
     reset_tape_peak, tape_current_bytes, tape_peak_bytes, Reduction, Rng, Tensor, Var,
@@ -65,6 +65,17 @@ fn convnet_passes_charge_the_tape_until_their_last_handle_drops() {
     drop((loss, x));
     let param_bytes: u64 = net.params().iter().map(|p| p.tensor().heap_bytes()).sum();
     assert!(tape_current_bytes() >= before + param_bytes);
+
+    // Reading the gradients through `GradList::from_params` releases every
+    // binding, so the tape is empty again once the list drops.
+    let x = Var::constant(images.clone());
+    let loss = weighted_cross_entropy(&net.forward(&x, false), &labels, None, Reduction::Sum);
+    loss.backward();
+    let grads = GradList::from_params(&net.params());
+    assert_eq!(grads.len(), net.params().len());
+    drop((loss, x, grads));
+    assert_eq!(tape_current_bytes(), before);
+    assert_eq!(tracked(), tracked_before);
     drop(net);
     assert_eq!(tape_current_bytes(), before);
     assert_eq!(tracked(), tracked_before);

@@ -1,11 +1,11 @@
-//! Adversarial stream generators.
+//! Adversarial stream scenarios.
 //!
 //! The paper's streams are benign: every class is available from the first
 //! segment, arrival rate is constant, runs are pure, and the acquisition
 //! environment is drawn uniformly per run. A fleet serving millions of
-//! heterogeneous users sees none of those luxuries. This module wraps the
-//! [`Stream`]/[`StreamConfig`] machinery of `deco-datasets` into *hostile*
-//! workloads:
+//! heterogeneous users sees none of those luxuries. This module supplies
+//! the [`Scenario`] hooks that turn the one stream generator of
+//! `deco-datasets`, [`Stream`], into *hostile* workloads:
 //!
 //! * [`ClassIncremental`] — new classes appear mid-stream, exercising the
 //!   condensed buffer's class-allocation path;
@@ -14,25 +14,23 @@
 //! * [`LabelNoiseRamp`] — a time-varying fraction of *intruder* frames
 //!   breaks the temporal-correlation assumption majority voting relies on;
 //! * [`DomainShift`] — an abrupt mid-stream shift of the render-environment
-//!   pool (the hard cousin of `deco_datasets::DriftStream`'s gradual sweep).
+//!   pool.
 //!
 //! # Determinism contract
 //!
-//! A [`ScenarioStream`] is a pure function of `(dataset, StreamConfig,
-//! ScenarioConfig)`. Every scenario decision — burst placement, the class
-//! pool, the intruder probability, the environment pool — depends only on
-//! the *segment index* and the config, never on wall-clock, thread count or
-//! scheduling. All randomness flows through one `Rng` whose state, together
-//! with the in-flight run and the emitted-segment count, is exactly a
-//! [`StreamCursor`]: [`ScenarioStream::cursor`]/[`ScenarioStream::seek`]
-//! round-trip through the *same* cursor type (and hence the same serve-layer
-//! session wire format) as the baseline stream, so a tenant can be evicted
-//! to disk mid-scenario and rehydrated bitwise.
+//! A [`ScenarioStream`] is a [`Stream`] and so a pure function of
+//! `(dataset, StreamConfig, ScenarioConfig)`. Every scenario decision —
+//! burst placement, the class pool, the intruder probability, the
+//! environment pool — depends only on the *segment index* and the config,
+//! never on wall-clock, thread count or scheduling. Every scenario, the
+//! baseline included, runs the same generator with the same
+//! [`StreamCursor`](deco_datasets::StreamCursor), so a tenant can be
+//! evicted to disk mid-scenario and rehydrated bitwise through the
+//! unchanged serve-layer session format.
 
 use std::ops::Range;
 
-use deco_datasets::{RunState, Segment, Stream, StreamConfig, StreamCursor, SyntheticVision};
-use deco_tensor::{Rng, Tensor};
+use deco_datasets::{BaselineScenario, Scenario, Stream, StreamConfig};
 
 /// Position of segment `index` within a stream of `num_segments`, in
 /// `[0, 1]` (0 for a single-segment stream).
@@ -41,57 +39,6 @@ fn progress(index: usize, num_segments: usize) -> f32 {
         0.0
     } else {
         index as f32 / (num_segments - 1) as f32
-    }
-}
-
-/// A stream scenario: a set of pure hooks that reshape how segments are
-/// generated. Every hook must be a deterministic function of its arguments
-/// only — in particular of the segment `index`, never of mutable state —
-/// which is what makes scenario streams seekable through a plain
-/// [`StreamCursor`] (see `docs/scenarios.md` for the contract and a
-/// checklist for adding a generator).
-pub trait Scenario {
-    /// Stable snake_case name used in leaderboard cell keys and telemetry.
-    fn name(&self) -> &'static str;
-
-    /// Salt mixed into the stream RNG seed so that a scenario's item
-    /// sequence differs from the baseline's even at equal config seeds.
-    fn rng_salt(&self) -> u64;
-
-    /// Items in segment `index` (rate spikes return more than
-    /// `base.segment_size`).
-    fn items_in_segment(&self, base: &StreamConfig, index: usize) -> usize {
-        let _ = index;
-        base.segment_size
-    }
-
-    /// Classes available to *new* runs started inside segment `index`
-    /// (a growing prefix under class-incremental arrival). Must be in
-    /// `1..=num_classes`.
-    fn available_classes(&self, num_classes: usize, index: usize, num_segments: usize) -> usize {
-        let _ = (index, num_segments);
-        num_classes
-    }
-
-    /// The render-environment pool for runs started inside segment
-    /// `index`. Must be a non-empty subrange of `0..num_environments`.
-    fn environment_range(
-        &self,
-        num_environments: usize,
-        index: usize,
-        num_segments: usize,
-    ) -> Range<usize> {
-        let _ = (index, num_segments);
-        0..num_environments
-    }
-
-    /// Probability in `[0, 1)` that an item of segment `index` is replaced
-    /// by an *intruder* frame of a different class (temporal-correlation
-    /// poisoning). Returning exactly `0.0` must mean "no RNG draw", so the
-    /// baseline path consumes no extra randomness.
-    fn intruder_prob(&self, index: usize, num_segments: usize) -> f32 {
-        let _ = (index, num_segments);
-        0.0
     }
 }
 
@@ -253,8 +200,8 @@ impl Scenario for DomainShift {
 /// `deco-serve` `TenantSpec` and survive evict/rehydrate comparisons.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScenarioConfig {
-    /// The paper's benign stream — delegates to [`Stream`] verbatim, so a
-    /// baseline scenario is *bitwise identical* to no scenario at all.
+    /// The paper's benign stream: the [`BaselineScenario`] hooks, so a
+    /// baseline scenario stream is [`Stream::new`]'s stream.
     Baseline,
     /// Class-incremental arrival.
     ClassIncremental(ClassIncremental),
@@ -265,22 +212,6 @@ pub enum ScenarioConfig {
     /// Mid-stream domain shift.
     DomainShift(DomainShift),
 }
-
-/// The baseline scenario hooks (all defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BaselineScenario;
-
-impl Scenario for BaselineScenario {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn rng_salt(&self) -> u64 {
-        0
-    }
-}
-
-static BASELINE: BaselineScenario = BaselineScenario;
 
 impl ScenarioConfig {
     /// The four adversarial scenarios with default parameters, in
@@ -301,9 +232,9 @@ impl ScenarioConfig {
     }
 
     /// The scenario's hook implementation.
-    pub fn as_scenario(&self) -> &dyn Scenario {
+    fn hooks(&self) -> &dyn Scenario {
         match self {
-            ScenarioConfig::Baseline => &BASELINE,
+            ScenarioConfig::Baseline => &BaselineScenario,
             ScenarioConfig::ClassIncremental(s) => s,
             ScenarioConfig::Bursty(s) => s,
             ScenarioConfig::LabelNoiseRamp(s) => s,
@@ -313,7 +244,7 @@ impl ScenarioConfig {
 
     /// Stable snake_case name (leaderboard keys, telemetry, CLI).
     pub fn name(&self) -> &'static str {
-        self.as_scenario().name()
+        self.hooks().name()
     }
 
     /// Parses a scenario name (default parameters). Accepts `-` or `_`
@@ -340,252 +271,58 @@ impl std::fmt::Display for ScenarioConfig {
     }
 }
 
-/// Internal stream state: the baseline delegates to the real [`Stream`]
-/// (bitwise-equal by construction), adversarial scenarios drive their own
-/// run machinery whose entire state is `(rng, run, emitted)`.
-#[derive(Debug, Clone)]
-enum Inner<'a> {
-    Base(Stream<'a>),
-    Synth {
-        rng: Rng,
-        run: Option<RunState>,
-        emitted: usize,
-    },
+impl Scenario for ScenarioConfig {
+    fn name(&self) -> &'static str {
+        self.hooks().name()
+    }
+
+    fn rng_salt(&self) -> u64 {
+        self.hooks().rng_salt()
+    }
+
+    fn items_in_segment(&self, base: &StreamConfig, index: usize) -> usize {
+        self.hooks().items_in_segment(base, index)
+    }
+
+    fn available_classes(&self, num_classes: usize, index: usize, num_segments: usize) -> usize {
+        self.hooks()
+            .available_classes(num_classes, index, num_segments)
+    }
+
+    fn environment_range(
+        &self,
+        num_environments: usize,
+        index: usize,
+        num_segments: usize,
+    ) -> Range<usize> {
+        self.hooks()
+            .environment_range(num_environments, index, num_segments)
+    }
+
+    fn intruder_prob(&self, index: usize, num_segments: usize) -> f32 {
+        self.hooks().intruder_prob(index, num_segments)
+    }
 }
 
-/// A lazily generated scenario stream, yielding [`Segment`]s.
+/// A stream under one of the five scenarios: the one [`Stream`] generator
+/// with a [`ScenarioConfig`]'s hooks.
 ///
 /// ```
-/// use deco_datasets::{core50, StreamConfig, SyntheticVision};
+/// use deco_datasets::{core50, Stream, StreamConfig, SyntheticVision};
 /// use deco_scenarios::{ScenarioConfig, ScenarioStream};
 ///
 /// let data = SyntheticVision::new(core50());
 /// let cfg = StreamConfig { stc: 20, segment_size: 16, num_segments: 4, seed: 1 };
 /// let scenario = ScenarioConfig::parse("class-incremental").unwrap();
-/// let segments: Vec<_> = ScenarioStream::new(&data, cfg, scenario).collect();
-/// assert_eq!(segments.len(), 4);
+/// let stream: ScenarioStream = Stream::with_scenario(&data, cfg, scenario);
+/// assert_eq!(stream.count(), 4);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioStream<'a> {
-    dataset: &'a SyntheticVision,
-    config: StreamConfig,
-    scenario: ScenarioConfig,
-    inner: Inner<'a>,
-}
-
-impl<'a> ScenarioStream<'a> {
-    /// Creates a scenario stream over `dataset`.
-    ///
-    /// # Panics
-    /// Panics on an invalid base configuration.
-    pub fn new(
-        dataset: &'a SyntheticVision,
-        config: StreamConfig,
-        scenario: ScenarioConfig,
-    ) -> Self {
-        config.validate();
-        let inner = match scenario {
-            ScenarioConfig::Baseline => Inner::Base(Stream::new(dataset, config)),
-            _ => Inner::Synth {
-                rng: Rng::new(
-                    dataset.spec().seed
-                        ^ config.seed.wrapping_mul(0x5DEECE66D)
-                        ^ scenario.as_scenario().rng_salt(),
-                ),
-                run: None,
-                emitted: 0,
-            },
-        };
-        ScenarioStream {
-            dataset,
-            config,
-            scenario,
-            inner,
-        }
-    }
-
-    /// The base stream configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
-    /// The scenario.
-    pub fn scenario(&self) -> &ScenarioConfig {
-        &self.scenario
-    }
-
-    /// Segments already emitted.
-    pub fn emitted(&self) -> usize {
-        match &self.inner {
-            Inner::Base(s) => s.cursor().emitted,
-            Inner::Synth { emitted, .. } => *emitted,
-        }
-    }
-
-    /// Captures the current position. The cursor is a plain
-    /// [`StreamCursor`] — the same type (and serve-layer wire encoding) the
-    /// baseline stream uses — so scenario sessions persist through the
-    /// unchanged `deco-serve` session format.
-    pub fn cursor(&self) -> StreamCursor {
-        match &self.inner {
-            Inner::Base(s) => s.cursor(),
-            Inner::Synth { rng, run, emitted } => {
-                let (rng_state, rng_spare) = rng.state_parts();
-                StreamCursor {
-                    rng_state,
-                    rng_spare,
-                    run: run.clone(),
-                    emitted: *emitted,
-                }
-            }
-        }
-    }
-
-    /// Repositions at a previously captured cursor. The stream must have
-    /// been built over the same dataset, config *and scenario* the cursor
-    /// was taken from; subsequent segments are then bitwise identical to
-    /// what the original stream would have produced.
-    pub fn seek(&mut self, cursor: &StreamCursor) {
-        match &mut self.inner {
-            Inner::Base(s) => s.seek(cursor),
-            Inner::Synth { rng, run, emitted } => {
-                *rng = Rng::from_state_parts(cursor.rng_state, cursor.rng_spare);
-                *run = cursor.run.clone();
-                *emitted = cursor.emitted;
-            }
-        }
-    }
-}
-
-/// Starts a fresh run inside segment `index` (scenario-restricted class
-/// pool and environment pool; same run-length jitter as the baseline).
-fn fresh_run(
-    dataset: &SyntheticVision,
-    config: &StreamConfig,
-    scenario: &dyn Scenario,
-    rng: &mut Rng,
-    prev_class: Option<usize>,
-    index: usize,
-) -> RunState {
-    let spec = dataset.spec();
-    let avail = scenario
-        .available_classes(spec.num_classes, index, config.num_segments)
-        .clamp(1, spec.num_classes);
-    // Avoid immediately repeating the previous class when possible.
-    let class = loop {
-        let c = rng.below(avail);
-        if Some(c) != prev_class || avail == 1 {
-            break c;
-        }
-    };
-    // Run length: STC ± 50 % jitter, exactly as the baseline stream.
-    let jitter = rng.uniform(0.5, 1.5);
-    let length = ((config.stc as f32 * jitter) as usize).max(1);
-    let view = rng.next_f32();
-    let envs = scenario.environment_range(spec.num_environments, index, config.num_segments);
-    let envs = if envs.is_empty() {
-        0..spec.num_environments
-    } else {
-        envs
-    };
-    RunState {
-        class,
-        instance: rng.below(spec.instances_per_class),
-        environment: envs.start + rng.below(envs.len()),
-        view,
-        view_step: 1.0 / length as f32,
-        remaining: length,
-    }
-}
-
-/// Generates the next item of segment `index`, advancing the in-flight run
-/// and possibly substituting an intruder frame.
-fn next_item(
-    dataset: &SyntheticVision,
-    config: &StreamConfig,
-    scenario: &dyn Scenario,
-    rng: &mut Rng,
-    run: &mut Option<RunState>,
-    index: usize,
-) -> (Tensor, usize) {
-    let spec = dataset.spec();
-    if run.as_ref().is_none_or(|r| r.remaining == 0) {
-        let prev = run.as_ref().map(|r| r.class);
-        *run = Some(fresh_run(dataset, config, scenario, rng, prev, index));
-    }
-    let (class, instance, environment, view) = {
-        let r = run.as_mut().expect("run initialized above");
-        let out = (r.class, r.instance, r.environment, r.view);
-        r.view = (r.view + r.view_step).fract();
-        r.remaining -= 1;
-        out
-    };
-    let p = scenario.intruder_prob(index, config.num_segments);
-    if p > 0.0 && rng.next_f32() < p && spec.num_classes > 1 {
-        // An intruder: one frame of a *different* class spliced into the
-        // run, with its own instance/environment/view draw.
-        let mut intruder = rng.below(spec.num_classes);
-        if intruder == class {
-            intruder = (intruder + 1) % spec.num_classes;
-        }
-        let instance = rng.below(spec.instances_per_class);
-        let environment = rng.below(spec.num_environments);
-        let view = rng.next_f32();
-        deco_telemetry::counter!("scenario.intruders");
-        let frame = dataset.render(intruder, instance, environment, view, rng);
-        return (frame, intruder);
-    }
-    let frame = dataset.render(class, instance, environment, view, rng);
-    (frame, class)
-}
-
-impl Iterator for ScenarioStream<'_> {
-    type Item = Segment;
-
-    fn next(&mut self) -> Option<Segment> {
-        let scenario = self.scenario;
-        let (rng, run, emitted) = match &mut self.inner {
-            Inner::Base(s) => return s.next(),
-            Inner::Synth { rng, run, emitted } => (rng, run, emitted),
-        };
-        if *emitted >= self.config.num_segments {
-            return None;
-        }
-        let index = *emitted;
-        *emitted += 1;
-        let hooks = scenario.as_scenario();
-        let b = hooks.items_in_segment(&self.config, index).max(1);
-        let spec = self.dataset.spec();
-        deco_telemetry::counter!("scenario.segments");
-        deco_telemetry::counter!("scenario.items", b as u64);
-        if b > self.config.segment_size {
-            deco_telemetry::counter!("scenario.burst_segments");
-        }
-        let mut data = Vec::with_capacity(b * self.dataset.frame_numel());
-        let mut labels = Vec::with_capacity(b);
-        for _ in 0..b {
-            let (frame, label) = next_item(self.dataset, &self.config, hooks, rng, run, index);
-            data.extend_from_slice(frame.data());
-            labels.push(label);
-        }
-        Some(Segment {
-            images: Tensor::from_vec(data, [b, spec.channels, spec.image_side, spec.image_side]),
-            true_labels: labels,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.config.num_segments - self.emitted();
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for ScenarioStream<'_> {}
+pub type ScenarioStream<'a> = Stream<'a, ScenarioConfig>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deco_datasets::{core50, empirical_stc};
+    use deco_datasets::{core50, empirical_stc, Segment, SyntheticVision};
 
     fn dataset() -> SyntheticVision {
         SyntheticVision::new(core50())
@@ -608,28 +345,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_scenario_is_bitwise_the_plain_stream() {
-        let data = dataset();
-        let c = cfg(4, 9);
-        let plain: Vec<Segment> = Stream::new(&data, c).collect();
-        let wrapped: Vec<Segment> =
-            ScenarioStream::new(&data, c, ScenarioConfig::Baseline).collect();
-        assert_eq!(plain.len(), wrapped.len());
-        for (a, b) in plain.iter().zip(&wrapped) {
-            assert_eq!(a.true_labels, b.true_labels);
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.images), bits(&b.images));
-        }
-    }
-
-    #[test]
     fn every_scenario_is_deterministic_per_seed() {
         let data = dataset();
         for scenario in ScenarioConfig::all() {
-            let a: Vec<Segment> = ScenarioStream::new(&data, cfg(5, 3), scenario).collect();
-            let b: Vec<Segment> = ScenarioStream::new(&data, cfg(5, 3), scenario).collect();
+            let a: Vec<Segment> = Stream::with_scenario(&data, cfg(5, 3), scenario).collect();
+            let b: Vec<Segment> = Stream::with_scenario(&data, cfg(5, 3), scenario).collect();
             assert_eq!(a, b, "{scenario} not deterministic");
-            let c: Vec<Segment> = ScenarioStream::new(&data, cfg(5, 4), scenario).collect();
+            let c: Vec<Segment> = Stream::with_scenario(&data, cfg(5, 4), scenario).collect();
             assert_ne!(labels_of(&a), labels_of(&c), "{scenario} ignores the seed");
         }
     }
@@ -638,7 +360,7 @@ mod tests {
     fn class_incremental_grows_the_class_pool() {
         let data = dataset();
         let scenario = ScenarioConfig::ClassIncremental(ClassIncremental { start_frac: 0.3 });
-        let segs: Vec<Segment> = ScenarioStream::new(&data, cfg(10, 5), scenario).collect();
+        let segs: Vec<Segment> = Stream::with_scenario(&data, cfg(10, 5), scenario).collect();
         // Early segments: only the initial prefix (3 of 10 classes, plus
         // the tail of runs — none here since runs start fresh).
         let early_max = segs[0].true_labels.iter().copied().max().unwrap();
@@ -657,7 +379,7 @@ mod tests {
             factor: 4,
         };
         let scenario = ScenarioConfig::Bursty(burst);
-        let segs: Vec<Segment> = ScenarioStream::new(&data, cfg(6, 2), scenario).collect();
+        let segs: Vec<Segment> = Stream::with_scenario(&data, cfg(6, 2), scenario).collect();
         for (i, seg) in segs.iter().enumerate() {
             let expect = if burst.is_burst(i) { 64 } else { 16 };
             assert_eq!(seg.len(), expect, "segment {i}");
@@ -678,7 +400,7 @@ mod tests {
             num_segments: 8,
             seed: 7,
         };
-        let segs: Vec<Segment> = ScenarioStream::new(&data, c, scenario).collect();
+        let segs: Vec<Segment> = Stream::with_scenario(&data, c, scenario).collect();
         let early = empirical_stc(&labels_of(&segs[..2]));
         let late = empirical_stc(&labels_of(&segs[6..]));
         assert!(
@@ -697,7 +419,7 @@ mod tests {
             num_segments: 8,
             seed: 3,
         };
-        let segs: Vec<Segment> = ScenarioStream::new(&data, c, scenario).collect();
+        let segs: Vec<Segment> = Stream::with_scenario(&data, c, scenario).collect();
         // Compare mean class-0 frames before and after the shift.
         let frame = data.frame_numel();
         let class_mean = |seg: &Segment| -> Option<f32> {
@@ -724,11 +446,11 @@ mod tests {
         let data = dataset();
         for scenario in ScenarioConfig::all() {
             let c = cfg(6, 11);
-            let mut original = ScenarioStream::new(&data, c, scenario);
+            let mut original = Stream::with_scenario(&data, c, scenario);
             let _ = original.next();
             let _ = original.next();
             let cursor = original.cursor();
-            let mut resumed = ScenarioStream::new(&data, c, scenario);
+            let mut resumed = Stream::with_scenario(&data, c, scenario);
             resumed.seek(&cursor);
             for (a, b) in original.zip(resumed) {
                 assert_eq!(a.true_labels, b.true_labels, "{scenario}");
@@ -753,7 +475,7 @@ mod tests {
     fn scenario_streams_are_exact_size_iterators() {
         let data = dataset();
         for scenario in ScenarioConfig::all() {
-            let mut s = ScenarioStream::new(&data, cfg(3, 1), scenario);
+            let mut s = Stream::with_scenario(&data, cfg(3, 1), scenario);
             assert_eq!(s.len(), 3);
             let _ = s.next();
             assert_eq!(s.len(), 2);

@@ -24,7 +24,7 @@ mod generator;
 mod matrix;
 
 pub use generator::{
-    Bursty, ClassIncremental, DomainShift, LabelNoiseRamp, Scenario, ScenarioConfig, ScenarioStream,
+    Bursty, ClassIncremental, DomainShift, LabelNoiseRamp, ScenarioConfig, ScenarioStream,
 };
 pub use matrix::{
     check_against, run_matrix, scenario_segments, CellOutcome, CellSpec, MatrixGrid, MatrixResult,

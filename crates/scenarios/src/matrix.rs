@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use deco_datasets::{empirical_stc, Segment, StreamConfig, SyntheticVision};
+use deco_datasets::{empirical_stc, Segment, Stream, StreamConfig, SyntheticVision};
 use deco_eval::{
     run_trial_on_segments, DatasetId, ExperimentScale, MethodKind, ScaleParams, Table,
     TrialFailure, TrialSpec,
@@ -20,7 +20,7 @@ use deco_eval::{
 use deco_telemetry::{Json, ToJson};
 use deco_tensor::StorageDtype;
 
-use crate::generator::{ScenarioConfig, ScenarioStream};
+use crate::generator::ScenarioConfig;
 
 /// Leaderboard schema identifier (bump on breaking JSON changes).
 /// v2: cells gained a `storage_dtype` axis (key suffix + coordinate
@@ -209,7 +209,7 @@ pub fn scenario_segments(
         num_segments: params.num_segments,
         seed,
     };
-    ScenarioStream::new(data, cfg, scenario).collect()
+    Stream::with_scenario(data, cfg, scenario).collect()
 }
 
 /// The measured outcome of one cell: per-seed deterministic metrics plus

@@ -4,10 +4,8 @@
 //! segment sequence on a fresh stream. This is the load-bearing property
 //! behind serve-layer evict/rehydrate of scenario tenants.
 
-use deco_datasets::{core50, DatasetSpec, StreamConfig, SyntheticVision};
-use deco_scenarios::{
-    Bursty, ClassIncremental, DomainShift, LabelNoiseRamp, ScenarioConfig, ScenarioStream,
-};
+use deco_datasets::{core50, DatasetSpec, Stream, StreamConfig, SyntheticVision};
+use deco_scenarios::{Bursty, ClassIncremental, DomainShift, LabelNoiseRamp, ScenarioConfig};
 use proptest::prelude::*;
 
 fn spec_with(classes: usize, seed: u64) -> DatasetSpec {
@@ -58,14 +56,14 @@ proptest! {
         let cfg = StreamConfig { stc, segment_size: 8, num_segments, seed };
         let k = captured_at % num_segments;
 
-        let mut original = ScenarioStream::new(&data, cfg, scenario);
+        let mut original = Stream::with_scenario(&data, cfg, scenario);
         for _ in 0..k {
             prop_assert!(original.next().is_some());
         }
         let cursor = original.cursor();
         prop_assert_eq!(cursor.emitted, k);
 
-        let mut resumed = ScenarioStream::new(&data, cfg, scenario);
+        let mut resumed = Stream::with_scenario(&data, cfg, scenario);
         resumed.seek(&cursor);
         let rest_original: Vec<_> = original.collect();
         let rest_resumed: Vec<_> = resumed.collect();
@@ -92,7 +90,7 @@ proptest! {
         let data = SyntheticVision::new(spec_with(4, seed));
         let cfg = StreamConfig { stc, segment_size: 8, num_segments: 3, seed };
 
-        let mut stream = ScenarioStream::new(&data, cfg, scenario);
+        let mut stream = Stream::with_scenario(&data, cfg, scenario);
         let origin = stream.cursor();
         let first: Vec<_> = stream.by_ref().collect();
         stream.seek(&origin);
@@ -112,7 +110,7 @@ proptest! {
         let scenario = scenario_by_index(scenario_pick);
         let data = SyntheticVision::new(spec_with(classes, seed));
         let cfg = StreamConfig { stc, segment_size: 8, num_segments: 4, seed };
-        for segment in ScenarioStream::new(&data, cfg, scenario) {
+        for segment in Stream::with_scenario(&data, cfg, scenario) {
             prop_assert!(segment.true_labels.iter().all(|&y| y < classes));
         }
     }

@@ -458,11 +458,6 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.specs.len()
-    }
-
     /// Sessions currently in memory.
     pub fn resident_count(&self) -> usize {
         self.resident.len()

@@ -5,9 +5,9 @@
 
 use deco::{pretrain, BufferPolicy, DecoCondenser, DecoConfig, LearnerConfig, OnDeviceLearner};
 use deco_condense::SyntheticBuffer;
-use deco_datasets::{DatasetSpec, Segment, StreamConfig, StreamCursor, SyntheticVision};
+use deco_datasets::{DatasetSpec, Segment, Stream, StreamConfig, StreamCursor, SyntheticVision};
 use deco_nn::{ConvNet, ConvNetConfig};
-use deco_scenarios::{ScenarioConfig, ScenarioStream};
+use deco_scenarios::ScenarioConfig;
 use deco_tensor::Rng;
 
 use crate::session::SessionState;
@@ -131,7 +131,7 @@ impl TenantSession {
             buffer,
         };
         let learner = OnDeviceLearner::new(model, scratch, policy, spec.learner, rng.fork(1));
-        let cursor = ScenarioStream::new(dataset, spec.stream, spec.scenario).cursor();
+        let cursor = Stream::with_scenario(dataset, spec.stream, spec.scenario).cursor();
         TenantSession {
             spec,
             learner,
@@ -224,7 +224,7 @@ impl TenantSession {
         if self.segments_remaining() == 0 {
             return None;
         }
-        let mut stream = ScenarioStream::new(dataset, self.spec.stream, self.spec.scenario);
+        let mut stream = Stream::with_scenario(dataset, self.spec.stream, self.spec.scenario);
         stream.seek(&self.cursor);
         let segment = stream.next();
         self.cursor = stream.cursor();

@@ -113,14 +113,6 @@ impl Json {
         }
     }
 
-    /// The value's object pairs, if an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Serializes with two-space indentation and a trailing newline-free
     /// layout matching common `to_string_pretty` output.
     pub fn to_string_pretty(&self) -> String {

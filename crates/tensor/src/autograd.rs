@@ -202,11 +202,6 @@ impl Var {
         self.node.grad.borrow().clone()
     }
 
-    /// Clears this node's accumulated gradient.
-    pub fn zero_grad(&self) {
-        *self.node.grad.borrow_mut() = None;
-    }
-
     /// A detached copy: same value, no history, no gradient flow.
     pub fn detach(&self) -> Var {
         Var::constant(self.node.value.clone())

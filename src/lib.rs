@@ -9,14 +9,14 @@
 //! |---|---|---|
 //! | [`tensor`] | `deco-tensor` | dense tensors + reverse-mode autograd |
 //! | [`nn`] | `deco-nn` | layers, ConvNet, losses, optimizers |
-//! | [`datasets`] | `deco-datasets` | synthetic streaming vision datasets |
+//! | [`datasets`] | `deco-datasets` | synthetic streaming vision datasets + the one stream generator and its scenario hooks |
 //! | [`replay`] | `deco-replay` | selection-baseline replay buffers |
 //! | [`condense`] | `deco-condense` | DC / DSA / DM + one-step matching |
 //! | [`core`] | `deco` | DECO itself + the on-device learning loop |
 //! | [`eval`] | `deco-eval` | experiment runner, tables, reports |
 //! | [`runtime`] | `deco-runtime` | thread pool, deterministic reductions |
 //! | [`serve`] | `deco-serve` | multi-tenant serving: session persistence, LRU eviction, batch scheduling |
-//! | [`scenarios`] | `deco-scenarios` | adversarial stream scenarios + benchmark matrix / leaderboard |
+//! | [`scenarios`] | `deco-scenarios` | adversarial scenario hooks for that generator + benchmark matrix / leaderboard |
 //!
 //! ```no_run
 //! use deco_repro::prelude::*;

@@ -1,11 +1,11 @@
 //! Cross-crate substrate integration: tensor ↔ nn ↔ condense numerics that
 //! only surface when the pieces compose (training through augmentations,
-//! MLP-on-synthetic-data, drift streams).
+//! MLP-on-synthetic-data, domain-shift streams).
 
 use deco_repro::condense::{Augmentation, SyntheticBuffer};
-use deco_repro::datasets::DriftStream;
 use deco_repro::nn::{weighted_cross_entropy, Mlp, MlpConfig};
 use deco_repro::prelude::*;
+use deco_repro::scenarios::DomainShift;
 use deco_repro::tensor::Reduction;
 
 #[test]
@@ -73,7 +73,7 @@ fn mlp_trains_on_a_condensed_buffer() {
 }
 
 #[test]
-fn drift_stream_drives_the_full_learner() {
+fn domain_shift_stream_drives_the_full_learner() {
     let mut rng = Rng::new(6);
     let data = SyntheticVision::new(core50());
     let cfg = ConvNetConfig {
@@ -100,7 +100,8 @@ fn drift_stream_drives_the_full_learner() {
         num_segments: 4,
         seed: 8,
     };
-    for segment in DriftStream::new(&data, scfg) {
+    let shift = ScenarioConfig::DomainShift(DomainShift::default());
+    for segment in Stream::with_scenario(&data, scfg, shift) {
         let report = learner.process_segment(&segment);
         assert_eq!(report.segment_len, 16);
     }
